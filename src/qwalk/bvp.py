@@ -52,7 +52,7 @@ from .kernel import (
     poly_eval,
     trace_curve_M,
 )
-from .steps import StepSet
+from .steps import StepSet, drift
 
 _MAX_NODES = 2**14
 _GLUING_TOL = 1e-9
@@ -546,8 +546,15 @@ def q11_general(
     evaluator(z) -> (q00, q10, q01) defaults to the gluing route.  At the
     removable point z = 1/|S| the relation degenerates to 0 = 0; the value
     is then recovered by Richardson extrapolation of symmetric offsets.
+    Zero-drift models have z_g = 1/|S|, so the offset above it would cross
+    the genus transition: there z = 1/|S| raises OutOfRange.
     """
     card = len(s)
+    removable = abs(card - 1.0 / z) < 1e-6
+    d = drift(s)
+    if removable and d.m_x == d.m_y == 0:
+        raise OutOfRange(f"z={z} is 1/|S| = z_g of a zero-drift model; "
+                         "the offset limit would cross the genus transition")
 
     if evaluator is None:
         if cgf is None:
@@ -564,7 +571,7 @@ def q11_general(
         q00, q10, q01 = evaluator(zv)
         return q11_from_relation(s, zv, q10, q01, q00)
 
-    if abs(card - 1.0 / z) < 1e-6:
+    if removable:
         # symmetric offsets kill the even-order error terms and a second
         # level extrapolates the eps^2 one away; eps stays small because the
         # next true singularity may sit close above 1/|S|

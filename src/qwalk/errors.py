@@ -33,6 +33,10 @@ class RootFindingFailure(QwalkError, ArithmeticError):
     """Polynomial root iteration failed to converge to tolerance."""
 
 
+class InexactDivision(QwalkError, ArithmeticError):
+    """An exact integer polynomial division left a remainder."""
+
+
 class DegenerateQuadratic(QwalkError, ArithmeticError):
     """Both the quadratic and linear coefficient of a kernel section vanish."""
 

@@ -6,8 +6,9 @@ The genus-transition point z_g is computed by two independent routes:
   (0, inf)^2 killing both first moments, with z_g the reciprocal of the
   step polynomial there (damped Newton in log coordinates);
 * the smallest positive z at which the x-discriminant acquires a real
-  positive double root with the inner-collision signature (exact rational
-  resultant in z, Sturm isolation, then numeric validation).
+  positive double root with the inner-collision signature: a fraction-free
+  integer resultant in z, float roots certified by exact signs at rational
+  bracket endpoints and an exact Sturm count, then numeric validation.
 
 z_Y and z_X have closed forms; 1/|S| is elementary.  The drift/covariance
 table then names the first positive singularity of Q(1,0,z), Q(0,1,z) and
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _ratpoly as rp
 from .errors import (
@@ -149,45 +149,29 @@ def _nested_bisection(s: StepSet) -> tuple[float, float]:
     return u, v_star(u)
 
 
-def _disc_coeff_polys(s: StepSet) -> list[rp.Poly]:
-    """Coefficient of x^k in the cleared discriminant, as a polynomial in z."""
-    return [rp.norm([Fraction(c0), Fraction(c1), Fraction(c2)])
-            for (c0, c1, c2) in cleared_disc_int(s, "x")]
-
-
 def _resultant_in_z(s: StepSet) -> rp.Poly:
-    """R(z) = Res_x(D(x,z), dD/dx(x,z)) with exact rational arithmetic.
+    """R(z) = Res_x(D(x,z), dD/dx(x,z)) as an integer polynomial in z.
 
-    Built by evaluation at integer z-samples and Lagrange interpolation; the
-    Sylvester dimensions are fixed by the formal x-degrees, so the sampled
-    determinants interpolate the genuine resultant polynomial.
+    D is the cleared discriminant; the Sylvester dimensions are fixed by its
+    formal x-degree, and the determinant is taken fraction-free over Z[z].
     """
-    coeff_polys = _disc_coeff_polys(s)
+    coeff_polys = [rp.norm(trip) for trip in cleared_disc_int(s, "x")]
     while coeff_polys and not coeff_polys[-1]:
         coeff_polys.pop()
     dp = len(coeff_polys) - 1
     if dp < 2:
         raise RootFindingFailure("discriminant degenerates below a quadratic in x")
-    deriv_polys = [rp.scale(coeff_polys[k], Fraction(k)) for k in range(1, dp + 1)]
-    # z-degree bound:  each Sylvester entry has degree <= 2
-    n_samples = 2 * (dp + dp - 1) + 1
-    points: list[tuple[Fraction, Fraction]] = []
-    z0 = 1
-    while len(points) < n_samples:
-        zf = Fraction(z0)
-        p = [rp.evaluate(c, zf) for c in coeff_polys]
-        q = [rp.evaluate(c, zf) for c in deriv_polys]
-        points.append((zf, rp.sylvester_resultant(p, q)))
-        z0 += 1
-    return rp.lagrange_interpolate(points)
+    deriv_polys = [[k * c for c in coeff_polys[k]] for k in range(1, dp + 1)]
+    return rp.sylvester_resultant(coeff_polys, deriv_polys)
 
 
 def z_g_via_resultant(s: StepSet) -> float:
     """z_g as the smallest positive z where d(., z) has a real positive
     double root of inner-collision type (local maximum touching zero).
 
-    Candidates are the positive real roots of the z-resultant of (D, D_x),
-    isolated exactly; each is validated numerically: the clustered double
+    Candidates are the positive real roots of the integer z-resultant of
+    (D, D_x), each certified by an exact bracket; each is validated
+    numerically: the clustered double
     root must be real, positive, and a local maximum of d in x (the two
     colliding roots are the real pair surrounding the shrinking positivity
     interval, not a cut endpoint pair, which would touch from below).
@@ -204,7 +188,8 @@ def z_g_via_resultant(s: StepSet) -> float:
         coeffs = _cleared_disc_at(coeffs_int, z)
         try:
             roots = _poly_roots(coeffs)
-        except RootFindingFailure:
+        except RootFindingFailure as exc:
+            rejected.append(f"z={z}: {exc}")
             continue
         if len(roots) < 2:
             rejected.append(f"z={z}: fewer than two finite roots")

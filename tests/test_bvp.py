@@ -408,3 +408,12 @@ def test_oracle_agreement_sweep(simple_table):
         tail = (4 * z) ** (n_terms + 1) / (1 - 4 * z)
         got = bvp.q00_general(SIMPLE, z, bvp.circle_cgf()).value
         assert abs(got - counting.eval_series(q00c, z)) < 1e-8 + tail
+
+
+def test_q11_general_zero_drift_at_inverse_cardinality_out_of_range():
+    # zero drift puts z_g at 1/|S|: the removable-point limit would probe
+    # above the genus transition, so the call is refused up front
+    with pytest.raises(OutOfRange):
+        bvp.q11_general(SIMPLE, 0.25, bvp.circle_cgf())
+    with pytest.raises(OutOfRange):
+        bvp.q11_general(SIMPLE, 0.25, evaluator=lambda zv: (1.0, 1.0, 1.0))

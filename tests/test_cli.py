@@ -122,6 +122,20 @@ def test_check_kreweras(capsys):
     assert code == 0 and data["ok"]
 
 
+def test_check_lists_skipped_checks(capsys):
+    # gessel's curve passes through infinity, so there is no circle gluing
+    # to check the Cauchy integral with; the skip is reported with its reason
+    a = run(capsys, "check", "--preset", "gessel", "--n", "40")
+    b = run(capsys, "check", "--preset", "gessel", "--n", "40")
+    assert a == b
+    data = json.loads(a[1])
+    assert a[0] == 0 and data["ok"]
+    skipped = {r["name"]: r["reason"] for r in data["skipped"]}
+    assert skipped["cauchy-integral-vs-series"].startswith("SlitDegenerate")
+    assert "growth-vs-first-singularity" in skipped
+    assert not skipped.keys() & {r["name"] for r in data["results"]}
+
+
 def test_steps_file_source(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"steps": [[-1,0],[0,-1],[1,1]]}')

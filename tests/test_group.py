@@ -150,3 +150,19 @@ def test_group_order_deterministic_in_seed():
     a = group.group_order(s, seed=5)
     b = group.group_order(s, seed=5)
     assert a == b
+
+
+def test_group_census_of_nonsingular_classes():
+    # Bousquet-Melou & Mishna (2010): the 74 non-singular classes up to the
+    # diagonal reflection split 23 finite (16 of order 4, 5 of order 6, 2 of
+    # order 8) and 51 infinite
+    census: dict[object, int] = {}
+    for s in steps.all_step_sets():
+        if steps.is_singular(s) or not steps.origin_in_hull_interior(s):
+            continue
+        if steps.symmetry_class(s)[1] != "identity":
+            continue
+        res = group.group_order(s)
+        key = res.order if res.finite else "exceeds"
+        census[key] = census.get(key, 0) + 1
+    assert census == {4: 16, 6: 5, 8: 2, "exceeds": 51}

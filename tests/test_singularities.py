@@ -5,7 +5,12 @@ import pytest
 
 from qwalk import _ratpoly as rp
 from qwalk import kernel, singularities as sg, steps
-from qwalk.errors import NoPositiveSolution, SingularWalk
+from qwalk.errors import (
+    NoPositiveSolution,
+    RootFindingFailure,
+    SingularWalk,
+    ValidationMismatch,
+)
 
 SIMPLE = steps.preset("simple")
 KREWERAS = steps.preset("kreweras")
@@ -43,18 +48,56 @@ def test_sturm_root_isolation_known_roots():
 
 def test_sylvester_resultant_shared_root():
     # p = (x-2)(x-3), q = (x-2)(x+1): resultant must vanish
-    p = rp.norm([6, -5, 1])
-    q = rp.norm([-2, -1, 1])
-    assert rp.sylvester_resultant(p, q) == 0
+    # (coefficients are constant polynomials in z)
+    p = [[6], [-5], [1]]
+    q = [[-2], [-1], [1]]
+    assert rp.sylvester_resultant(p, q) == []
     # disjoint roots: nonzero
-    q2 = rp.norm([1, 1])  # root -1
-    assert rp.sylvester_resultant(p, q2) != 0
+    q2 = [[1], [1]]  # root -1
+    assert rp.sylvester_resultant(p, q2) != []
 
 
-def test_lagrange_interpolation_round_trip():
-    target = rp.norm([Fraction(1, 2), -3, 0, 7])
-    pts = [(Fraction(k), rp.evaluate(target, Fraction(k))) for k in range(1, 6)]
-    assert rp.lagrange_interpolate(pts) == target
+def _fraction_sylvester_det(p, q):
+    """Reference: Sylvester determinant of two rational x-polynomials
+    (ascending) by Gaussian elimination over Fraction."""
+    dp, dq = len(p) - 1, len(q) - 1
+    n = dp + dq
+    rows = [[Fraction(0)] * k + p[::-1] + [Fraction(0)] * (n - dp - k - 1) for k in range(dq)]
+    rows += [[Fraction(0)] * k + q[::-1] + [Fraction(0)] * (n - dq - k - 1) for k in range(dp)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            for c in range(col, n):
+                rows[r][c] -= f * rows[col][c]
+    return det
+
+
+def test_resultant_matches_fraction_sylvester_determinant():
+    # the Z[z] resultant against sampled rational determinants, at deg R + 1
+    # integer z, and every positive root of it certified (Sturm count)
+    for s in genuine_models():
+        res = sg._resultant_in_z(s)
+        assert res, s
+        disc = list(kernel.cleared_disc_int(s, "x"))
+        while disc[-1] == (0, 0, 0):
+            disc.pop()
+        for z in range(1, len(res) + 1):
+            p = [Fraction(c0 + c1 * z + c2 * z * z) for (c0, c1, c2) in disc]
+            q = [k * p[k] for k in range(1, len(p))]
+            want = _fraction_sylvester_det(p, q)
+            assert sum(c * z**k for k, c in enumerate(res)) == want, (s, z)
+        sqf = rp.square_free(res)
+        chain = rp.sturm_chain(sqf)
+        n_pos = rp.count_roots(chain, Fraction(0), Fraction(rp.cauchy_bound(sqf)))
+        assert len(rp.isolate_positive_roots(res)) == n_pos >= 1, s
 
 
 # ----------------------------------------------------------- critical point
@@ -124,6 +167,15 @@ def test_zero_drift_gives_inverse_cardinality():
             assert sg.critical_point(s).z_g == pytest.approx(1 / len(s), abs=1e-12)
             count += 1
     assert count > 5
+
+
+def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
+    def fail(coeffs):
+        raise RootFindingFailure("polished root has large residual")
+
+    monkeypatch.setattr(sg, "_poly_roots", fail)
+    with pytest.raises(ValidationMismatch, match="large residual"):
+        sg.z_g_via_resultant(SIMPLE)
 
 
 def test_branch_collision_at_resultant_z_g():
