@@ -9,7 +9,10 @@ Two layers:
       Q(1,0,z) = (1/2pi) int_{-1}^{1} g(u,z) sqrt((1+u)/(1-u)) du,
 
   with g(u,z) = (1 - 2uz - sqrt((1-2uz)^2 - 4z^2))/z^2, evaluated in the
-  rationalised form 4/(1 - 2uz + sqrt(...)) that is stable down to z = 0;
+  rationalised form 4/(1 - 2uz + sqrt(...)) that is stable down to z = 0.
+  Both weights are Gauss-Chebyshev weights (second kind, and first kind
+  times 1+u), so g, analytic on [-1, 1] for |z| < 1/4, is integrated by
+  those rules with the node count doubled until two sums agree;
 
 * the conformal-gluing route valid for any model whose curve the supplied
   CGF glues: for x inside the curve-bounded domain,
@@ -31,13 +34,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CaseUndetermined,
     CGFUnavailable,
     OutOfRange,
     PointOutsideDomain,
+    QuadratureNotConverged,
     RemovableSingularity,
     RootOutsideDomain,
 )
@@ -122,43 +125,60 @@ def _require_gluing(cgf: CGF, trace: CurveTrace, z: float) -> None:
 # simple-walk closed forms
 # --------------------------------------------------------------------------
 
-def _stable_density(u: float, z: float) -> float:
+def _stable_density(u: np.ndarray, z: float) -> np.ndarray:
     """(1 - 2uz - sqrt((1-2uz)^2 - 4z^2)) / z^2, rationalised."""
     base = 1.0 - 2.0 * u * z
-    rad = base * base - 4.0 * z * z
-    return 4.0 / (base + math.sqrt(rad))
+    return 4.0 / (base + np.sqrt(base * base - 4.0 * z * z))
+
+
+def _circle_closed_form(z: float, second_kind: bool) -> GFValue:
+    """(1/pi) int g(u,z) sqrt(1-u^2) du by the m-point Gauss-Chebyshev rule
+    of the second kind, or (1/2pi) int g(u,z) (1+u)/sqrt(1-u^2) du by the
+    first kind with 1+u folded into the weights; m doubles from 8 until two
+    successive sums differ by at most 1e-13 max(1, |sum|)."""
+    if abs(z) >= 0.25:
+        raise OutOfRange(f"z={z} outside (-1/4, 1/4)")
+    m, prev = 8, math.inf
+    while True:
+        if second_kind:
+            theta = np.arange(1, m + 1) * (math.pi / (m + 1))
+            u, w = np.cos(theta), (math.pi / (m + 1)) * np.sin(theta) ** 2
+        else:
+            u = np.cos((np.arange(1, m + 1) - 0.5) * (math.pi / m))
+            w = (math.pi / m) * (1.0 + u)
+        cur = float(np.dot(w, _stable_density(u, z)))
+        if not math.isfinite(cur):
+            raise QuadratureNotConverged(f"non-finite Chebyshev sum {cur} at z={z}")
+        diff = abs(cur - prev)
+        if diff <= 1e-13 * max(1.0, abs(cur)):
+            scale = math.pi if second_kind else 2 * math.pi
+            return GFValue(value=cur / scale, z=z, method="circle-closed-form",
+                           quadrature_error_estimate=diff / scale)
+        if m >= _MAX_NODES:
+            raise QuadratureNotConverged(
+                f"Chebyshev sums still differ by {diff:.2e} at {m} nodes, z={z}"
+            )
+        prev, m = cur, 2 * m
 
 
 def q00_simple(z: float) -> GFValue:
     """Excursion generating function of the simple walk, |z| < 1/4.
 
-    Adaptive quadrature with the algebraic weight sqrt((1+u)(1-u)); the
-    density is even in (u, z) jointly, making the function even in z.
+    Gauss-Chebyshev rule of the second kind (weight sqrt((1+u)(1-u))) with
+    node doubling; the density is even in (u, z) jointly, making the
+    function even in z.
     """
-    if abs(z) >= 0.25:
-        raise OutOfRange(f"z={z} outside (-1/4, 1/4)")
-    val, err = quad(
-        _stable_density, -1.0, 1.0, args=(z,),
-        weight="alg", wvar=(0.5, 0.5), epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return GFValue(value=val / math.pi, z=z, method="circle-closed-form",
-                   quadrature_error_estimate=err / math.pi)
+    return _circle_closed_form(z, second_kind=True)
 
 
 def q10_simple(z: float) -> GFValue:
     """Horizontal-axis generating function of the simple walk, |z| < 1/4.
 
-    The weight sqrt((1+u)/(1-u)) has an integrable endpoint singularity at
-    u = 1; the algebraic-weight rule integrates it to full accuracy.
+    The weight sqrt((1+u)/(1-u)) = (1+u)/sqrt(1-u^2) has an integrable
+    endpoint singularity at u = 1; the Gauss-Chebyshev rule of the first
+    kind absorbs it and leaves the smooth factor 1+u, with node doubling.
     """
-    if abs(z) >= 0.25:
-        raise OutOfRange(f"z={z} outside (-1/4, 1/4)")
-    val, err = quad(
-        _stable_density, -1.0, 1.0, args=(z,),
-        weight="alg", wvar=(0.5, -0.5), epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return GFValue(value=val / (2 * math.pi), z=z, method="circle-closed-form",
-                   quadrature_error_estimate=err / (2 * math.pi))
+    return _circle_closed_form(z, second_kind=False)
 
 
 def q11_from_relation(
@@ -186,8 +206,9 @@ def q11_from_relation(
 # --------------------------------------------------------------------------
 
 def _converge(eval_at, tol: float, start: int = 256) -> tuple[complex, float]:
-    """Double midpoint nodes until successive values differ by < tol."""
-    m = start
+    """Double midpoint nodes until successive values differ by < tol; raise
+    QuadratureNotConverged at the node cap."""
+    m, diff = start, math.inf
     prev = eval_at(m)
     while m < _MAX_NODES:
         m *= 2
@@ -196,7 +217,9 @@ def _converge(eval_at, tol: float, start: int = 256) -> tuple[complex, float]:
         if diff < tol:
             return cur, diff
         prev = cur
-    return prev, math.inf
+    raise QuadratureNotConverged(
+        f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
+    )
 
 
 def _interior_integral(

@@ -78,6 +78,11 @@ class CGFUnavailable(QwalkError, ValueError):
     """No conformal gluing function is available for the requested domain."""
 
 
+class QuadratureNotConverged(QwalkError, ArithmeticError):
+    """A quadrature reached its node cap, or a non-finite sum, before two
+    successive node doublings agreed to tolerance."""
+
+
 class CaseUndetermined(QwalkError, RuntimeError):
     """A domain-membership or case-dispatch test was inconclusive within tolerance."""
 

@@ -9,6 +9,7 @@ from qwalk.errors import (
     CGFUnavailable,
     OutOfRange,
     PointOutsideDomain,
+    QuadratureNotConverged,
     RemovableSingularity,
 )
 
@@ -64,6 +65,40 @@ def test_out_of_range():
             bvp.q00_simple(bad)
         with pytest.raises(OutOfRange):
             bvp.q10_simple(bad)
+
+
+def test_q00_simple_exact_at_zero():
+    # g(u, 0) = 2 and the second-kind weights sum to pi/2
+    assert bvp.q00_simple(0.0).value == 1.0
+
+
+def test_closed_forms_converge_next_to_the_radius():
+    for z in (0.2499, -0.2499):
+        for fn in (bvp.q00_simple, bvp.q10_simple):
+            gf = fn(z)
+            assert math.isfinite(gf.value)
+            assert gf.quadrature_error_estimate <= 1e-12
+
+
+def test_closed_forms_match_gluing_route():
+    # independent route: contour integral of t Y0 w'/(w - w(x)) on the curve
+    z = 0.245
+    cgf = bvp.circle_cgf()
+    assert abs(bvp.q00_simple(z).value - bvp.q00_general(SIMPLE, z, cgf).value) < 1e-8
+    assert abs(bvp.q10_simple(z).value - bvp.q10_general(SIMPLE, z, cgf).value) < 1e-8
+
+
+def test_closed_form_non_finite_sum_raises():
+    for fn in (bvp.q00_simple, bvp.q10_simple):
+        with pytest.raises(QuadratureNotConverged):
+            fn(math.nan)
+
+
+def test_general_route_reports_unconverged_contour():
+    # the contour sums are nan this close to z = 0; the node cap is reached
+    # and reported as a typed failure instead of a nan value
+    with pytest.raises(QuadratureNotConverged):
+        bvp.q00_general(SIMPLE, 0.005, bvp.circle_cgf())
 
 
 def test_q11_from_relation(simple_table):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qwalk
 from qwalk import cli
 
 
@@ -165,3 +169,14 @@ def test_byte_identical_reruns(capsys):
     c = run(capsys, "group", "--preset", "gessel", "--seed", "7")
     d = run(capsys, "group", "--preset", "gessel", "--seed", "7")
     assert c == d
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up guard: every subcommand pays for what `import qwalk.cli` loads
+    src = os.path.dirname(os.path.dirname(qwalk.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import qwalk.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
