@@ -3,9 +3,17 @@
 q(i, j, n) is the number of n-step walks from the origin that stay in
 Z_+^2 and end at (i, j).  Layers are computed with arbitrary-precision
 integers; a layer's row j is packed into a single Python int with one
-fixed-width digit per i, which keeps the whole recurrence inside C-speed
-bigint shifts and adds.  This module is the brute-force oracle for every
-analytic formula in the package: no floating point is used anywhere here.
+digit per i, all of one width, which keeps the whole recurrence inside
+C-speed bigint shifts and adds.  This module is the brute-force oracle for
+every analytic formula in the package: no floating point is used in the
+counting itself.
+
+The digit width grows with the layer.  Each layer total T_n follows from
+the previous layer's axis sections by the kernel relation at (1, 1), before
+the layer is built; every cell is at most T_n, so when T_n outgrows the
+digits the rolling layer is re-packed in place to a width that holds the
+next _LOOKAHEAD layers.  Before it allocates anything, count() estimates its
+peak memory and raises ResourceLimit above _MAX_BYTES.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ import os
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Literal
+
+import numpy as np
 
 from .errors import ResourceLimit
 from .steps import StepSet
@@ -36,23 +46,67 @@ def _n_cap() -> int:
     return int(env) if env else _DEFAULT_MAX_N
 
 
-def _digit_bits(card: int, n_max: int) -> int:
-    # Each packed digit must hold values up to |S|^n_max, plus headroom for
-    # the digit-sum folding (~log2(rows) + log2(folds) carries).  Multiple of
+# Layers of growth a widening provides for: the digits are re-packed about
+# once every _LOOKAHEAD layers, and they are never much wider than the
+# largest cell of the current layer needs.
+_LOOKAHEAD = 24
+
+# count() refuses to start when its estimated peak memory is above this.
+_MAX_BYTES = 4 << 30
+
+
+def _digit_bits(bound: int) -> int:
+    # Width of a packed digit that holds values up to `bound`.  Multiple of
     # 8 so digits can be sliced out of to_bytes() output.
-    bits = math.ceil(n_max * math.log2(max(card, 2))) + 26
-    return (bits + 7) // 8 * 8
+    return (bound.bit_length() + 7) // 8 * 8
 
 
-def _digit_sum(x: int, bits: int) -> int:
-    # Fold the packed integer in half (digit-aligned) until one digit is
-    # left; digit headroom guarantees the pointwise adds never carry.
-    limit = 1 << bits
-    while x >= limit:
-        ndig = (x.bit_length() + bits - 1) // bits
-        cut = bits * ((ndig + 1) // 2)
-        x = (x & ((1 << cut) - 1)) + (x >> cut)
-    return x
+def _peak_bytes(card: int, n_max: int, dense_max: int) -> int:
+    """Estimate of count()'s peak memory in bytes: two rolling layers of
+    (n_max+1)^2 digits at the final width, plus the Python ints kept in the
+    axis sections and in the dense layers up to dense_max."""
+    lg = math.log2(max(card, 2))
+
+    def ints(n: int) -> int:
+        # n + 1 ints below card**n: 4 bytes per 30 bits, header and list slot
+        return (n + 1) * (32 + 4 * math.ceil(n * lg / 30))
+
+    layers = 2 * (n_max + 1) ** 2 * _digit_bits(card**n_max) // 8
+    axes = 2 * sum(ints(n) for n in range(n_max + 1))
+    dense = sum((n + 1) * ints(n) for n in range(dense_max + 1))
+    return layers + axes + dense
+
+
+def _widen(rows: list[int], bits: int, new_bits: int) -> None:
+    """Re-pack a layer's rows from `bits` to `new_bits` per digit, in place,
+    so that besides the layer only copies of one row are alive at a time."""
+    count, nb = len(rows), bits // 8
+    wide = np.zeros((count, new_bits // 8), np.uint8)
+    for k, r in enumerate(rows):
+        if r:
+            digits = np.frombuffer(r.to_bytes(count * nb, "little"), np.uint8)
+            wide[:, :nb] = digits.reshape(count, nb)
+            rows[k] = int.from_bytes(wide.tobytes(), "little")
+
+
+def _next_layer(prev: list[int], bits: int, steps: tuple[tuple[int, int], ...]) -> list[int]:
+    """One step of the packed DP.  Source row j feeds row j + b for every
+    step (a, b), its digits moved by a: a shift left by one digit for a = 1,
+    right for a = -1 (which drops digit i = 0, the step out of the quadrant).
+    Each row is shifted at most once per direction, whatever the steps."""
+    left = any(a == 1 for a, _ in steps)
+    right = any(a == -1 for a, _ in steps)
+    rows = [0] * (len(prev) + 1)
+    for src, r in enumerate(prev):
+        if r:
+            moved = (r, r << bits if left else 0, r >> bits if right else 0)
+            for a, b in steps:
+                t = src + b
+                if t >= 0:
+                    # moved[-1] is the right shift; a first contribution is
+                    # stored as is, since 0 + x would copy x
+                    rows[t] = rows[t] + moved[a] if rows[t] else moved[a]
+    return rows
 
 
 def _unpack(row: int, bits: int, count: int) -> list[int]:
@@ -67,8 +121,9 @@ class CountTable:
     """Exact counts for one step set up to length n_max.
 
     Per layer n the table keeps q(0,0,n), the axis sections q(i,0,n) and
-    q(0,j,n), and the layer total; full dense layers are retained for
-    n <= dense_max (the DP itself is a two-layer rolling grid).
+    q(0,j,n), and the layer total (from the kernel relation, not from a sum
+    over the layer); full dense layers are retained for n <= dense_max (the
+    DP itself is a two-layer rolling grid of packed rows).
     """
 
     steps: StepSet
@@ -110,8 +165,17 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
 
     Steps that would leave the quarter plane are discarded, which in the
     forward recurrence simply means source cells with a negative coordinate
-    contribute nothing.  Raises ResourceLimit beyond the configured cap
-    (QWALK_MAX_N, default 4096).
+    contribute nothing.  Each layer total comes from the kernel relation at
+    (x, y) = (1, 1) before the layer is built,
+
+        T_n = |S| T_{n-1} - c(1) R_{n-1} - ct(1) C_{n-1} + delta_{-1,-1} q(0,0,n-1),
+
+    with c(1) (ct(1)) the number of steps with b = -1 (a = -1) and R (C) the
+    sum of the horizontal (vertical) axis section.  No cell of layer n
+    exceeds T_n, so the digits are widened, when T_n no longer fits, to hold
+    the next _LOOKAHEAD layers.  Raises ResourceLimit beyond the configured
+    cap (QWALK_MAX_N, default 4096) or when the estimated peak memory
+    exceeds _MAX_BYTES.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -121,44 +185,47 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     if dense_max is None:
         dense_max = min(n_max, 64)
     dense_max = min(dense_max, n_max)
+    card = len(s)
+    peak = _peak_bytes(card, n_max, dense_max)
+    if peak > _MAX_BYTES:
+        raise ResourceLimit(
+            f"count(n_max={n_max}, dense_max={dense_max}) needs about "
+            f"{peak / 2**30:.3g} GiB, over the {_MAX_BYTES / 2**30:.3g} GiB limit"
+        )
 
-    bits = _digit_bits(len(s), max(n_max, 1))
-    mask = (1 << bits) - 1
     steps = s.sorted_steps()
+    lost_x = sum(1 for _, b in steps if b == -1)  # c(1)
+    lost_y = sum(1 for a, _ in steps if a == -1)  # ct(1)
+    corner = s.delta(-1, -1)
 
     table = CountTable(steps=s, n_max=n_max, dense_max=dense_max)
 
-    rows: list[int] = [1]  # layer 0: q(0,0,0) = 1
-
-    def record(n: int, rows: list[int]) -> None:
+    def record(n: int, rows: list[int], bits: int, total: int) -> None:
+        mask = (1 << bits) - 1
         table.q00.append(rows[0] & mask)
         table.row0.append(_unpack(rows[0], bits, n + 1))
         table.col0.append([r & mask for r in rows])
-        # digit headroom covers the sum over <= n_max+1 rows without carries
-        table.totals.append(_digit_sum(sum(rows), bits))
+        table.totals.append(total)
         if n <= dense_max:
             table._dense.append([_unpack(r, bits, n + 1) for r in rows])
 
-    record(0, rows)
+    bits = _digit_bits(card ** min(_LOOKAHEAD, n_max))
+    rows: list[int] = [1]  # layer 0: q(0,0,0) = 1
+    record(0, rows, bits, 1)
     for n in range(1, n_max + 1):
-        prev = rows
-        nprev = len(prev)
-        rows = []
-        for j in range(n + 1):
-            acc = 0
-            for (a, b) in steps:
-                src = j - b
-                if 0 <= src < nprev:
-                    r = prev[src]
-                    if r:
-                        if a == 1:
-                            acc += r << bits
-                        elif a == 0:
-                            acc += r
-                        else:
-                            acc += r >> bits
-            rows.append(acc)
-        record(n, rows)
+        prev_total = table.totals[-1]
+        total = (
+            card * prev_total
+            - lost_x * sum(table.row0[-1])
+            - lost_y * sum(table.col0[-1])
+            + corner * table.q00[-1]
+        )
+        if total.bit_length() > bits:
+            wide = _digit_bits(prev_total * card ** (min(_LOOKAHEAD, n_max - n) + 1))
+            _widen(rows, bits, wide)
+            bits = wide
+        rows = _next_layer(rows, bits, steps)
+        record(n, rows, bits, total)
     return table
 
 

@@ -61,9 +61,7 @@ def test_criterion_1_catalan_identity(simple600):
 # ---------------------------------------------------------------- criterion 2
 
 def test_criterion_2_functional_equation():
-    models = [steps.preset(name) for name in sorted(steps.PRESETS)]
-    rng = random.Random(2024)
-    models += rng.sample(list(steps.all_step_sets()), 20)
+    models = list(steps.all_step_sets())
     for s in models:
         report = counting.check_functional_equation(s, 20)
         assert report.holds, (s, report.first_mismatch)

@@ -156,6 +156,14 @@ def test_bad_values_are_structured_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
 
 
+def test_count_memory_guard_is_a_typed_error(capsys, monkeypatch):
+    monkeypatch.setattr(qwalk.counting, "_MAX_BYTES", 10_000)
+    code, out, err = run(capsys, "count", "--preset", "simple", "--n", "12")
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ResourceLimit" and "GiB" in error["message"]
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--preset", "simple"])  # missing --n

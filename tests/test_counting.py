@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from qwalk.errors import ResourceLimit
 
 SIMPLE = steps.preset("simple")
 KREWERAS = steps.preset("kreweras")
+KING = steps.parse_step_set([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)])
 
 
 def naive_count(s, n_max):
@@ -98,8 +100,7 @@ def test_cell_bounds_and_nonnegativity():
 
 
 def test_diagonal_reflection_equivariance():
-    rng = random.Random(13)
-    for s in rng.sample(list(steps.all_step_sets()), 10):
+    for s in steps.all_step_sets():
         sm = s.mirrored()
         t = counting.count(s, 8, dense_max=8)
         tm = counting.count(sm, 8, dense_max=8)
@@ -108,6 +109,54 @@ def test_diagonal_reflection_equivariance():
             for j in range(n + 1):
                 for i in range(n + 1):
                     assert a[j][i] == b[i][j]
+
+
+def test_totals_match_layer_sums_on_every_step_set():
+    # the totals come from the kernel relation, not from the layer itself
+    for s in steps.all_step_sets():
+        t = counting.count(s, 30, dense_max=30)
+        for m in range(31):
+            assert t.totals[m] == sum(map(sum, t.layer(m))), (s, m)
+
+
+@pytest.fixture
+def widenings(monkeypatch):
+    """Record (layer, old bits, new bits) of every re-packing count() does."""
+    calls = []
+    widen = counting._widen
+
+    def spy(rows, bits, new_bits):
+        calls.append((len(rows) - 1, bits, new_bits))
+        widen(rows, bits, new_bits)
+
+    monkeypatch.setattr(counting, "_widen", spy)
+    return calls
+
+
+def test_widening_schedule_does_not_change_counts(widenings):
+    for s in (SIMPLE, KREWERAS, steps.preset("gessel"), KING):
+        widenings.clear()
+        short = counting.count(s, 40, dense_max=0)
+        short_schedule = widenings[:]
+        widenings.clear()
+        long = counting.count(s, 150, dense_max=0)
+        # the longer run re-packs more often, at other layers or widths
+        assert len(widenings) >= 2 and widenings[: len(short_schedule)] != short_schedule, s
+        assert short.q00 == long.q00[:41]
+        assert short.row0 == long.row0[:41]
+        assert short.col0 == long.col0[:41]
+        assert short.totals == long.totals[:41]
+
+
+def test_widened_layers_match_naive_dp(widenings):
+    for s in (KREWERAS, KING):
+        widenings.clear()
+        t = counting.count(s, 40, dense_max=40)
+        assert widenings, s
+        ref = naive_count(s, 40)
+        for m in range(41):
+            assert t.layer(m) == [row[: m + 1] for row in ref[m][: m + 1]], (s, m)
+            assert t.totals[m] == sum(map(sum, ref[m]))
 
 
 def test_simple_excursions_have_zero_odd_coefficients():
@@ -170,6 +219,16 @@ def test_resource_limit(monkeypatch):
     monkeypatch.setenv("QWALK_MAX_N", "100")
     with pytest.raises(ResourceLimit):
         counting.count(SIMPLE, 101)
+
+
+def test_memory_guard_refuses_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="GiB"):
+        counting.count(SIMPLE, 4096)  # one packed layer alone is several GiB
+    assert time.perf_counter() - start < 1.0
+    counting.count(SIMPLE, 200, dense_max=0)
+    with pytest.raises(ResourceLimit):  # the same walk, kept dense
+        counting.count(SIMPLE, 1000, dense_max=1000)
 
 
 def test_path_enumeration_budget():
