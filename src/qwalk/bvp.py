@@ -49,6 +49,7 @@ from .kernel import (
     X_branches,
     Y_branches,
     _edge_values,
+    _slit_roots,
     contour_nodes,
     kernel_polys,
     point_in_G_M,
@@ -267,15 +268,10 @@ def _boundary_pole_data(
     simple zero of w' leaves a simple pole with twice that density.
     """
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
-    ys = None
-    for yr in Y_branches(s, x, z):
-        if not (math.isfinite(yr.real) and math.isfinite(yr.imag)):
-            continue
-        if abs(yr.imag) < 1e-7 and trace.y1 - 1e-7 <= yr.real <= trace.y2 + 1e-7:
-            ys = min(max(yr.real, trace.y1), trace.y2)
-            break
-    if ys is None:
+    on_slit = _slit_roots(s, x, z, trace)
+    if not on_slit:
         raise PointOutsideDomain(f"{x} does not lie on the traced curve")
+    ys = on_slit[0]
     density = x * ys
 
     cosv = (mid - ys) / half
@@ -304,7 +300,8 @@ def _boundary_integral(
         tau, ys, t, dt = contour_nodes(s, z, trace, m)
         wt = np.array([cgf.w(complex(v), z) for v in t])
         dwt = np.array([cgf.dw(complex(v), z) for v in t])
-        f = t * ys * dwt / (wt - wx) * dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = t * ys * dwt / (wt - wx) * dt
         for (tau_j, res_j, _side) in poles:
             f = f - res_j * 0.5 / np.tan(0.5 * (tau - tau_j))
         return complex(np.sum(f)) * (2 * math.pi / m)
@@ -418,15 +415,12 @@ def q00_general(
         roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
         outside: list[complex] = []
         for x_hat in roots:
-            position = point_in_G_M(s, x_hat, z, trace)
-            if position == "outside":
+            try:
+                val, err, position = cauchy_value(s, x_hat, z, cgf, trace, tol)
+            except PointOutsideDomain:
                 outside.append(x_hat)
                 continue
-            if position == "inside":
-                wx = cgf.w(x_hat, z)
-                val, err = _interior_integral(s, z, cgf, trace, wx, tol)
-            else:
-                val, err = _boundary_integral(s, z, cgf, trace, x_hat, tol)
+            if position == "boundary":
                 flags += ("boundary-root",)
             value = -val / c0
             return GFValue(value=_as_real(value, "Q(0,0,z)"), z=z,
@@ -483,21 +477,16 @@ def q10_general(
     c_at_1 = sum(kp.c)
     c0 = kp.c[0]
     q00 = q00_general(s, z, cgf, cgf_y, tol).value
-    position = point_in_G_M(s, 1.0 + 0j, z, trace)
-    flags: tuple[str, ...] = ()
-
-    if position in ("inside", "boundary"):
-        if position == "inside":
-            val, err = _interior_integral(s, z, cgf, trace, cgf.w(1.0 + 0j, z), tol)
-        else:
-            val, err = _boundary_integral(s, z, cgf, trace, 1.0 + 0j, tol)
-            flags += ("boundary",)
+    try:
+        val, err, position = cauchy_value(s, 1.0 + 0j, z, cgf, trace, tol)
+    except PointOutsideDomain:
+        pass  # x = 1 outside: transport along the kernel
+    else:
         value = (val + c0 * q00) / c_at_1
         return GFValue(value=_as_real(value, "Q(1,0,z)"), z=z,
                        method="cgf-integral", quadrature_error_estimate=err / c_at_1,
-                       flags=flags)
+                       flags=("boundary",) if position == "boundary" else ())
 
-    # x = 1 outside: transport along the kernel
     y_star = Y_branches(s, 1.0 + 0j, z)[0]
     x_star = X_branches(s, y_star, z)[0]
     if abs(x_star - 1.0) < 1e-9:
@@ -522,10 +511,7 @@ def q01_general(
     tol: float = 1e-9,
 ) -> GFValue:
     """Q(0,1,z): the diagonal mirror of q10_general."""
-    gf = q10_general(s.mirrored(), z, cgf_y, cgf_x, tol)
-    return GFValue(value=gf.value, z=z, method=gf.method,
-                   quadrature_error_estimate=gf.quadrature_error_estimate,
-                   flags=gf.flags)
+    return q10_general(s.mirrored(), z, cgf_y, cgf_x, tol)
 
 
 def q00_via_kernel_point(

@@ -130,10 +130,10 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _cmd_singularities(args) -> int:
+def _singularities_payload(args) -> dict:
     s = _resolve_steps(args)
     rep = singularities.classify_first_singularities(s)
-    _emit({
+    return {
         "config": _config_echo(args, []),
         "z_g": rep.z_g,
         "z_g_resultant": rep.z_g_resultant,
@@ -147,21 +147,18 @@ def _cmd_singularities(args) -> int:
         "fs_q10": _fs_dict(rep.fs_q10),
         "fs_q01": _fs_dict(rep.fs_q01),
         "fs_q11": _fs_dict(rep.fs_q11),
-    })
+    }
+
+
+def _cmd_singularities(args) -> int:
+    _emit(_singularities_payload(args))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    s = _resolve_steps(args)
-    rep = singularities.classify_first_singularities(s)
-    _emit({
-        "config": _config_echo(args, []),
-        "drift_sign": list(rep.drift_sign),
-        "cov_sign": rep.cov_sign,
-        "fs_q10": _fs_dict(rep.fs_q10),
-        "fs_q01": _fs_dict(rep.fs_q01),
-        "fs_q11": _fs_dict(rep.fs_q11),
-    })
+    payload = _singularities_payload(args)
+    keys = ("config", "drift_sign", "cov_sign", "fs_q10", "fs_q01", "fs_q11")
+    _emit({k: payload[k] for k in keys})
     return 0
 
 

@@ -41,11 +41,6 @@ class DegenerateQuadratic(QwalkError, ArithmeticError):
     """Both the quadratic and linear coefficient of a kernel section vanish."""
 
 
-class DegenerateKernel(QwalkError, ValueError):
-    """a*c or the tilde pair vanishes identically, so the discriminant is a
-    perfect square and the branch-point machinery does not apply."""
-
-
 class GenusZeroRegime(QwalkError, ValueError):
     """The inner branch points have collided; the curve cannot be traced."""
 

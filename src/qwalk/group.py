@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateGenerators, PoleEncountered, TestPointExhaustion
+from .kernel import KernelPolys, kernel_polys, poly_eval
 from .steps import StepSet
 
 _SCREEN_PRIMES = (2**61 - 1, 10**18 + 9, 10**18 + 3)
@@ -42,23 +43,8 @@ class GroupOrderResult:
     half_order_bound: int | None = None  # set when the bound was exceeded
 
 
-def _coeffs(s: StepSet, j: int) -> tuple[int, int, int]:
-    """Coefficients (x^0, x^1, x^2) of sum_i delta_{i,j} x^{i+1}."""
-    return (s.delta(-1, j), s.delta(0, j), s.delta(1, j))
-
-
-def _coeffs_t(s: StepSet, i: int) -> tuple[int, int, int]:
-    return (s.delta(i, -1), s.delta(i, 0), s.delta(i, 1))
-
-
-def _ev(p: tuple[int, int, int], v):
-    return p[0] + v * (p[1] + v * p[2])
-
-
-def _check_defined(s: StepSet) -> None:
-    a, c = _coeffs(s, 1), _coeffs(s, -1)
-    at, ct = _coeffs_t(s, 1), _coeffs_t(s, -1)
-    if not any(a) or not any(c) or not any(at) or not any(ct):
+def _check_defined(kp: KernelPolys) -> None:
+    if not any(kp.a) or not any(kp.c) or not any(kp.a_t) or not any(kp.c_t):
         raise DegenerateGenerators(
             "the walk needs steps with j=+1 and j=-1 and with i=+1 and i=-1 "
             "for both generators to be well-defined involutions"
@@ -67,9 +53,10 @@ def _check_defined(s: StepSet) -> None:
 
 def psi(s: StepSet, p: RationalPoint) -> RationalPoint:
     """First generator: y -> c(x) / (a(x) y), x unchanged.  Exact."""
-    _check_defined(s)
-    a = _ev(_coeffs(s, 1), p.x)
-    c = _ev(_coeffs(s, -1), p.x)
+    kp = kernel_polys(s)
+    _check_defined(kp)
+    a = poly_eval(kp.a, p.x)
+    c = poly_eval(kp.c, p.x)
     if a == 0 or p.y == 0:
         raise PoleEncountered(f"psi undefined at {p}")
     return RationalPoint(p.x, Fraction(c, 1) / (a * p.y))
@@ -77,9 +64,10 @@ def psi(s: StepSet, p: RationalPoint) -> RationalPoint:
 
 def phi(s: StepSet, p: RationalPoint) -> RationalPoint:
     """Second generator: x -> ct(y) / (at(y) x), y unchanged.  Exact."""
-    _check_defined(s)
-    at = _ev(_coeffs_t(s, 1), p.y)
-    ct = _ev(_coeffs_t(s, -1), p.y)
+    kp = kernel_polys(s)
+    _check_defined(kp)
+    at = poly_eval(kp.a_t, p.y)
+    ct = poly_eval(kp.c_t, p.y)
     if at == 0 or p.x == 0:
         raise PoleEncountered(f"phi undefined at {p}")
     return RationalPoint(Fraction(ct, 1) / (at * p.x), p.y)
@@ -116,22 +104,17 @@ def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[
             raise ZeroDivisionError
         return fr.numerator % prime * pow(den, prime - 2, prime) % prime
 
-    a1, c1 = _coeffs(s, 1), _coeffs(s, -1)
-    at1, ct1 = _coeffs_t(s, 1), _coeffs_t(s, -1)
-
-    def ev(p, v):
-        return (p[0] + v * (p[1] + v * p[2])) % prime
-
+    kp = kernel_polys(s)
     try:
         x0, y0 = red(p0.x), red(p0.y)
         x, y = x0, y0
         flags = []
         for _ in range(max_m):
-            at, ct = ev(at1, y), ev(ct1, y)
+            at, ct = poly_eval(kp.a_t, y) % prime, poly_eval(kp.c_t, y) % prime
             if at == 0 or x == 0:
                 return None
             x = ct * pow(at * x % prime, prime - 2, prime) % prime
-            a, c = ev(a1, x), ev(c1, x)
+            a, c = poly_eval(kp.a, x) % prime, poly_eval(kp.c, x) % prime
             if a == 0 or y == 0:
                 return None
             y = c * pow(a * y % prime, prime - 2, prime) % prime
@@ -158,7 +141,7 @@ def group_order(s: StepSet, max_half_order: int = 16, seed: int = 0) -> GroupOrd
     prunes candidate values of m.  A pole along a point's orbit triggers
     resampling of that point, up to 20 retries.
     """
-    _check_defined(s)
+    _check_defined(kernel_polys(s))
     if max_half_order < 2:
         raise ValueError("max_half_order must be >= 2 (psi and phi are never equal)")
     rng = random.Random(seed)

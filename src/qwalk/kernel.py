@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ratpoly as rp
 from .errors import (
     DegenerateQuadratic,
     GenusZeroRegime,
@@ -33,6 +34,9 @@ from .steps import StepSet
 
 #: Marker for a branch point at infinity (degree drop of the discriminant).
 INF_ROOT = complex(math.inf, 0.0)
+
+#: Width of the band around the traced curve that counts as on the curve.
+_BAND = 1e-7
 
 
 def is_finite_root(r: complex) -> bool:
@@ -83,33 +87,14 @@ def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
     )
 
 
-def _kernel_eval_y_form(s: StepSet, x: complex, y: complex, z: float) -> complex:
-    kp = kernel_polys(s)
-    return (
-        poly_eval(kp.a, x) * y * y
-        + (poly_eval(kp.b, x) - x / z) * y
-        + poly_eval(kp.c, x)
-    )
-
-
-def _conv3(p, q):
-    out = [0] * 5
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                if qj:
-                    out[i + j] += pi * qj
-    return out
-
-
 def discriminant_x(s: StepSet, z: float) -> list[float]:
     """Ascending coefficients of d(x, z) = (b(x) - x/z)^2 - 4 a(x) c(x)."""
     if z <= 0:
         raise ValueError("z must be positive")
     kp = kernel_polys(s)
     shifted = [kp.b[0], kp.b[1] - 1.0 / z, kp.b[2]]
-    sq = _conv3(shifted, shifted)
-    ac = _conv3(kp.a, kp.c)
+    sq = rp.mul(shifted, shifted)
+    ac = rp.mul(kp.a, kp.c)
     return [sq[k] - 4.0 * ac[k] for k in range(5)]
 
 
@@ -134,7 +119,7 @@ def cleared_disc_int(s: StepSet, axis: str = "x") -> list[tuple[int, int, int]]:
             sq[i + j][0] += p[0] * q[0]
             sq[i + j][1] += p[0] * q[1] + p[1] * q[0]
             sq[i + j][2] += p[1] * q[1]
-    ac = _conv3(kp.a, kp.c)
+    ac = rp.mul(kp.a, kp.c)
     return [(sq[k][0], sq[k][1], sq[k][2] - 4 * ac[k]) for k in range(5)]
 
 
@@ -198,8 +183,13 @@ class BranchPoints:
     ordering_asserted: bool
 
 
-def _realify(roots: list[complex], scale: float) -> list[complex]:
-    return [
+def _disc_roots(s: StepSet, axis: str, z: float) -> tuple[list[float], list[complex]]:
+    """The cleared discriminant's coefficients at z and its finite roots,
+    with imaginary parts at roundoff level set to exactly 0."""
+    coeffs = _cleared_disc_at(cleared_disc_int(s, axis), z)
+    roots = _poly_roots(coeffs)
+    scale = max((abs(r) for r in roots), default=1.0)
+    return coeffs, [
         complex(r.real, 0.0) if abs(r.imag) <= 1e-9 * max(1.0, abs(r), scale) else r
         for r in roots
     ]
@@ -234,15 +224,8 @@ def branch_points(s: StepSet, z: float) -> BranchPoints:
         raise ValueError("z must be positive")
     in_range = z < 1.0 / len(s)
 
-    def side(axis: str) -> tuple[list[complex], bool]:
-        coeffs = _cleared_disc_at(cleared_disc_int(s, axis), z)
-        roots = _poly_roots(coeffs)
-        scale = max((abs(r) for r in roots), default=1.0)
-        roots = _realify(roots, scale)
-        return _order_eq8(roots)
-
-    xr, okx = side("x")
-    yr, oky = side("y")
+    xr, okx = _order_eq8(_disc_roots(s, "x", z)[1])
+    yr, oky = _order_eq8(_disc_roots(s, "y", z)[1])
     return BranchPoints(
         z=z,
         x_roots=tuple(xr),
@@ -289,35 +272,6 @@ def X_branches(s: StepSet, y: complex, z: float) -> tuple[complex, complex]:
     return Y_branches(s.mirrored(), y, z)
 
 
-def _branch_pair_arr(a, b, c, t: np.ndarray, z: float):
-    """Vectorised kernel roots in the second variable over an array of points
-    in the first; returns (small, large) by modulus with inf for degree drop."""
-    A = np.polyval(a[::-1], t).astype(complex)
-    B = np.polyval(b[::-1], t).astype(complex) - t / z
-    C = np.polyval(c[::-1], t).astype(complex)
-    disc = B * B - 4 * A * C
-    sq = np.sqrt(disc)
-    flip = (np.conj(B) * sq).real < 0
-    sq = np.where(flip, -sq, sq)
-    q = -0.5 * (B + sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(A != 0, q / np.where(A != 0, A, 1), np.inf)
-        r2 = np.where(q != 0, C / np.where(q != 0, q, 1), 0)
-        lin = np.where(B != 0, -C / np.where(B != 0, B, 1), np.nan)
-    r1 = np.where(A == 0, np.inf + 0j, r1)
-    r2 = np.where(A == 0, lin, r2)
-    small = np.where(np.abs(r1) <= np.abs(r2), r1, r2)
-    large = np.where(np.abs(r1) <= np.abs(r2), r2, r1)
-    return small, large
-
-
-def y0_on_points(s: StepSet, t: np.ndarray, z: float) -> np.ndarray:
-    """Y0 over an array of x-plane points (modulus separation)."""
-    kp = kernel_polys(s)
-    small, _ = _branch_pair_arr(kp.a, kp.b, kp.c, t, z)
-    return small
-
-
 @dataclass(frozen=True)
 class CurveTrace:
     """Polyline approximation of the x-plane curve traced by X0 over the slit
@@ -352,10 +306,7 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     outer cut, which may pass through infinity).  One merged cut signals the
     genus transition.
     """
-    coeffs = _cleared_disc_at(cleared_disc_int(s, "y"), z)
-    roots = _poly_roots(coeffs)
-    scale = max((abs(r) for r in roots), default=1.0)
-    roots = _realify(roots, scale)
+    coeffs, roots = _disc_roots(s, "y", z)
     reals = sorted(r.real for r in roots if r.imag == 0.0)
     if len(reals) < 2:
         raise GenusZeroRegime(
@@ -406,9 +357,9 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
     as at(y) stays away from 0; at(y) = 0 on the slit would mean the curve
     passes through infinity, which the polyline trace cannot represent.
     """
-    kp = kernel_polys(s.mirrored())  # tilde polynomials of s
-    at = np.polyval(kp.a[::-1], ys)
-    bt = np.polyval(kp.b[::-1], ys)
+    kp = kernel_polys(s)
+    at = np.polyval(kp.a_t[::-1], ys)
+    bt = np.polyval(kp.b_t[::-1], ys)
     scale = 1.0 + np.abs(ys) ** 2
     if np.any(np.abs(at) < 1e-12 * scale):
         raise SlitDegenerate(
@@ -496,17 +447,32 @@ def contour_nodes(
     sig = np.where(tau < math.pi, trace.upper_sign, -trace.upper_sign)
     t = _edge_values(s, ys, z, sig)
 
-    kp = kernel_polys(s.mirrored())  # tilde polynomials of s
-    at = np.polyval(kp.a[::-1], ys)
-    bt = np.polyval(kp.b[::-1], ys)
-    d_at = np.polyval([2 * kp.a[2], kp.a[1]], ys)
-    d_bt = np.polyval([2 * kp.b[2], kp.b[1]], ys)
-    d_ct = np.polyval([2 * kp.c[2], kp.c[1]], ys)
+    kp = kernel_polys(s)
+    at = np.polyval(kp.a_t[::-1], ys)
+    bt = np.polyval(kp.b_t[::-1], ys)
+    d_at = np.polyval([2 * kp.a_t[2], kp.a_t[1]], ys)
+    d_bt = np.polyval([2 * kp.b_t[2], kp.b_t[1]], ys)
+    d_ct = np.polyval([2 * kp.c_t[2], kp.c_t[1]], ys)
     k_x = 2 * at * t + (bt - ys / z)
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
-    dt_dy = -k_y / k_x
+    # k_x can cancel to 0 on a very narrow slit; the non-finite sums that
+    # follow end in QuadratureNotConverged, not in a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt_dy = -k_y / k_x
     dt_dtau = dt_dy * (half * np.sin(tau))
     return tau, ys, t, dt_dtau
+
+
+def _slit_roots(s: StepSet, x: complex, z: float, trace: CurveTrace) -> list[float]:
+    """Kernel y-roots at x that lie on the slit [y1, y2] up to _BAND, clamped
+    onto it: the ordinates at which x can be a point of the traced curve."""
+    return [
+        min(max(yr.real, trace.y1), trace.y2)
+        for yr in Y_branches(s, x, z)
+        if is_finite_root(yr)
+        and abs(yr.imag) <= _BAND
+        and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND
+    ]
 
 
 def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace | None = None) -> str:
@@ -519,14 +485,9 @@ def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace | None = No
     """
     if trace is None:
         trace = trace_curve_M(s, z, m=512)
-    band = 1e-7
-    for yr in Y_branches(s, x, z):
-        if not is_finite_root(yr):
-            continue
-        if abs(yr.imag) <= band and trace.y1 - band <= yr.real <= trace.y2 + band:
-            yv = min(max(yr.real, trace.y1), trace.y2)
-            up = _edge_values(s, np.array([yv]), z, trace.upper_sign)[0]
-            if min(abs(up - x), abs(up.conjugate() - x)) <= band:
-                return "boundary"
+    for yv in _slit_roots(s, x, z, trace):
+        up = _edge_values(s, np.array([yv]), z, trace.upper_sign)[0]
+        if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
+            return "boundary"
     w = winding_number(trace.points, x)
     return "inside" if w != 0 else "outside"

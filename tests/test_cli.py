@@ -15,6 +15,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*args):
+    """Run a fresh interpreter on this checkout of qwalk."""
+    src = os.path.dirname(os.path.dirname(qwalk.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 def test_count_csv(capsys):
     code, out, _ = run(capsys, "count", "--preset", "simple", "--n", "10", "--format", "csv")
     assert code == 0
@@ -87,6 +95,17 @@ def test_classify(capsys):
     assert data["fs_q11"]["label"] == "1/|S|"
 
 
+def test_classify_is_singularities_restricted(capsys):
+    keys = {"config", "drift_sign", "cov_sign", "fs_q10", "fs_q01", "fs_q11"}
+    sources = [("--preset", name) for name in sorted(qwalk.PRESETS)]
+    sources.append(("--steps", '{"steps": [[1,0],[0,1],[-1,-1],[1,1]]}'))
+    for source in sources:
+        _, classify, _ = run(capsys, "classify", *source)
+        _, full, _ = run(capsys, "singularities", *source)
+        full = json.loads(full)
+        assert json.loads(classify) == {k: v for k, v in full.items() if k in keys}
+
+
 def test_bvp_value(capsys):
     code, out, _ = run(capsys, "bvp", "--preset", "simple", "--z", "0.2", "--target", "q00")
     data = json.loads(out)
@@ -101,6 +120,21 @@ def test_bvp_error_is_structured(capsys):
     assert out == ""
     payload = json.loads(err)
     assert "error" in payload
+
+
+def test_unconverged_bvp_error_is_the_only_stderr_line():
+    # non-finite contour sums: the simple walk's slit is about 1e-4 wide at
+    # z = 0.005 (dK/dx cancels to 0), and a boundary-integral node of the
+    # second model lands on the Cauchy pole; no numpy warning may precede
+    # the structured error
+    for source in (("--preset", "simple", "--z", "0.005"),
+                   ("--steps", '{"steps": [[-1,1],[0,-1],[0,1],[1,1]]}', "--z", "0.0625")):
+        proc = run_process("-W", "default", "-m", "qwalk.cli", "bvp", *source,
+                           "--target", "q11")
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "QuadratureNotConverged"
 
 
 def test_asymptotics_json(capsys):
@@ -181,10 +215,7 @@ def test_byte_identical_reruns(capsys):
 
 def test_cli_import_loads_no_scipy():
     # start-up guard: every subcommand pays for what `import qwalk.cli` loads
-    src = os.path.dirname(os.path.dirname(qwalk.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = ("import qwalk.cli, sys; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = run_process("-c", code)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"

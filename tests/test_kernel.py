@@ -39,17 +39,28 @@ def test_kernel_polys_simple():
 
 
 def test_poly_normalisation_sums_to_cardinality():
-    rng = random.Random(41)
-    for s in rng.sample(list(steps.all_step_sets()), 30):
+    for s in steps.all_step_sets():
         kp = kernel.kernel_polys(s)
         assert sum(kp.a) + sum(kp.b) + sum(kp.c) == len(s)
         assert sum(kp.a_t) + sum(kp.b_t) + sum(kp.c_t) == len(s)
+        mirror = kernel.kernel_polys(s.mirrored())
+        assert (mirror.a, mirror.b, mirror.c) == (kp.a_t, kp.b_t, kp.c_t)
 
 
 def test_kernel_eval_critical_point():
     # K(1,1,z) = |S| - 1/z for the simple walk
     assert kernel.kernel_eval(SIMPLE, 1, 1, 0.25) == pytest.approx(0.0, abs=1e-14)
     assert kernel.kernel_eval(SIMPLE, 1, 1, 0.5) == pytest.approx(2.0)
+
+
+def kernel_eval_y_form(s, x, y, z):
+    """K(x, y, z) from the quadratic-in-y form: the reference for kernel_eval."""
+    kp = kernel.kernel_polys(s)
+    return (
+        kernel.poly_eval(kp.a, x) * y * y
+        + (kernel.poly_eval(kp.b, x) - x / z) * y
+        + kernel.poly_eval(kp.c, x)
+    )
 
 
 def test_kernel_eval_two_quadratic_forms_agree():
@@ -60,7 +71,7 @@ def test_kernel_eval_two_quadratic_forms_agree():
             y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             z = rng.uniform(0.05, 0.9)
             a = kernel.kernel_eval(s, x, y, z)
-            b = kernel._kernel_eval_y_form(s, x, y, z)
+            b = kernel_eval_y_form(s, x, y, z)
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
@@ -271,7 +282,7 @@ def test_trace_kreweras_curve_properties():
     assert kernel.point_in_G_M(s, bp.x_roots[2], z, tr) == "outside"
     # kernel vanishes along the trace against its defining slit values
     mid = 0.5 * (tr.y1 + tr.y2)
-    vals = kernel.y0_on_points(s, tr.points[5:20], z)
+    vals = [kernel.Y_branches(s, complex(t), z)[0] for t in tr.points[5:20]]
     for t, y in zip(tr.points[5:20], vals):
         assert abs(kernel.kernel_eval(s, t, y, z)) < 1e-9
         assert tr.y1 - 1e-9 <= y.real <= tr.y2 + 1e-9
