@@ -21,7 +21,6 @@ from .counting import (
     catalan,
     check_functional_equation,
     count,
-    count_by_paths,
     series,
 )
 from .group import GroupOrderResult, RationalPoint, group_order, invariant_check, phi, psi
@@ -55,7 +54,6 @@ from .bvp import (
     circle_cgf,
     q00_general,
     q00_simple,
-    q00_via_kernel_point,
     q01_general,
     q10_general,
     q10_simple,

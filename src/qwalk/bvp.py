@@ -21,10 +21,10 @@ Two layers:
           = (1/(2 pi i z)) oint t Y0(t,z) w'(t,z) / (w(t,z) - w(x,z)) dt,
 
   specialised to Q(0,0,z) by a pole-cancellation limit at x -> 0 (when
-  c(0) = 0), by evaluation at a root of c on the unit circle (when c(0) = 1
-  and c is not constant), or through both planes' integrals and the kernel
-  relation (c constant).  Boundary points are handled as inside-limits:
-  principal value plus half-residue (Sokhotski-Plemelj) terms.
+  c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
+  and c is not constant).  When c is constant the curve passes through
+  infinity and no CGF glues it.  Boundary points are handled as
+  inside-limits: principal value plus half-residue (Sokhotski-Plemelj) terms.
 """
 
 from __future__ import annotations
@@ -366,21 +366,20 @@ def q00_general(
     s: StepSet,
     z: float,
     cgf: CGF,
-    cgf_y: CGF | None = None,
     tol: float = 1e-9,
 ) -> GFValue:
-    """Q(0,0,z) for any model the supplied CGF(s) glue.
+    """Q(0,0,z) for any model the supplied CGF glues.
 
     Case dispatch on c: (a) c(0) = 0: pole-cancellation limit at x -> 0;
     (b) c(0) = 1, c non-constant: evaluate at a root of c on the unit
-    circle, which must not lie outside the domain; (c) c constant: combine
-    both planes' integrals through the kernel relation (needs cgf_y).
+    circle, which must not lie outside the domain.  A constant c raises
+    CGFUnavailable: its curve passes through infinity, so no CGF glues it.
     """
     kp = kernel_polys(s)
     c0, c1, c2 = kp.c
-    if c0 != 0 and c1 == 0 and c2 == 0 and cgf_y is None:
+    if c0 != 0 and c1 == 0 and c2 == 0:
         raise CGFUnavailable(
-            "c is constant: Q(0,0,z) needs a CGF for the y-plane domain too"
+            "c is constant: the curve passes through infinity and no CGF glues it"
         )
     trace = trace_curve_M(s, z)
     _require_gluing(cgf, trace, z)
@@ -406,62 +405,34 @@ def q00_general(
                        method="cgf-integral/limit", quadrature_error_estimate=err,
                        flags=flags)
 
-    if c1 != 0 or c2 != 0:
-        # roots of c(x) = c0 + c1 x + c2 x^2, all on the unit circle
-        if c2 == 0:
-            roots = [complex(-c0 / c1)]
-        else:
-            roots = [complex(rt) for rt in np.roots([c2, c1, c0])]
-        roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
-        outside: list[complex] = []
-        for x_hat in roots:
-            try:
-                val, err, position = cauchy_value(s, x_hat, z, cgf, trace, tol)
-            except PointOutsideDomain:
-                outside.append(x_hat)
-                continue
-            if position == "boundary":
-                flags += ("boundary-root",)
-            value = -val / c0
-            return GFValue(value=_as_real(value, "Q(0,0,z)"), z=z,
-                           method="cgf-integral/c-root",
-                           quadrature_error_estimate=err / c0, flags=flags)
-        raise RootOutsideDomain(
-            f"all roots of c lie outside the domain at z={z}: {outside}"
-        )
-
-    # case (c): c is the constant 1; combine both complex planes
-    return _q00_constant_c(s, z, cgf, cgf_y, trace, tol)
-
-
-def _q00_constant_c(s, z, cgf, cgf_y, trace, tol) -> GFValue:
-    mirror = s.mirrored()
-    trace_y = trace_curve_M(mirror, z)
-    _require_gluing(cgf_y, trace_y, z)
-    candidates = [0.35, -0.35, 0.2 + 0.2j, 0.5, -0.5, 0.15]
-    for x in candidates:
-        y = Y_branches(s, complex(x), z)[0]
-        if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-            continue
-        if abs(x) > 1 or abs(y) > 1:
-            continue
+    # roots of c(x) = c0 + c1 x + c2 x^2, all on the unit circle
+    if c2 == 0:
+        roots = [complex(-c0 / c1)]
+    else:
+        roots = [complex(rt) for rt in np.roots([c2, c1, c0])]
+    roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
+    outside: list[complex] = []
+    for x_hat in roots:
         try:
-            ix, ex, _ = cauchy_value(s, complex(x), z, cgf, trace, tol)
-            iy, ey, _ = cauchy_value(mirror, y, z, cgf_y, trace_y, tol)
+            val, err, position = cauchy_value(s, x_hat, z, cgf, trace, tol)
         except PointOutsideDomain:
+            outside.append(x_hat)
             continue
-        value = complex(x) * y / z - ix - iy
+        if position == "boundary":
+            flags += ("boundary-root",)
+        value = -val / c0
         return GFValue(value=_as_real(value, "Q(0,0,z)"), z=z,
-                       method="cgf-integral/kernel-point",
-                       quadrature_error_estimate=ex + ey)
-    raise CaseUndetermined("no usable kernel point (|x|<=1, |Y0|<=1) found")
+                       method="cgf-integral/c-root",
+                       quadrature_error_estimate=err / c0, flags=flags)
+    raise RootOutsideDomain(
+        f"all roots of c lie outside the domain at z={z}: {outside}"
+    )
 
 
 def q10_general(
     s: StepSet,
     z: float,
     cgf: CGF,
-    cgf_y: CGF | None = None,
     tol: float = 1e-9,
 ) -> GFValue:
     """Q(1,0,z) via the gluing route.
@@ -476,7 +447,7 @@ def q10_general(
     kp = kernel_polys(s)
     c_at_1 = sum(kp.c)
     c0 = kp.c[0]
-    q00 = q00_general(s, z, cgf, cgf_y, tol).value
+    q00 = q00_general(s, z, cgf, tol).value
     try:
         val, err, position = cauchy_value(s, 1.0 + 0j, z, cgf, trace, tol)
     except PointOutsideDomain:
@@ -507,39 +478,10 @@ def q01_general(
     s: StepSet,
     z: float,
     cgf_y: CGF,
-    cgf_x: CGF | None = None,
     tol: float = 1e-9,
 ) -> GFValue:
     """Q(0,1,z): the diagonal mirror of q10_general."""
-    return q10_general(s.mirrored(), z, cgf_y, cgf_x, tol)
-
-
-def q00_via_kernel_point(
-    s: StepSet,
-    z: float,
-    x: complex,
-    qx0_eval: Callable[[complex], complex],
-    q0y_eval: Callable[[complex], complex],
-) -> float:
-    """Solve the kernel functional equation for Q(0,0,z) at (x, Y0(x,z)).
-
-    Requires a step to the lower-left (the Q(0,0,z) term must be present)
-    and a kernel point with |x| <= 1, |Y0| <= 1; the section values
-    Q(x,0,z) and Q(0,y,z) are supplied by the caller (integral formulas,
-    truncated series, ...).
-    """
-    if not s.delta(-1, -1):
-        raise CaseUndetermined(
-            "no lower-left step: the functional equation has no Q(0,0,z) term"
-        )
-    y = Y_branches(s, complex(x), z)[0]
-    if abs(x) > 1 + 1e-12 or abs(y) > 1 + 1e-12:
-        raise CaseUndetermined(f"kernel point ({x}, {y}) leaves the unit bidisc")
-    kp = kernel_polys(s)
-    cx = poly_eval(kp.c, x)
-    cty = poly_eval(kp.c_t, y)
-    value = cx * qx0_eval(x) + cty * q0y_eval(y) - x * y / z
-    return _as_real(value, "Q(0,0,z)")
+    return q10_general(s.mirrored(), z, cgf_y, tol)
 
 
 def q11_general(
@@ -571,9 +513,11 @@ def q11_general(
 
         def evaluator(zv: float) -> tuple[float, float, float]:
             inner_tol = min(tol, 1e-12)
-            q00 = q00_general(s, zv, cgf, cgf_y, inner_tol).value
-            q10 = q10_general(s, zv, cgf, cgf_y, inner_tol).value
-            q01 = q01_general(s, zv, cgf_y or cgf, cgf, inner_tol).value
+            q00 = q00_general(s, zv, cgf, inner_tol).value
+            # q01 first: its gluing check on the mirrored curve is cheap and
+            # would otherwise wait behind q10's tight-tolerance contour sums
+            q01 = q01_general(s, zv, cgf_y or cgf, inner_tol).value
+            q10 = q10_general(s, zv, cgf, inner_tol).value
             return q00, q10, q01
 
     def assemble(zv: float) -> GFValue:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Literal
 
 import numpy as np
@@ -347,26 +346,6 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
         has_q00_term=bool(d11),
         first_mismatch=first_mismatch,
     )
-
-
-def count_by_paths(s: StepSet, n: int, budget: int = 300_000) -> dict[tuple[int, int], int]:
-    """Independent oracle: enumerate every |S|^n path explicitly and tally the
-    endpoints of those that never leave the quarter plane."""
-    if len(s) ** n > budget:
-        raise ResourceLimit(f"|S|^n = {len(s)**n} exceeds enumeration budget {budget}")
-    tally: dict[tuple[int, int], int] = {}
-    for path in product(s.sorted_steps(), repeat=n):
-        x = y = 0
-        ok = True
-        for (a, b) in path:
-            x += a
-            y += b
-            if x < 0 or y < 0:
-                ok = False
-                break
-        if ok:
-            tally[(x, y)] = tally.get((x, y), 0) + 1
-    return tally
 
 
 def eval_q_x0(table: CountTable, x: complex, z: complex, n_terms: int | None = None) -> complex:

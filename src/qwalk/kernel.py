@@ -127,19 +127,6 @@ def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
     return [c0 + c1 * z + c2 * z * z for (c0, c1, c2) in coeffs_int]
 
 
-def disc_is_even(s: StepSet, axis: str = "x") -> bool:
-    """True when the discriminant is an even polynomial in the plane variable.
-
-    Then the branch points come in sign-symmetric pairs and |x1| = x2 holds
-    with equality, so the strict branch-point ordering cannot apply (the
-    walk's support is bipartite in that coordinate; among genuine models
-    this is the all-diagonal step set).
-    """
-    return all(
-        trip == (0, 0, 0) for k, trip in enumerate(cleared_disc_int(s, axis)) if k % 2
-    )
-
-
 def _newton_polish(coeffs: list[float], r: complex) -> complex:
     d = [k * coeffs[k] for k in range(1, len(coeffs))]
     p = poly_eval(coeffs, r)

@@ -62,7 +62,7 @@ def critical_point(s: StepSet) -> CriticalPoint:
     Damped Newton on (u, v) = (log a, log b) from (0, 0); the objective
     sum(d_ij e^{iu+jv}) is strictly convex and coercive for genuine
     two-dimensional models, so the iteration converges to the unique
-    critical point.  Falls back to nested bisection if Newton stalls.
+    critical point.  A stalled iteration raises NoPositiveSolution.
     """
     _require_genuine(s)
     pts = s.sorted_steps()
@@ -104,49 +104,11 @@ def critical_point(s: StepSet) -> CriticalPoint:
             break
 
     if r >= 1e-12:
-        u, v = _nested_bisection(s)
-        (g, _h) = grad_hess(u, v)
-        r = resid(g)
-        if r >= 1e-12:
-            raise NoPositiveSolution(f"critical-point iteration stalled at residual {r}")
+        raise NoPositiveSolution(f"critical-point iteration stalled at residual {r}")
 
     alpha, beta = math.exp(u), math.exp(v)
     total = sum(alpha**i * beta**j for (i, j) in pts)
     return CriticalPoint(alpha=alpha, beta=beta, z_g=1.0 / total, residual=r)
-
-
-def _nested_bisection(s: StepSet) -> tuple[float, float]:
-    pts = s.sorted_steps()
-
-    def fv(u: float, v: float) -> float:
-        return sum(j * math.exp(i * u + j * v) for (i, j) in pts)
-
-    def fu(u: float, v: float) -> float:
-        return sum(i * math.exp(i * u + j * v) for (i, j) in pts)
-
-    def v_star(u: float) -> float:
-        lo, hi = -60.0, 60.0
-        if fv(u, lo) > 0 or fv(u, hi) < 0:
-            raise NoPositiveSolution("no interior minimum in v")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if fv(u, mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    lo, hi = -60.0, 60.0
-    if fu(lo, v_star(lo)) > 0 or fu(hi, v_star(hi)) < 0:
-        raise NoPositiveSolution("no interior minimum in u")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fu(mid, v_star(mid)) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    return u, v_star(u)
 
 
 def _resultant_in_z(s: StepSet) -> rp.Poly:

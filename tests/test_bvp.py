@@ -16,6 +16,8 @@ from qwalk.errors import (
 SIMPLE = steps.preset("simple")
 # left-right symmetric model with c(x) = 1 + x^2: unit-circle curve, roots +-i
 LRS = steps.parse_step_set([(-1, -1), (1, -1), (0, 1)])
+# the circle glues this model's curve but not its mirror's
+UNGLUED_MIRROR = steps.parse_step_set([(-1, 1), (0, -1), (0, 1), (1, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,14 @@ def test_general_route_reports_unconverged_contour():
     # and reported as a typed failure instead of a nan value
     with pytest.raises(QuadratureNotConverged):
         bvp.q00_general(SIMPLE, 0.005, bvp.circle_cgf())
+
+
+def test_q10_pole_node_is_unconverged_not_a_warning():
+    # at z = 0.0625 and the tight tolerance a boundary-integral node lands on
+    # the Cauchy pole; the non-finite sum must end in the typed error, and a
+    # RuntimeWarning on the way would fail the test (the suite raises them)
+    with pytest.raises(QuadratureNotConverged):
+        bvp.q10_general(UNGLUED_MIRROR, 0.0625, bvp.circle_cgf(), tol=1e-12)
 
 
 def test_q11_from_relation(simple_table):
@@ -249,27 +259,34 @@ def test_q00_general_case_b_boundary_root(lrs_table):
     assert got.value == pytest.approx(oracle, abs=1e-8)
 
 
-def test_q00_general_case_c_requires_second_cgf():
-    # reverse kreweras: c(x) is the constant 1
-    s = steps.parse_step_set([(1, 0), (0, 1), (-1, -1)])
-    with pytest.raises(CGFUnavailable):
-        bvp.q00_general(s, 0.2, bvp.circle_cgf())
+def test_q00_general_constant_c_is_unavailable():
+    # the 13 genuine models whose only down step is (-1,-1), reverse kreweras
+    # among them: c(x) is the constant 1 and the curve passes through infinity
+    constant_c = [
+        s for s in steps.all_step_sets()
+        if not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+        and kernel.kernel_polys(s).c == (1, 0, 0)
+    ]
+    assert len(constant_c) == 13
+    for s in constant_c:
+        for f in (0.25, 0.5, 0.85):
+            with pytest.raises(CGFUnavailable, match="c is constant"):
+                bvp.q00_general(s, f / len(s), bvp.circle_cgf())
 
 
 def test_q00_via_kernel_point_dp_backed(lrs_table):
-    # case-dispatch algebra checked directly against truncated series
-    s = LRS
-    z = 0.15
+    # the functional equation at the kernel point (x, Y0(x,z)) inside the
+    # unit bidisc, solved for Q(0,0,z) from truncated-series sections
+    s, z, x = LRS, 0.15, 0.4
     mirror_table = counting.count(s.mirrored(), 200, dense_max=0)
-
-    def qx0(x):
-        return counting.eval_q_x0(lrs_table, x, z)
-
-    def q0y(y):
-        return counting.eval_q_x0(mirror_table, y, z)
-
-    got = bvp.q00_via_kernel_point(s, z, 0.4, qx0, q0y)
-    assert got == pytest.approx(series_value(lrs_table, "q00", z), abs=1e-10)
+    y = kernel.Y_branches(s, complex(x), z)[0]
+    assert s.delta(-1, -1) and abs(y) <= 1
+    kp = kernel.kernel_polys(s)
+    got = (kernel.poly_eval(kp.c, x) * counting.eval_q_x0(lrs_table, x, z)
+           + kernel.poly_eval(kp.c_t, y) * counting.eval_q_x0(mirror_table, y, z)
+           - x * y / z)
+    assert abs(got.imag) < 1e-10
+    assert got.real == pytest.approx(series_value(lrs_table, "q00", z), abs=1e-10)
 
 
 def test_q10_general_simple_boundary_case(simple_table):
@@ -363,6 +380,14 @@ def test_q11_general_plain_point_via_cgf(lrs_table):
     got = bvp.q11_general(LRS, z, evaluator=ev)
     oracle = series_value(lrs_table, "q11", z)
     assert got.value == pytest.approx(oracle, abs=1e-8)
+
+
+def test_q11_reports_the_unglued_mirror_plane():
+    # Q(0,1,z) is out of reach, and q11_general says so before any
+    # tight-tolerance contour sum of Q(1,0,z) runs
+    for f in (0.25, 0.5, 0.85):
+        with pytest.raises(CGFUnavailable):
+            bvp.q11_general(UNGLUED_MIRROR, f / len(UNGLUED_MIRROR), bvp.circle_cgf())
 
 
 def test_positivity_and_monotonicity():

@@ -123,18 +123,21 @@ def test_bvp_error_is_structured(capsys):
 
 
 def test_unconverged_bvp_error_is_the_only_stderr_line():
-    # non-finite contour sums: the simple walk's slit is about 1e-4 wide at
-    # z = 0.005 (dK/dx cancels to 0), and a boundary-integral node of the
-    # second model lands on the Cauchy pole; no numpy warning may precede
-    # the structured error
-    for source in (("--preset", "simple", "--z", "0.005"),
-                   ("--steps", '{"steps": [[-1,1],[0,-1],[0,1],[1,1]]}', "--z", "0.0625")):
+    # the simple walk's slit is about 1e-4 wide at z = 0.005 (dK/dx cancels
+    # to 0), so its contour sums are non-finite; the second model's mirrored
+    # curve is not glued by the circle; no numpy warning may precede the
+    # structured error
+    for source, error in (
+        (("--preset", "simple", "--z", "0.005"), "QuadratureNotConverged"),
+        (("--steps", '{"steps": [[-1,1],[0,-1],[0,1],[1,1]]}', "--z", "0.0625"),
+         "CGFUnavailable"),
+    ):
         proc = run_process("-W", "default", "-m", "qwalk.cli", "bvp", *source,
                            "--target", "q11")
         assert proc.returncode == 1 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "QuadratureNotConverged"
+        assert json.loads(lines[0])["error"] == error
 
 
 def test_asymptotics_json(capsys):

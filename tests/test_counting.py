@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -74,13 +75,29 @@ def test_packed_matches_naive_dp():
             assert t.totals[m] == sum(map(sum, ref[m]))
 
 
+def paths_tally(s, n):
+    """Enumerate every |S|^n path and tally the endpoints of those that never
+    leave the quarter plane."""
+    tally = {}
+    for path in product(s.sorted_steps(), repeat=n):
+        x = y = 0
+        for (a, b) in path:
+            x += a
+            y += b
+            if x < 0 or y < 0:
+                break
+        else:
+            tally[(x, y)] = tally.get((x, y), 0) + 1
+    return tally
+
+
 def test_dp_matches_explicit_path_enumeration():
     rng = random.Random(5)
     pool = [s for s in steps.all_step_sets() if len(s) <= 5]
     for s in rng.sample(pool, 8):
         n = min(8, int(math.log(200_000, max(2, len(s)))))
         t = counting.count(s, n, dense_max=n)
-        tally = counting.count_by_paths(s, n)
+        tally = paths_tally(s, n)
         grid = t.layer(n)
         for j in range(n + 1):
             for i in range(n + 1):
@@ -229,14 +246,6 @@ def test_memory_guard_refuses_before_allocating():
     counting.count(SIMPLE, 200, dense_max=0)
     with pytest.raises(ResourceLimit):  # the same walk, kept dense
         counting.count(SIMPLE, 1000, dense_max=1000)
-
-
-def test_path_enumeration_budget():
-    s = steps.parse_step_set(
-        [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
-    )
-    with pytest.raises(ResourceLimit):
-        counting.count_by_paths(s, 8)  # 8^8 paths exceed the default budget
 
 
 def test_eval_series_matches_direct_sum():

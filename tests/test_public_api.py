@@ -1,0 +1,42 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qwalk"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier a node uses: bare names, attributes, imported names."""
+    found: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    # a public function or class of the library must be used by another part
+    # of the library or by a demo; code that only the tests call belongs in
+    # the tests.  Re-exports in the package's __init__ do not count
+    modules = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    assert len(modules) > 5
+    demo_names: set[str] = set()
+    for p in sorted((ROOT / "demos").glob("*.py")):
+        demo_names |= _names(ast.parse(p.read_text()))
+    uses = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
+
+    unreached = []
+    for path, tree in modules.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("_") or stmt.name in demo_names:
+                continue
+            if not any(stmt.name in names for other, names in uses if other is not stmt):
+                unreached.append(f"{path.stem}.{stmt.name}")
+    assert unreached == []
