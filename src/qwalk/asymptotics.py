@@ -138,7 +138,7 @@ def _extrapolate(values: list[float], ks: list[float], depth: int) -> tuple[floa
     return estimates[-1], uncertainty, residuals, converged
 
 
-def growth_estimate(coeffs, stride: int | None = None) -> SeriesAnalysis:
+def growth_estimate(coeffs) -> SeriesAnalysis:
     """Estimate (rho, alpha, const) for c_n ~ const * rho^n * n^alpha.
 
     All three are normalised to the strided subsequence index k, with
@@ -148,12 +148,10 @@ def growth_estimate(coeffs, stride: int | None = None) -> SeriesAnalysis:
     after the stride is applied.
     """
     coeffs = list(coeffs)
-    auto_stride, first = detect_stride(coeffs)
-    if stride is None:
-        stride = auto_stride
+    stride, first = detect_stride(coeffs)
     sub = coeffs[first::stride]
     if any(c == 0 for c in sub):
-        raise InsufficientData("support does not match the requested stride")
+        raise InsufficientData("support does not match the detected stride")
     if len(sub) < 32:
         raise InsufficientData(f"{len(sub)} terms after stride; need >= 32")
 
@@ -216,19 +214,16 @@ def verify_prediction(
     rho0: float,
     alpha0: float,
     const0: float,
-    rho_rel_tol: float = 1e-6,
-    alpha_abs_tol: float = 1e-2,
-    const_rel_tol: float = 1e-2,
-    stride: int | None = None,
 ) -> PredictionReport:
-    """Compare extrapolated (rho, alpha, const) against a prediction."""
-    analysis = growth_estimate(coeffs, stride=stride)
+    """Compare extrapolated (rho, alpha, const) against a prediction: rho to
+    1e-6 relative, alpha to 1e-2 absolute, const to 1e-2 relative."""
+    analysis = growth_estimate(coeffs)
     dr = abs(analysis.rho - rho0) / abs(rho0)
     da = abs(analysis.alpha - alpha0)
     dc = abs(analysis.const_estimate - const0) / abs(const0)
-    rho_ok = dr < rho_rel_tol
-    alpha_ok = da < alpha_abs_tol
-    const_ok = dc < const_rel_tol
+    rho_ok = dr < 1e-6
+    alpha_ok = da < 1e-2
+    const_ok = dc < 1e-2
     return PredictionReport(
         ok=rho_ok and alpha_ok and const_ok,
         rho_ok=rho_ok,

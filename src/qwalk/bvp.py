@@ -23,8 +23,9 @@ Two layers:
   specialised to Q(0,0,z) by a pole-cancellation limit at x -> 0 (when
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
   and c is not constant).  When c is constant the curve passes through
-  infinity and no CGF glues it.  Boundary points are handled as
-  inside-limits: principal value plus half-residue (Sokhotski-Plemelj) terms.
+  infinity and no CGF glues it.  Each plane's curve is traced and checked
+  once per call.  Boundary points are handled as inside-limits: principal
+  value plus half-residue (Sokhotski-Plemelj) terms.
 """
 
 from __future__ import annotations
@@ -223,36 +224,30 @@ def _converge(eval_at, tol: float, start: int = 256) -> tuple[complex, float]:
     )
 
 
-def _interior_integral(
-    s: StepSet, z: float, cgf: CGF, trace: CurveTrace, wx: complex, tol: float
+def _contour_integral(
+    s: StepSet, z: float, trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
 ) -> tuple[complex, float]:
-    """(1/(2 pi i z)) oint t Y0 w' / (w(t) - wx) dt, CCW."""
+    """(1/(2 pi i z)) (oint integrand dtau + plemelj), CCW: integrand(tau, ys,
+    t, dt) is summed over the midpoint nodes, doubled until converged."""
     orient = 1.0 if trace.ccw else -1.0
 
     def at_m(m: int) -> complex:
-        tau, ys, t, dt = contour_nodes(s, z, trace, m)
-        f = t * ys * cgf.dw(t, z) / (cgf.w(t, z) - wx) * dt
+        f = integrand(*contour_nodes(s, z, trace, m))
         return complex(np.sum(f)) * (2 * math.pi / m)
 
     total, err = _converge(at_m, tol)
-    return orient * total / (2j * math.pi * z), err / (2 * math.pi * abs(z))
+    return (orient * total + plemelj) / (2j * math.pi * z), err / (2 * math.pi * abs(z))
 
 
 def _moment_integral(
     s: StepSet, z: float, cgf: CGF, trace: CurveTrace, power: int, tol: float
 ) -> tuple[complex, float]:
     """(1/(2 pi i z)) oint t Y0 w'(t) w(t)^power dt, CCW."""
-    orient = 1.0 if trace.ccw else -1.0
-
-    def at_m(m: int) -> complex:
-        tau, ys, t, dt = contour_nodes(s, z, trace, m)
+    def moment(tau, ys, t, dt):
         f = t * ys * cgf.dw(t, z) * dt
-        if power:
-            f = f * cgf.w(t, z) ** power
-        return complex(np.sum(f)) * (2 * math.pi / m)
+        return f * cgf.w(t, z) ** power if power else f
 
-    total, err = _converge(at_m, tol)
-    return orient * total / (2j * math.pi * z), err / (2 * math.pi * abs(z))
+    return _contour_integral(s, z, trace, moment, tol)
 
 
 def _boundary_pole_data(
@@ -292,24 +287,20 @@ def _boundary_integral(
     """Inside-limit of the Cauchy integral for x ON the curve: principal
     value (cot-kernel subtraction on the staggered grid) plus the
     Sokhotski-Plemelj half-residue terms, all in CCW orientation."""
-    orient = 1.0 if trace.ccw else -1.0
     wx = cgf.w(complex(x), z)
     poles = _boundary_pole_data(s, z, trace, x)
 
-    def at_m(m: int) -> complex:
-        tau, ys, t, dt = contour_nodes(s, z, trace, m)
+    def principal_value(tau, ys, t, dt):
         wt = np.array([cgf.w(complex(v), z) for v in t])
         dwt = np.array([cgf.dw(complex(v), z) for v in t])
         with np.errstate(divide="ignore", invalid="ignore"):
             f = t * ys * dwt / (wt - wx) * dt
         for (tau_j, res_j, _side) in poles:
             f = f - res_j * 0.5 / np.tan(0.5 * (tau - tau_j))
-        return complex(np.sum(f)) * (2 * math.pi / m)
+        return f
 
-    pv, err = _converge(at_m, tol)
     plemelj = sum(1j * math.pi * res_j * side for (_tau, res_j, side) in poles)
-    total = orient * pv + plemelj
-    return total / (2j * math.pi * z), err / (2 * math.pi * abs(z))
+    return _contour_integral(s, z, trace, principal_value, tol, plemelj)
 
 
 def cauchy_value(
@@ -332,12 +323,14 @@ def cauchy_value(
     position = point_in_G_M(s, x, z, trace)
     if position == "outside":
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
-    if position == "inside":
-        wx = cgf.w(complex(x), z)
-        val, err = _interior_integral(s, z, cgf, trace, wx, tol)
-        return val, err, position
-    val, err = _boundary_integral(s, z, cgf, trace, x, tol)
-    return val, err, position
+    if position == "boundary":
+        return (*_boundary_integral(s, z, cgf, trace, x, tol), position)
+    wx = cgf.w(complex(x), z)
+
+    def cauchy(tau, ys, t, dt):
+        return t * ys * cgf.dw(t, z) / (cgf.w(t, z) - wx) * dt
+
+    return (*_contour_integral(s, z, trace, cauchy, tol), position)
 
 
 def qx0_integral(
@@ -362,6 +355,20 @@ def _as_real(value: complex, what: str) -> float:
     return value.real
 
 
+def _glued_curve(s: StepSet, z: float, cgf: CGF) -> CurveTrace:
+    """The plane's traced curve, checked to be glued by cgf.  A constant c
+    raises CGFUnavailable before tracing: its curve passes through infinity,
+    so no CGF glues it."""
+    c0, c1, c2 = kernel_polys(s).c
+    if c0 != 0 and c1 == 0 and c2 == 0:
+        raise CGFUnavailable(
+            "c is constant: the curve passes through infinity and no CGF glues it"
+        )
+    trace = trace_curve_M(s, z)
+    _require_gluing(cgf, trace, z)
+    return trace
+
+
 def q00_general(
     s: StepSet,
     z: float,
@@ -373,16 +380,13 @@ def q00_general(
     Case dispatch on c: (a) c(0) = 0: pole-cancellation limit at x -> 0;
     (b) c(0) = 1, c non-constant: evaluate at a root of c on the unit
     circle, which must not lie outside the domain.  A constant c raises
-    CGFUnavailable: its curve passes through infinity, so no CGF glues it.
+    CGFUnavailable.
     """
-    kp = kernel_polys(s)
-    c0, c1, c2 = kp.c
-    if c0 != 0 and c1 == 0 and c2 == 0:
-        raise CGFUnavailable(
-            "c is constant: the curve passes through infinity and no CGF glues it"
-        )
-    trace = trace_curve_M(s, z)
-    _require_gluing(cgf, trace, z)
+    return _q00(s, z, cgf, _glued_curve(s, z, cgf), tol)
+
+
+def _q00(s: StepSet, z: float, cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
+    c0, c1, c2 = kernel_polys(s).c
     r = cgf.pole_residue
     flags: tuple[str, ...] = ()
 
@@ -442,12 +446,16 @@ def q10_general(
     lies outside, the two-evaluation kernel identity transports the problem
     to x* = X0(Y0(1,z),z), which does lie inside.
     """
-    trace = trace_curve_M(s, z)
-    _require_gluing(cgf, trace, z)
+    trace = _glued_curve(s, z, cgf)
+    return _q10(s, z, cgf, trace, _q00(s, z, cgf, trace, tol).value, tol)
+
+
+def _q10(
+    s: StepSet, z: float, cgf: CGF, trace: CurveTrace, q00: float, tol: float
+) -> GFValue:
     kp = kernel_polys(s)
     c_at_1 = sum(kp.c)
     c0 = kp.c[0]
-    q00 = q00_general(s, z, cgf, tol).value
     try:
         val, err, position = cauchy_value(s, 1.0 + 0j, z, cgf, trace, tol)
     except PointOutsideDomain:
@@ -513,11 +521,12 @@ def q11_general(
 
         def evaluator(zv: float) -> tuple[float, float, float]:
             inner_tol = min(tol, 1e-12)
-            q00 = q00_general(s, zv, cgf, inner_tol).value
+            trace = _glued_curve(s, zv, cgf)
+            q00 = _q00(s, zv, cgf, trace, inner_tol).value
             # q01 first: its gluing check on the mirrored curve is cheap and
             # would otherwise wait behind q10's tight-tolerance contour sums
             q01 = q01_general(s, zv, cgf_y or cgf, inner_tol).value
-            q10 = q10_general(s, zv, cgf, inner_tol).value
+            q10 = _q10(s, zv, cgf, trace, q00, inner_tol).value
             return q00, q10, q01
 
     def assemble(zv: float) -> GFValue:

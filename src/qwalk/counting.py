@@ -19,7 +19,6 @@ peak memory and raises ResourceLimit above _MAX_BYTES.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -27,8 +26,6 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .steps import StepSet
-
-_DEFAULT_MAX_N = 4096
 
 SeriesLabel = Literal["q00", "q10", "q01", "q11"]
 
@@ -38,11 +35,6 @@ SERIES_PRETTY = {
     "q01": "Q(0,1,z)",
     "q11": "Q(1,1,z)",
 }
-
-
-def _n_cap() -> int:
-    env = os.environ.get("QWALK_MAX_N")
-    return int(env) if env else _DEFAULT_MAX_N
 
 
 # Layers of growth a widening provides for: the digits are re-packed about
@@ -172,15 +164,11 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     with c(1) (ct(1)) the number of steps with b = -1 (a = -1) and R (C) the
     sum of the horizontal (vertical) axis section.  No cell of layer n
     exceeds T_n, so the digits are widened, when T_n no longer fits, to hold
-    the next _LOOKAHEAD layers.  Raises ResourceLimit beyond the configured
-    cap (QWALK_MAX_N, default 4096) or when the estimated peak memory
-    exceeds _MAX_BYTES.
+    the next _LOOKAHEAD layers.  Raises ResourceLimit, before allocating,
+    when the estimated peak memory exceeds _MAX_BYTES.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cap = _n_cap()
-    if n_max > cap:
-        raise ResourceLimit(f"n_max={n_max} exceeds cap {cap} (set QWALK_MAX_N to override)")
     if dense_max is None:
         dense_max = min(n_max, 64)
     dense_max = min(dense_max, n_max)
@@ -348,12 +336,10 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     )
 
 
-def eval_q_x0(table: CountTable, x: complex, z: complex, n_terms: int | None = None) -> complex:
+def eval_q_x0(table: CountTable, x: complex, z: complex) -> complex:
     """Truncated bivariate series sum_{n,i} q(i,0,n) x^i z^n."""
-    n_terms = table.n_max if n_terms is None else min(n_terms, table.n_max)
     total = 0j
-    for n in range(n_terms + 1):
-        row = table.row0[n]
+    for n, row in enumerate(table.row0):
         acc = 0j
         xp = 1 + 0j
         for v in row:
@@ -364,13 +350,11 @@ def eval_q_x0(table: CountTable, x: complex, z: complex, n_terms: int | None = N
     return total
 
 
-def eval_series(coeffs, z: float, n_terms: int | None = None) -> float:
+def eval_series(coeffs, z: float) -> float:
     """Truncated univariate series sum c_n z^n (coefficients may be huge ints)."""
-    n_terms = len(coeffs) - 1 if n_terms is None else min(n_terms, len(coeffs) - 1)
     total = 0.0
     zp = 1.0
-    for n in range(n_terms + 1):
-        c = coeffs[n]
+    for n, c in enumerate(coeffs):
         if c:
             if c.bit_length() < 1000:
                 total += float(c) * zp

@@ -264,20 +264,18 @@ class CurveTrace:
     """Polyline approximation of the x-plane curve traced by X0 over the slit
     [y1, y2] (upper edge out, lower edge back, per the contour convention).
 
-    points has m+1 entries; points[0] = points[m] is the image of y1.  tau is
-    the parameter grid: y(tau) = mid - half*cos(tau), upper edge for
-    tau in (0, pi).  ccw records whether the traversal winds positively
-    around x1; x1_ref/x3_ref keep the branch points used for the checks.
+    points has m+1 entries; points[0] = points[m] is the image of y1, and
+    points[k] lies over y = mid - half*cos(2 pi k/m), on the upper edge for
+    k <= m/2.  ccw records whether the traversal winds positively around x1;
+    x1_ref/x3_ref keep the branch points used for the checks.
     """
 
-    steps: StepSet
     z: float
     m: int
     y1: float
     y2: float
     upper_sign: int
     points: np.ndarray
-    tau: np.ndarray
     closure_defect: float
     conj_defect: float
     ccw: bool
@@ -390,21 +388,19 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     closure = float(abs(points[0] - points[-1]))
     conj_defect = float(np.max(np.abs(points - np.conj(points[::-1]))))
 
-    bp = branch_points(s, z)
-    x1, x3 = bp.x_roots[0], bp.x_roots[2]
+    x_roots = _order_eq8(_disc_roots(s, "x", z)[1])[0]
+    x1, x3 = x_roots[0], x_roots[2]
     try:
         w1 = winding_number(points, x1)
     except ValueError:
         w1 = 0
     return CurveTrace(
-        steps=s,
         z=z,
         m=m,
         y1=y1,
         y2=y2,
         upper_sign=sigma,
         points=points,
-        tau=tau,
         closure_defect=closure,
         conj_defect=conj_defect,
         ccw=(w1 == 1),

@@ -104,7 +104,7 @@ _C3_CASES = [
 @pytest.mark.parametrize("label,z", _C3_CASES)
 def test_criterion_3_integral_vs_series(simple600, label, z):
     coeffs = counting.series(simple600, label).coeffs
-    truncated = counting.eval_series(coeffs, z, n_terms=120)
+    truncated = counting.eval_series(coeffs[:121], z)
     quadrature = (bvp.q00_simple if label == "q00" else bvp.q10_simple)(z)
     assert abs(quadrature.value - truncated) < 1e-8
     ok("criterion 3 (integral vs oracle)", f"{label} at z={z}")
@@ -115,7 +115,7 @@ def test_criterion_3_integrals_vs_400_terms(simple600):
     # tolerance holds at z = 0.24 as well
     for label, fn in (("q00", bvp.q00_simple), ("q10", bvp.q10_simple)):
         coeffs = counting.series(simple600, label).coeffs
-        truncated = counting.eval_series(coeffs, 0.24, n_terms=400)
+        truncated = counting.eval_series(coeffs[:401], 0.24)
         assert abs(fn(0.24).value - truncated) < 1e-8
     ok("criterion 3 supplement", "z=0.24 vs 400-term truncation")
 
@@ -125,7 +125,6 @@ def test_criterion_3_integrals_vs_400_terms(simple600):
 def test_criterion_4_excursion_asymptotics(simple600):
     report = asymptotics.verify_prediction(
         counting.series(simple600, "q00").coeffs, 16.0, -3.0, 4 / math.pi,
-        rho_rel_tol=1e-6, alpha_abs_tol=1e-2, const_rel_tol=1e-2,
     )
     assert report.ok, report
     assert report.analysis.stride == 2
@@ -137,7 +136,6 @@ def test_criterion_4_excursion_asymptotics(simple600):
 def test_criterion_5_axis_asymptotics(simple600):
     report = asymptotics.verify_prediction(
         counting.series(simple600, "q10").coeffs, 4.0, -2.0, 8 / math.pi,
-        rho_rel_tol=1e-6, alpha_abs_tol=1e-2, const_rel_tol=1e-2,
     )
     assert report.ok, report
     ok("criterion 5 (axis growth)",
@@ -147,7 +145,6 @@ def test_criterion_5_axis_asymptotics(simple600):
 def test_criterion_6_total_asymptotics_and_relation(simple600):
     report = asymptotics.verify_prediction(
         counting.series(simple600, "q11").coeffs, 4.0, -1.0, 4 / math.pi,
-        rho_rel_tol=1e-6, alpha_abs_tol=1e-2, const_rel_tol=1e-2,
     )
     assert report.ok, report
     # (4 - 1/z) Q(1,1,z) = 2 Q(1,0,z) - 1/z as a truncated series identity:

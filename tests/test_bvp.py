@@ -270,8 +270,10 @@ def test_q00_general_constant_c_is_unavailable():
     assert len(constant_c) == 13
     for s in constant_c:
         for f in (0.25, 0.5, 0.85):
-            with pytest.raises(CGFUnavailable, match="c is constant"):
-                bvp.q00_general(s, f / len(s), bvp.circle_cgf())
+            for fn, model in ((bvp.q00_general, s), (bvp.q10_general, s),
+                              (bvp.q01_general, s.mirrored())):
+                with pytest.raises(CGFUnavailable, match="c is constant"):
+                    fn(model, f / len(s), bvp.circle_cgf())
 
 
 def test_q00_via_kernel_point_dp_backed(lrs_table):
@@ -388,6 +390,42 @@ def test_q11_reports_the_unglued_mirror_plane():
     for f in (0.25, 0.5, 0.85):
         with pytest.raises(CGFUnavailable):
             bvp.q11_general(UNGLUED_MIRROR, f / len(UNGLUED_MIRROR), bvp.circle_cgf())
+
+
+def test_each_plane_is_traced_once_per_call(monkeypatch):
+    traced = []
+
+    def counting_trace(s, z, *args, **kwargs):
+        traced.append(s)
+        return kernel.trace_curve_M(s, z, *args, **kwargs)
+
+    monkeypatch.setattr(bvp, "trace_curve_M", counting_trace)
+    cgf = bvp.circle_cgf()
+    for fn, want in ((bvp.q00_general, 1), (bvp.q10_general, 1),
+                     (bvp.q01_general, 1), (bvp.q11_general, 2)):
+        traced.clear()
+        fn(SIMPLE, 0.2, cgf)
+        assert len(traced) == want, fn.__name__
+
+
+def test_q11_general_equals_the_relation_on_its_parts():
+    # the five genuine models symmetric in both axes: the circle glues both
+    # planes, and reusing the x-plane trace leaves every number unchanged
+    cgf = bvp.circle_cgf()
+    both_axes = []
+    for s in steps.all_step_sets():
+        kp = kernel.kernel_polys(s)
+        if (not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+                and kp.a_t == kp.c_t and kp.a == kp.c):
+            both_axes.append(s)
+    assert len(both_axes) == 5
+    for s in both_axes:
+        for f in (0.25, 0.5, 0.85):
+            z = f / len(s)
+            parts = [fn(s, z, cgf, tol=1e-12).value
+                     for fn in (bvp.q10_general, bvp.q01_general, bvp.q00_general)]
+            want = bvp.q11_from_relation(s, z, *parts).value
+            assert bvp.q11_general(s, z, cgf).value == want, (s, f)
 
 
 def test_positivity_and_monotonicity():

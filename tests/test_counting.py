@@ -232,16 +232,12 @@ def test_singular_walks_drop_the_q00_term():
             assert report.holds and not report.has_q00_term
 
 
-def test_resource_limit(monkeypatch):
-    monkeypatch.setenv("QWALK_MAX_N", "100")
-    with pytest.raises(ResourceLimit):
-        counting.count(SIMPLE, 101)
-
-
 def test_memory_guard_refuses_before_allocating():
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="GiB"):
         counting.count(SIMPLE, 4096)  # one packed layer alone is several GiB
+    with pytest.raises(ResourceLimit, match="GiB"):  # large n: memory, not n, decides
+        counting.count(steps.StepSet(frozenset({(1, 0)})), 5000)
     assert time.perf_counter() - start < 1.0
     counting.count(SIMPLE, 200, dense_max=0)
     with pytest.raises(ResourceLimit):  # the same walk, kept dense
