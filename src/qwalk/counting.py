@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Literal
 
 import numpy as np
@@ -272,60 +273,47 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     where S is the step polynomial and Q_n the (quadrant-truncated) layer.
     The left product S . Q_{n-1} is unrestricted: the boundary-truncation
     mismatch is exactly what the right-hand side corrects.
+
+    Each side of degree n is a grid of rows indexed [j][i] that holds the
+    coefficient of x^i y^j above (the factor xy makes every exponent >= 0).
+    first_mismatch is (n, i, j, lhs, rhs) at the least n, and within it the
+    least (i, j) in lexicographic order, where the two coefficients differ.
     """
     if n_degree < 1:
         raise ValueError("n_degree must be >= 1")
     table = count(s, n_degree, dense_max=n_degree)
     d11 = s.delta(-1, -1)
 
-    def layer_poly(n: int) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for j, row in enumerate(table._dense[n]):
-            for i, v in enumerate(row):
-                if v:
-                    out[(i, j)] = v
-        return out
+    def shift_add(target: list[int], k: int, row: list[int], op=add) -> None:
+        # target[k + i] = op(target[k + i], row[i]) for every i, at C speed
+        target[k : k + len(row)] = map(op, target[k : k + len(row)], row)
 
     first_mismatch = None
     for n in range(0, n_degree + 1):
-        lhs: dict[tuple[int, int], int] = {}
+        size = n + 2  # exponents of degree n lie in 0..n+1
+        lhs = [[0] * size for _ in range(size)]
+        rhs = [[0] * size for _ in range(size)]
         if n >= 1:
-            for (i, j), v in layer_poly(n - 1).items():
-                for (p, q) in s.steps:
-                    key = (i + p + 1, j + q + 1)
-                    lhs[key] = lhs.get(key, 0) + v
-        for (i, j), v in layer_poly(n).items():
-            key = (i + 1, j + 1)
-            lhs[key] = lhs.get(key, 0) - v
-
-        rhs: dict[tuple[int, int], int] = {}
-        if n >= 1:
-            for i, v in enumerate(table.row0[n - 1]):
-                if v:
-                    for di in (-1, 0, 1):
-                        if s.delta(di, -1):
-                            key = (i + di + 1, 0)
-                            rhs[key] = rhs.get(key, 0) + v
-            for j, v in enumerate(table.col0[n - 1]):
-                if v:
-                    for dj in (-1, 0, 1):
-                        if s.delta(-1, dj):
-                            key = (0, j + dj + 1)
-                            rhs[key] = rhs.get(key, 0) + v
-            if d11:
-                q = table.q00[n - 1]
-                if q:
-                    rhs[(0, 0)] = rhs.get((0, 0), 0) - q
+            for j, row in enumerate(table._dense[n - 1]):
+                for p, q in s.steps:
+                    shift_add(lhs[j + q + 1], p + 1, row)
+            for d in (-1, 0, 1):
+                if s.delta(d, -1):
+                    shift_add(rhs[0], d + 1, table.row0[n - 1])
+                if s.delta(-1, d):
+                    for j, v in enumerate(table.col0[n - 1], d + 1):
+                        rhs[j][0] += v
+            rhs[0][0] -= d11 * table.q00[n - 1]
         else:
-            rhs[(1, 1)] = -1
+            rhs[1][1] = -1
+        for j, row in enumerate(table._dense[n], 1):
+            shift_add(lhs[j], 1, row, sub)
 
-        keys = sorted(set(lhs) | set(rhs))
-        for key in keys:
-            a, b = lhs.get(key, 0), rhs.get(key, 0)
-            if a != b:
-                first_mismatch = (n, key[0], key[1], a, b)
-                break
-        if first_mismatch:
+        if lhs != rhs:
+            i, j = min(
+                (i, j) for j in range(size) for i in range(size) if lhs[j][i] != rhs[j][i]
+            )
+            first_mismatch = (n, i, j, lhs[j][i], rhs[j][i])
             break
 
     return FunctionalEquationReport(

@@ -15,6 +15,9 @@ Orbits of infinite-order compositions blow up in height (digit count grows
 geometrically), so candidate orders are first screened by running the orbit
 in a few prime fields; non-return modulo a prime of good reduction already
 proves non-return over Q, and only screened candidates are re-run exactly.
+The screening orbit runs on projective pairs (n : d), so it needs no
+modular inversion; a prime at which a denominator or a pole factor vanishes
+yields no flags (None), and the exact panel is what certifies.
 """
 
 from __future__ import annotations
@@ -96,32 +99,38 @@ def _random_point(rng: random.Random) -> RationalPoint:
 
 
 def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[bool] | None:
-    """Return-per-m flags of the psi o phi orbit over F_prime, or None on bad
-    reduction (a denominator vanished mod prime while being nonzero over Q)."""
-    def red(fr: Fraction) -> int:
-        den = fr.denominator % prime
-        if den == 0:
-            raise ZeroDivisionError
-        return fr.numerator % prime * pow(den, prime - 2, prime) % prime
+    """Return-per-m flags of the psi o phi orbit over F_prime, or None when a
+    denominator or a pole factor vanishes mod prime (bad reduction, or an
+    exact pole on the orbit).
+
+    Each coordinate is a projective pair (n : d) mod prime, so the orbit needs
+    no inversion.  With h(P; n, d) = P0 d^2 + P1 n d + P2 n^2, phi maps
+    (xn : xd) to (h(ct; yn, yd) xd : h(at; yn, yd) xn), and psi acts on y
+    alike with a and c.  Every d is a product of pole-tested nonzero factors.
+    """
+    def h(poly: tuple[int, int, int], n: int, d: int) -> int:
+        return (poly[0] * d * d + poly[1] * n * d + poly[2] * n * n) % prime
 
     kp = kernel_polys(s)
-    try:
-        x0, y0 = red(p0.x), red(p0.y)
-        x, y = x0, y0
-        flags = []
-        for _ in range(max_m):
-            at, ct = poly_eval(kp.a_t, y) % prime, poly_eval(kp.c_t, y) % prime
-            if at == 0 or x == 0:
-                return None
-            x = ct * pow(at * x % prime, prime - 2, prime) % prime
-            a, c = poly_eval(kp.a, x) % prime, poly_eval(kp.c, x) % prime
-            if a == 0 or y == 0:
-                return None
-            y = c * pow(a * y % prime, prime - 2, prime) % prime
-            flags.append(x == x0 and y == y0)
-        return flags
-    except ZeroDivisionError:
+    x0n, x0d = p0.x.numerator % prime, p0.x.denominator % prime
+    y0n, y0d = p0.y.numerator % prime, p0.y.denominator % prime
+    if x0d == 0 or y0d == 0:
         return None
+    xn, xd, yn, yd = x0n, x0d, y0n, y0d
+    flags = []
+    for _ in range(max_m):
+        at = h(kp.a_t, yn, yd)
+        if at == 0 or xn == 0:
+            return None
+        xn, xd = h(kp.c_t, yn, yd) * xd % prime, at * xn % prime
+        a = h(kp.a, xn, xd)
+        if a == 0 or yn == 0:
+            return None
+        yn, yd = h(kp.c, xn, xd) * yd % prime, a * yn % prime
+        flags.append(
+            (xn * x0d - x0n * xd) % prime == 0 and (yn * y0d - y0n * yd) % prime == 0
+        )
+    return flags
 
 
 def _orbit_exact_returns_at(s: StepSet, p0: RationalPoint, m: int) -> bool:

@@ -18,6 +18,7 @@ limit from the upper edge.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ class KernelPolys:
     c_t: tuple[int, int, int]
 
 
+@functools.cache  # at most 255 step sets; every field is an immutable tuple
 def kernel_polys(s: StepSet) -> KernelPolys:
     def row(j: int) -> tuple[int, int, int]:
         return (s.delta(-1, j), s.delta(0, j), s.delta(1, j))

@@ -232,6 +232,35 @@ def test_singular_walks_drop_the_q00_term():
             assert report.holds and not report.has_q00_term
 
 
+@pytest.mark.parametrize(
+    "name,part,where,delta,mismatch",
+    [
+        ("simple", "_dense", (5, 2, 3), 1, (5, 4, 3, -1, 0)),
+        ("simple", "row0", (4, 2), 1, (5, 3, 0, 9, 10)),
+        ("kreweras", "col0", (6, 3), -1, (7, 0, 4, 5, 4)),
+        ("kreweras", "_dense", (7, 1, 4), 2, (7, 5, 2, -2, 0)),
+        ("gessel", "q00", (4,), 1, (5, 0, 0, 11, 10)),  # the Q(0,0,z) term
+        ("gessel", "_dense", (0, 0, 0), 1, (0, 1, 1, -2, -1)),
+        ("gessel", "col0", (2, 0), -1, (3, 0, 0, 2, 1)),
+        # the last layer's axis section enters no degree up to 10
+        ("simple", "row0", (10, 3), 1, None),
+    ],
+)
+def test_functional_equation_detects_a_corrupted_cell(monkeypatch, name, part, where, delta,
+                                                      mismatch):
+    s = steps.preset(name)
+    table = counting.count(s, 10, dense_max=10)
+    *path, last = where
+    cells = getattr(table, part)
+    for k in path:
+        cells = cells[k]
+    cells[last] += delta
+    monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
+    report = counting.check_functional_equation(s, 10)
+    assert report.holds is (mismatch is None)
+    assert report.first_mismatch == mismatch
+
+
 def test_memory_guard_refuses_before_allocating():
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="GiB"):

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qwalk import group, kernel, steps
+from qwalk import group, kernel, singularities, steps
 from qwalk.errors import DegenerateGenerators, PoleEncountered
 from qwalk.group import RationalPoint
 
@@ -19,6 +20,65 @@ def generator_models():
         if all(any(p) for p in (kp.a, kp.c, kp.a_t, kp.c_t)):
             out.append(s)
     return out
+
+
+def genuine_models():
+    """The 131 non-singular step sets with the origin inside their hull."""
+    return [
+        s for s in steps.all_step_sets()
+        if not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+    ]
+
+
+def orbit_by_inverses(s, p0, prime, max_m):
+    """Reference screen: the psi o phi orbit on affine coordinates mod prime,
+    one modular inverse per generator step."""
+    def red(fr):
+        den = fr.denominator % prime
+        if den == 0:
+            raise ZeroDivisionError
+        return fr.numerator % prime * pow(den, prime - 2, prime) % prime
+
+    kp = kernel.kernel_polys(s)
+    try:
+        x0, y0 = red(p0.x), red(p0.y)
+        x, y = x0, y0
+        flags = []
+        for _ in range(max_m):
+            at, ct = kernel.poly_eval(kp.a_t, y) % prime, kernel.poly_eval(kp.c_t, y) % prime
+            if at == 0 or x == 0:
+                return None
+            x = ct * pow(at * x % prime, prime - 2, prime) % prime
+            a, c = kernel.poly_eval(kp.a, x) % prime, kernel.poly_eval(kp.c, x) % prime
+            if a == 0 or y == 0:
+                return None
+            y = c * pow(a * y % prime, prime - 2, prime) % prime
+            flags.append(x == x0 and y == y0)
+        return flags
+    except ZeroDivisionError:
+        return None
+
+
+def test_screen_matches_the_inverse_based_orbit():
+    points = [group._random_point(random.Random(k)) for k in range(5)]
+    for s in genuine_models():
+        for p in points:
+            for prime in group._SCREEN_PRIMES:
+                assert group._orbit_mod_p(s, p, prime, 16) == orbit_by_inverses(s, p, prime, 16)
+
+
+def test_screen_bad_reduction_and_exact_pole():
+    s = steps.preset("kreweras")
+    p = RationalPoint(F(3, 2**61 - 1), F(5, 7))
+    flags = [group._orbit_mod_p(s, p, prime, 16) for prime in group._SCREEN_PRIMES]
+    assert flags[0] is None and all(isinstance(f, list) and len(f) == 16 for f in flags[1:])
+    # Gessel: at(y) = y + y^2 vanishes at y = -1, an exact pole of phi
+    gessel = steps.preset("gessel")
+    pole = RationalPoint(F(2, 3), F(-1))
+    with pytest.raises(PoleEncountered):
+        group.phi(gessel, pole)
+    assert all(group._orbit_mod_p(gessel, pole, prime, 16) is None
+               for prime in group._SCREEN_PRIMES)
 
 
 def test_psi_simple_walk_inverts_y():
@@ -173,3 +233,33 @@ def test_group_census_of_nonsingular_classes():
         key = res.order if res.finite else "exceeds"
         census[key] = census.get(key, 0) + 1
     assert census == {4: 16, 6: 5, 8: 2, "exceeds": 51}
+
+
+def angle_order(s):
+    """Group order from the correlation angle at the critical point, without
+    the group itself: theta/pi = arccos(-r)/pi = p/q (q <= 16) gives order 2q;
+    None when theta/pi is not within 1e-9 of such a fraction."""
+    cp = singularities.critical_point(s)
+    w = {(i, j): cp.alpha**i * cp.beta**j for (i, j) in s.steps}
+    sij = sum(i * j * v for (i, j), v in w.items())
+    sii = sum(i * i * v for (i, j), v in w.items())
+    sjj = sum(j * j * v for (i, j), v in w.items())
+    t = math.acos(-sij / math.sqrt(sii * sjj)) / math.pi
+    f = Fraction(t).limit_denominator(16)
+    return 2 * f.denominator if abs(t - f) < 1e-9 else None
+
+
+def test_group_orders_match_the_correlation_angle():
+    # the group is finite exactly when theta/pi is rational, of order 2q for
+    # theta/pi = p/q (the criterion of Bostan, Raschel & Salvy 2014)
+    split = {"finite": 0, "exceeds": 0}
+    for s in genuine_models():
+        res = group.group_order(s)
+        expected = angle_order(s)
+        if expected is None:
+            assert not res.finite and res.half_order_bound == 16, s
+            split["exceeds"] += 1
+        else:
+            assert res.finite and res.order == expected, s
+            split["finite"] += 1
+    assert split == {"finite": 39, "exceeds": 92}

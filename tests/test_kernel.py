@@ -43,6 +43,11 @@ def test_kernel_polys_simple():
     assert kp.a_t == kp.a and kp.b_t == kp.b and kp.c_t == kp.c
 
 
+def test_kernel_polys_built_once_per_step_set():
+    for s in steps.all_step_sets():
+        assert kernel.kernel_polys(s) is kernel.kernel_polys(steps.StepSet(s.steps))
+
+
 def test_poly_normalisation_sums_to_cardinality():
     for s in steps.all_step_sets():
         kp = kernel.kernel_polys(s)
