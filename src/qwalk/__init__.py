@@ -59,7 +59,6 @@ from .bvp import (
     q10_simple,
     q11_from_relation,
     q11_general,
-    qx0_integral,
 )
 from .asymptotics import PredictionReport, SeriesAnalysis, growth_estimate, verify_prediction
 

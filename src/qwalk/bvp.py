@@ -24,8 +24,9 @@ Two layers:
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
   and c is not constant).  When c is constant the curve passes through
   infinity and no CGF glues it.  Each plane's curve is traced and checked
-  once per call.  Boundary points are handled as inside-limits: principal
-  value plus half-residue (Sokhotski-Plemelj) terms.
+  once per call.  A point x on the curve takes the inside limit of the same
+  integral: the same integrand minus its poles (principal value), plus
+  their Sokhotski-Plemelj half-residues.
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ from .kernel import (
     CurveTrace,
     X_branches,
     Y_branches,
-    _edge_values,
-    _slit_roots,
     contour_nodes,
+    curve_preimage,
     kernel_polys,
-    point_in_G_M,
     poly_eval,
     trace_curve_M,
+    winding_number,
 )
 from .steps import StepSet, drift
 
@@ -251,11 +251,12 @@ def _moment_integral(
 
 
 def _boundary_pole_data(
-    s: StepSet, z: float, trace: CurveTrace, x: complex
+    trace: CurveTrace, x: complex, ys: float, t_up: complex
 ) -> list[tuple[float, complex, int]]:
-    """Poles of the Cauchy kernel for x on the curve, as (tau_j, residue_j,
-    side) with side +1 for the pole at x itself, -1 for its mirror, and 0
-    for a fold point (merged interior/exterior pair, no net half-residue).
+    """Poles of the Cauchy kernel for x on the curve at slit ordinate ys with
+    upper-edge value t_up (see curve_preimage), as (tau_j, residue_j, side)
+    with side +1 for the pole at x itself, -1 for its mirror, and 0 for a
+    fold point (merged interior/exterior pair, no net half-residue).
 
     The residue of w'(t)/(w(t) - w(x)) at a simple preimage of w(x) is 1, so
     each tau-pole of the full integrand carries residue t*Y0(t) = x*y; at a
@@ -263,10 +264,6 @@ def _boundary_pole_data(
     simple zero of w' leaves a simple pole with twice that density.
     """
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
-    on_slit = _slit_roots(s, x, z, trace)
-    if not on_slit:
-        raise PointOutsideDomain(f"{x} does not lie on the traced curve")
-    ys = on_slit[0]
     density = x * ys
 
     cosv = (mid - ys) / half
@@ -275,32 +272,9 @@ def _boundary_pole_data(
         fold_y1 = abs(x - trace.points[0]) <= abs(x - trace.points[trace.m // 2])
         return [(0.0 if fold_y1 else math.pi, 2.0 * density, 0)]
     tau_up = math.acos(min(1.0, max(-1.0, cosv)))
-    t_up = complex(_edge_values(s, np.array([ys]), z, trace.upper_sign)[0])
     if abs(t_up - x) <= abs(t_up.conjugate() - x):
         return [(tau_up, density, +1), (2 * math.pi - tau_up, density.conjugate(), -1)]
     return [(2 * math.pi - tau_up, density, +1), (tau_up, density.conjugate(), -1)]
-
-
-def _boundary_integral(
-    s: StepSet, z: float, cgf: CGF, trace: CurveTrace, x: complex, tol: float
-) -> tuple[complex, float]:
-    """Inside-limit of the Cauchy integral for x ON the curve: principal
-    value (cot-kernel subtraction on the staggered grid) plus the
-    Sokhotski-Plemelj half-residue terms, all in CCW orientation."""
-    wx = cgf.w(complex(x), z)
-    poles = _boundary_pole_data(s, z, trace, x)
-
-    def principal_value(tau, ys, t, dt):
-        wt = np.array([cgf.w(complex(v), z) for v in t])
-        dwt = np.array([cgf.dw(complex(v), z) for v in t])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = t * ys * dwt / (wt - wx) * dt
-        for (tau_j, res_j, _side) in poles:
-            f = f - res_j * 0.5 / np.tan(0.5 * (tau - tau_j))
-        return f
-
-    plemelj = sum(1j * math.pi * res_j * side for (_tau, res_j, side) in poles)
-    return _contour_integral(s, z, trace, principal_value, tol, plemelj)
 
 
 def cauchy_value(
@@ -311,38 +285,35 @@ def cauchy_value(
     trace: CurveTrace | None = None,
     tol: float = 1e-9,
 ) -> tuple[complex, float, str]:
-    """c(x) Q(x,0,z) - c(0) Q(0,0,z) with its error estimate and position tag.
+    """c(x) Q(x,0,z) - c(0) Q(0,0,z) with its error estimate and position tag
+    ("inside" or "boundary").
 
-    Interior points use the plain spectrally-convergent midpoint rule;
-    boundary points the principal-value inside-limit.  Points outside the
-    domain raise PointOutsideDomain.
+    One integrand t Y0 w'(t) / (w(t) - w(x)) serves every point, summed by
+    the spectrally convergent midpoint rule.  For x on the curve it is the
+    inside limit: the integrand's poles are subtracted as cot-kernels on the
+    staggered grid (principal value) and their Sokhotski-Plemelj
+    half-residues added back.  Points outside the domain raise
+    PointOutsideDomain.
     """
     if trace is None:
         trace = trace_curve_M(s, z)
     _require_gluing(cgf, trace, z)
-    position = point_in_G_M(s, x, z, trace)
-    if position == "outside":
+    on_curve = curve_preimage(s, x, z, trace)
+    if on_curve is None and winding_number(trace.points, x) == 0:
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
-    if position == "boundary":
-        return (*_boundary_integral(s, z, cgf, trace, x, tol), position)
+    poles = [] if on_curve is None else _boundary_pole_data(trace, x, *on_curve)
     wx = cgf.w(complex(x), z)
 
     def cauchy(tau, ys, t, dt):
-        return t * ys * cgf.dw(t, z) / (cgf.w(t, z) - wx) * dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = t * ys * cgf.dw(t, z) / (cgf.w(t, z) - wx) * dt
+        for (tau_j, res_j, _side) in poles:
+            f = f - res_j * 0.5 / np.tan(0.5 * (tau - tau_j))
+        return f
 
-    return (*_contour_integral(s, z, trace, cauchy, tol), position)
-
-
-def qx0_integral(
-    s: StepSet,
-    x: complex,
-    z: float,
-    cgf: CGF,
-    trace: CurveTrace | None = None,
-    tol: float = 1e-9,
-) -> complex:
-    """The contour-integral value of c(x) Q(x,0,z) - c(0) Q(0,0,z)."""
-    return cauchy_value(s, x, z, cgf, trace, tol)[0]
+    plemelj = sum(1j * math.pi * res_j * side for (_tau, res_j, side) in poles)
+    value, err = _contour_integral(s, z, trace, cauchy, tol, plemelj)
+    return value, err, "inside" if on_curve is None else "boundary"
 
 
 # --------------------------------------------------------------------------
@@ -496,7 +467,6 @@ def q11_general(
     s: StepSet,
     z: float,
     cgf: CGF | None = None,
-    cgf_y: CGF | None = None,
     tol: float = 1e-9,
     evaluator: Callable[[float], tuple[float, float, float]] | None = None,
 ) -> GFValue:
@@ -525,7 +495,7 @@ def q11_general(
             q00 = _q00(s, zv, cgf, trace, inner_tol).value
             # q01 first: its gluing check on the mirrored curve is cheap and
             # would otherwise wait behind q10's tight-tolerance contour sums
-            q01 = q01_general(s, zv, cgf_y or cgf, inner_tol).value
+            q01 = q01_general(s, zv, cgf, inner_tol).value
             q10 = _q10(s, zv, cgf, trace, q00, inner_tol).value
             return q00, q10, q01
 

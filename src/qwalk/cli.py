@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 
 from . import asymptotics, bvp, counting, group, kernel, singularities, steps
-from .errors import QwalkError
+from .errors import QwalkError, StepFileUnreadable
 
 
 def _add_step_source(p: argparse.ArgumentParser) -> None:
@@ -27,8 +27,12 @@ def _resolve_steps(args) -> steps.StepSet:
     if args.preset:
         return steps.preset(args.preset)
     if args.steps_file:
-        with open(args.steps_file, "r", encoding="utf-8") as fh:
-            return steps.from_json(fh.read())
+        try:
+            with open(args.steps_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise StepFileUnreadable(f"cannot read the steps file: {exc}") from None
+        return steps.from_json(text)
     return steps.from_json(args.steps)
 
 
@@ -247,7 +251,7 @@ def _cmd_check(args) -> int:
                 z = 0.5 * inv
                 kp = kernel.kernel_polys(s)
                 x = 0.3
-                got = bvp.qx0_integral(s, x, z, bvp.circle_cgf(), trace)
+                got = bvp.cauchy_value(s, x, z, bvp.circle_cgf(), trace)[0]
                 want = kernel.poly_eval(kp.c, x) * counting.eval_q_x0(table, x, z) \
                     - kp.c[0] * counting.eval_series(counting.series(table, "q00").coeffs, z)
                 record("cauchy-integral-vs-series", abs(got - want) < 1e-8,

@@ -13,6 +13,10 @@ class InvalidStep(QwalkError, ValueError):
     """A step outside {-1,0,1}^2 \\ {(0,0)} was supplied."""
 
 
+class StepFileUnreadable(QwalkError, OSError):
+    """The file naming a step set could not be read."""
+
+
 class PoleEncountered(QwalkError, ArithmeticError):
     """A group generator was evaluated at a pole of its defining rational map."""
 

@@ -448,31 +448,34 @@ def contour_nodes(
     return tau, ys, t, dt_dtau
 
 
-def _slit_roots(s: StepSet, x: complex, z: float, trace: CurveTrace) -> list[float]:
-    """Kernel y-roots at x that lie on the slit [y1, y2] up to _BAND, clamped
-    onto it: the ordinates at which x can be a point of the traced curve."""
-    return [
-        min(max(yr.real, trace.y1), trace.y2)
-        for yr in Y_branches(s, x, z)
-        if is_finite_root(yr)
-        and abs(yr.imag) <= _BAND
-        and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND
-    ]
+def curve_preimage(
+    s: StepSet, x: complex, z: float, trace: CurveTrace
+) -> tuple[float, complex] | None:
+    """Where x lies on the traced curve: the slit ordinate y, clamped onto
+    [y1, y2], and the upper-edge value X0(y + i0), which equals x or its
+    conjugate within _BAND; None when x is off the curve.
+
+    The test is analytic rather than polyline-based: x lies on the curve iff
+    a kernel y-root at x is real, inside [y1, y2], and the slit edge value
+    at that y reproduces x.
+    """
+    for yr in Y_branches(s, x, z):
+        if not (is_finite_root(yr) and abs(yr.imag) <= _BAND
+                and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
+            continue
+        yv = min(max(yr.real, trace.y1), trace.y2)
+        up = complex(_edge_values(s, np.array([yv]), z, trace.upper_sign)[0])
+        if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
+            return yv, up
+    return None
 
 
 def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace | None = None) -> str:
     """Classify x against the domain bounded by the curve: "inside",
-    "outside" or "boundary" (band of width 1e-7 around the curve).
-
-    The boundary test is analytic rather than polyline-based: x lies on the
-    curve iff a kernel y-root at x is real, inside [y1, y2], and the slit
-    edge value at that y reproduces x.
-    """
+    "outside" or "boundary" (band of width 1e-7 around the curve, see
+    curve_preimage)."""
     if trace is None:
         trace = trace_curve_M(s, z, m=512)
-    for yv in _slit_roots(s, x, z, trace):
-        up = _edge_values(s, np.array([yv]), z, trace.upper_sign)[0]
-        if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
-            return "boundary"
-    w = winding_number(trace.points, x)
-    return "inside" if w != 0 else "outside"
+    if curve_preimage(s, x, z, trace) is not None:
+        return "boundary"
+    return "inside" if winding_number(trace.points, x) != 0 else "outside"

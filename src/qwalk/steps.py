@@ -85,12 +85,16 @@ PRESETS: dict[str, tuple[Step, ...]] = {
 def parse_step_set(pairs: Iterable[Iterable[int]]) -> StepSet:
     """Build a StepSet from integer pairs; duplicates collapse.
 
-    Raises EmptyStepSet for an empty list and InvalidStep for pairs outside
-    the eight neighbours of the origin (including (0,0) itself).
+    Raises EmptyStepSet for an empty list and InvalidStep for anything that
+    is not a list of integer pairs, or for pairs outside the eight
+    neighbours of the origin (including (0,0) itself).
     """
+    try:
+        candidates = [tuple(pair) for pair in pairs]
+    except TypeError:
+        raise InvalidStep(f"not a list of integer pairs: {pairs!r}") from None
     collected = set()
-    for pair in pairs:
-        step = tuple(pair)
+    for step in candidates:
         if len(step) != 2 or not all(isinstance(v, int) for v in step):
             raise InvalidStep(f"not an integer pair: {step!r}")
         collected.add(step)  # validity checked by the StepSet constructor

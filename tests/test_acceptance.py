@@ -258,7 +258,7 @@ def test_criterion_11_cauchy_integral(simple600):
     tr = kernel.trace_curve_M(SIMPLE, z)
     table = counting.count(SIMPLE, 120, dense_max=0)
     for x in (0.3, 0.5j, -0.7):
-        got = bvp.qx0_integral(SIMPLE, x, z, cgf, tr)
+        got = bvp.cauchy_value(SIMPLE, x, z, cgf, tr)[0]
         want = x * counting.eval_q_x0(table, x, z)  # c(x) = x, c(0) = 0
         assert abs(got - want) < 1e-8, x
     general = bvp.q00_general(SIMPLE, z, cgf)

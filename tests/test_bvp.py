@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_gluing_defect_rejects_wrong_domain():
     tr = kernel.trace_curve_M(steps.preset("kreweras"), 0.2)
     assert bvp.gluing_defect(bvp.circle_cgf(), tr, 0.2) > 1e-3
     with pytest.raises(CGFUnavailable):
-        bvp.qx0_integral(steps.preset("kreweras"), 0.1, 0.2, bvp.circle_cgf(), tr)
+        bvp.cauchy_value(steps.preset("kreweras"), 0.1, 0.2, bvp.circle_cgf(), tr)[0]
 
 
 # --------------------------------------------------------- boundary condition
@@ -195,20 +196,20 @@ def test_qx0_integral_matches_series(simple_table):
     cgf = bvp.circle_cgf()
     tr = kernel.trace_curve_M(SIMPLE, z)
     for x in (0.3, 0.5j, -0.7):
-        got = bvp.qx0_integral(SIMPLE, x, z, cgf, tr)
+        got = bvp.cauchy_value(SIMPLE, x, z, cgf, tr)[0]
         want = x * counting.eval_q_x0(simple_table, x, z)  # c(x) = x, c(0) = 0
         assert abs(got - want) < 1e-10
 
 
 def test_qx0_integral_vanishes_at_origin():
     z = 0.2
-    got = bvp.qx0_integral(SIMPLE, 1e-7, z, bvp.circle_cgf())
+    got = bvp.cauchy_value(SIMPLE, 1e-7, z, bvp.circle_cgf())[0]
     assert abs(got) < 1e-5
 
 
 def test_qx0_outside_raises():
     with pytest.raises(PointOutsideDomain):
-        bvp.qx0_integral(SIMPLE, 2.0, 0.2, bvp.circle_cgf())
+        bvp.cauchy_value(SIMPLE, 2.0, 0.2, bvp.circle_cgf())[0]
 
 
 def test_qx0_matches_direct_circle_formula(simple_table):
@@ -225,8 +226,47 @@ def test_qx0_matches_direct_circle_formula(simple_table):
     for x in (0.3, -0.45, 0.2 + 0.4j):
         integrand = (t * y0 - np.conj(t) * y0b) / (t - x) * (1j * t)
         direct = np.sum(integrand) * (2 * math.pi / m) / (2j * math.pi * z)
-        glued = bvp.qx0_integral(SIMPLE, x, z, cgf, tr)
+        glued = bvp.cauchy_value(SIMPLE, x, z, cgf, tr)[0]
         assert abs(direct - glued) < 1e-9
+
+
+def test_boundary_points_match_the_series():
+    # points of the unit circle take the inside limit of the same integral;
+    # theta = 0 and pi are the fold points of the curve
+    z = 0.2
+    table = counting.count(SIMPLE, 300, dense_max=0)
+    tr = kernel.trace_curve_M(SIMPLE, z)
+    for theta in (0.0, 0.4, 1.1, math.pi / 2, 2.5, math.pi, 4.0):
+        x = cmath.exp(1j * theta)
+        got, _err, position = bvp.cauchy_value(SIMPLE, x, z, bvp.circle_cgf(), tr)
+        assert position == "boundary", theta
+        assert abs(got - x * counting.eval_q_x0(table, x, z)) < 1e-10, theta
+
+
+def test_cgf_is_evaluated_on_node_arrays(monkeypatch):
+    # the contour sums hand the CGF whole node arrays; the one scalar call
+    # per Cauchy integral is w(x)
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(fn):
+        def wrapped(t, z):
+            calls["array" if isinstance(t, np.ndarray) else "scalar"] += 1
+            return fn(t, z)
+        return wrapped
+
+    evaluations = []
+    cauchy_value = bvp.cauchy_value
+
+    def counted_cauchy(*args, **kwargs):
+        evaluations.append(args[1])
+        return cauchy_value(*args, **kwargs)
+
+    monkeypatch.setattr(bvp, "cauchy_value", counted_cauchy)
+    base = bvp.circle_cgf()
+    cgf = dataclasses.replace(base, w=counted(base.w), dw=counted(base.dw))
+    assert "boundary" in bvp.q10_general(SIMPLE, 0.2, cgf).flags
+    assert len(evaluations) == 1 and calls["array"] > 0
+    assert calls["scalar"] <= len(evaluations)
 
 
 def test_cauchy_value_on_other_unit_circle_model(lrs_table):
@@ -236,7 +276,7 @@ def test_cauchy_value_on_other_unit_circle_model(lrs_table):
     kp = kernel.kernel_polys(LRS)
     q00 = series_value(lrs_table, "q00", z)
     for x in (0.3, -0.4, 0.2 + 0.3j):
-        got = bvp.qx0_integral(LRS, x, z, cgf, tr)
+        got = bvp.cauchy_value(LRS, x, z, cgf, tr)[0]
         cx = kernel.poly_eval(kp.c, x)
         want = cx * counting.eval_q_x0(lrs_table, x, z) - q00  # c(0) = 1
         assert abs(got - want) < 1e-10
@@ -451,8 +491,8 @@ def test_cgf_interface_shift_invariance(simple_table):
     z = 0.2
     tr = kernel.trace_curve_M(SIMPLE, z)
     for x in (0.3, 0.5j):
-        a = bvp.qx0_integral(SIMPLE, x, z, bvp.circle_cgf(), tr)
-        b = bvp.qx0_integral(SIMPLE, x, z, shifted, tr)
+        a = bvp.cauchy_value(SIMPLE, x, z, bvp.circle_cgf(), tr)[0]
+        b = bvp.cauchy_value(SIMPLE, x, z, shifted, tr)[0]
         assert abs(a - b) < 1e-10
     a = bvp.q00_general(SIMPLE, z, bvp.circle_cgf()).value
     b = bvp.q00_general(SIMPLE, z, shifted).value

@@ -185,6 +185,20 @@ def test_steps_file_source(capsys, tmp_path):
     assert json.loads(out)["order"] == 6
 
 
+def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
+    for source, error in (
+        (("--steps", '{"steps": 5}'), "InvalidStep"),
+        (("--steps", '{"steps": null}'), "InvalidStep"),
+        (("--steps", '{"steps": [[1, 0], 5]}'), "InvalidStep"),
+        (("--steps-file", str(tmp_path / "missing.json")), "StepFileUnreadable"),
+        (("--steps-file", str(tmp_path)), "StepFileUnreadable"),
+    ):
+        code, out, err = run(capsys, "group", *source)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
 def test_bad_values_are_structured_errors(capsys):
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple",
                          "--z", "0.2", "--points", "4")

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,3 +41,21 @@ def test_every_public_definition_is_reached_outside_the_tests():
             if not any(stmt.name in names for other, names in uses if other is not stmt):
                 unreached.append(f"{path.stem}.{stmt.name}")
     assert unreached == []
+
+
+def test_every_name_the_demos_import_exists():
+    # no test runs the demos, so a deleted public name would break one
+    # silently; every `from qwalk[.mod] import name` must resolve
+    missing, checked = [], 0
+    for p in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "qwalk"):
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                checked += 1
+                if not hasattr(module, alias.name):
+                    missing.append(f"{p.name}: {node.module}.{alias.name}")
+    assert checked > 10
+    assert missing == []

@@ -32,6 +32,15 @@ def test_parse_rejects_far_step_and_empty():
         steps.parse_step_set([])
 
 
+def test_parse_rejects_what_is_not_a_list_of_pairs():
+    for bad in (5, None, [[1, 0], 5], [(1, 0), None]):
+        with pytest.raises(InvalidStep):
+            steps.parse_step_set(bad)
+    for text in ('{"steps": 5}', '{"steps": null}', '{"steps": [[1, 0], 5]}'):
+        with pytest.raises(InvalidStep):
+            steps.from_json(text)
+
+
 def test_drift_simple_walk_is_centred():
     d = steps.drift(steps.preset("simple"))
     assert (d.m_x, d.m_y, d.covariance) == (0, 0, 0)
