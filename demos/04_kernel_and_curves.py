@@ -38,7 +38,6 @@ trace = trace_curve_M(s, z, m=256)
 radii = np.abs(trace.points)
 print(f"\ntraced curve over the slit [{trace.y1:.6f}, {trace.y2:.6f}]:")
 print("  max | |x| - 1 | over the trace:", float(np.max(np.abs(radii - 1.0))))
-print("  conjugation symmetry defect:", trace.conj_defect)
 
 for x in (bp.x_roots[0], bp.x_roots[2], 1.0 + 0j, 0.3 + 0.4j):
     print(f"  position of {x}: {point_in_G_M(s, x, z, trace)}")

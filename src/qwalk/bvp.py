@@ -269,8 +269,8 @@ def _boundary_pole_data(
     cosv = (mid - ys) / half
     if abs(x.imag) < 1e-9 and abs(cosv) > 1 - 1e-9:
         # curve-and-real-axis crossings are the two fold points tau = 0, pi
-        fold_y1 = abs(x - trace.points[0]) <= abs(x - trace.points[trace.m // 2])
-        return [(0.0 if fold_y1 else math.pi, 2.0 * density, 0)]
+        # tau = 0 lies over y1 (cosv = 1), tau = pi over y2 (cosv = -1)
+        return [(0.0 if cosv > 0 else math.pi, 2.0 * density, 0)]
     tau_up = math.acos(min(1.0, max(-1.0, cosv)))
     if abs(t_up - x) <= abs(t_up.conjugate() - x):
         return [(tau_up, density, +1), (2 * math.pi - tau_up, density.conjugate(), -1)]

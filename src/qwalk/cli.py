@@ -40,12 +40,12 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _config_echo(args, fields) -> dict:
+def _config_echo(s: steps.StepSet, args, fields) -> dict:
     cfg = {"steps": None, "preset": None}
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg["preset"] = args.preset
     else:
-        cfg["steps"] = [list(p) for p in _resolve_steps(args).sorted_steps()]
+        cfg["steps"] = [list(p) for p in s.sorted_steps()]
     for f in fields:
         cfg[f] = getattr(args, f.replace("-", "_"))
     return cfg
@@ -55,8 +55,7 @@ def _fs_dict(fs: singularities.FirstSingularity) -> dict:
     return {"label": fs.label, "ties": list(fs.ties), "value": fs.value}
 
 
-def _cmd_count(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_count(s: steps.StepSet, args) -> int:
     table = counting.count(s, args.n, dense_max=args.n)
     if args.format == "csv":
         sys.stdout.write("n,i,j,q\n")
@@ -76,12 +75,11 @@ def _cmd_count(args) -> int:
             for i in range(n + 1)
             if layer[j][i]
         }
-    _emit({"config": _config_echo(args, ["n"]), "layers": layers})
+    _emit({"config": _config_echo(s, args, ["n"]), "layers": layers})
     return 0
 
 
-def _cmd_series(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_series(s: steps.StepSet, args) -> int:
     table = counting.count(s, args.n, dense_max=0)
     ser = counting.series(table, args.series)
     if args.format == "csv":
@@ -90,27 +88,25 @@ def _cmd_series(args) -> int:
             sys.stdout.write(f"{n},{c}\n")
         return 0
     _emit({
-        "config": _config_echo(args, ["n", "series"]),
+        "config": _config_echo(s, args, ["n", "series"]),
         "label": ser.pretty_label,
         "coefficients": [str(c) for c in ser.coeffs],
     })
     return 0
 
 
-def _cmd_group(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_group(s: steps.StepSet, args) -> int:
     res = group.group_order(s, max_half_order=args.max_half_order, seed=args.seed)
     if res.finite:
         payload = {"order": res.order}
     else:
         payload = {"order": "exceeds", "bound": 2 * res.half_order_bound}
-    payload["config"] = _config_echo(args, ["max-half-order", "seed"])
+    payload["config"] = _config_echo(s, args, ["max-half-order", "seed"])
     _emit(payload)
     return 0
 
 
-def _cmd_kernel(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_kernel(s: steps.StepSet, args) -> int:
     if args.action == "branch-points":
         bp = kernel.branch_points(s, args.z)
 
@@ -121,7 +117,7 @@ def _cmd_kernel(args) -> int:
             ]
 
         _emit({
-            "config": _config_echo(args, ["z"]),
+            "config": _config_echo(s, args, ["z"]),
             "x_roots": fmt(bp.x_roots),
             "y_roots": fmt(bp.y_roots),
             "ordering_asserted": bp.ordering_asserted,
@@ -134,11 +130,10 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _singularities_payload(args) -> dict:
-    s = _resolve_steps(args)
+def _singularities_payload(s: steps.StepSet, args) -> dict:
     rep = singularities.classify_first_singularities(s)
     return {
-        "config": _config_echo(args, []),
+        "config": _config_echo(s, args, []),
         "z_g": rep.z_g,
         "z_g_resultant": rep.z_g_resultant,
         "method_gap": rep.method_gap,
@@ -154,20 +149,19 @@ def _singularities_payload(args) -> dict:
     }
 
 
-def _cmd_singularities(args) -> int:
-    _emit(_singularities_payload(args))
+def _cmd_singularities(s: steps.StepSet, args) -> int:
+    _emit(_singularities_payload(s, args))
     return 0
 
 
-def _cmd_classify(args) -> int:
-    payload = _singularities_payload(args)
+def _cmd_classify(s: steps.StepSet, args) -> int:
+    payload = _singularities_payload(s, args)
     keys = ("config", "drift_sign", "cov_sign", "fs_q10", "fs_q01", "fs_q11")
     _emit({k: payload[k] for k in keys})
     return 0
 
 
-def _cmd_bvp(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_bvp(s: steps.StepSet, args) -> int:
     cgf = bvp.circle_cgf()  # the one builtin; user CGFs go through the library
     canon = s.sorted_steps() == steps.preset("simple").sorted_steps()
     if canon and args.target in ("q00", "q10", "q01"):
@@ -182,25 +176,23 @@ def _cmd_bvp(args) -> int:
         gf = bvp.q11_general(s, args.z, cgf)
     payload = asdict(gf)
     payload["flags"] = list(gf.flags)
-    payload["config"] = _config_echo(args, ["z", "target", "cgf"])
+    payload["config"] = _config_echo(s, args, ["z", "target", "cgf"])
     _emit(payload)
     return 0
 
 
-def _cmd_asymptotics(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_asymptotics(s: steps.StepSet, args) -> int:
     table = counting.count(s, args.n, dense_max=0)
     coeffs = counting.series(table, args.series).coeffs
     an = asymptotics.growth_estimate(coeffs)
     payload = asdict(an)
     payload["diagnostics"] = list(an.diagnostics)
-    payload["config"] = _config_echo(args, ["n", "series"])
+    payload["config"] = _config_echo(s, args, ["n", "series"])
     _emit(payload)
     return 0
 
 
-def _cmd_check(args) -> int:
-    s = _resolve_steps(args)
+def _cmd_check(s: steps.StepSet, args) -> int:
     results: list[dict] = []
     skipped: list[dict] = []
 
@@ -263,7 +255,7 @@ def _cmd_check(args) -> int:
                      "growth-vs-first-singularity", "cauchy-integral-vs-series"):
             skip(name, "singular walk or origin outside the hull interior")
 
-    payload = {"config": _config_echo(args, ["n"]), "results": results,
+    payload = {"config": _config_echo(s, args, ["n"]), "results": results,
                "skipped": skipped, "ok": all(r["ok"] for r in results)}
     _emit(payload)
     return 0 if payload["ok"] else 1
@@ -335,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve_steps(args), args)
     except (QwalkError, ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True

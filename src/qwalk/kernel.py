@@ -267,22 +267,19 @@ class CurveTrace:
     [y1, y2] (upper edge out, lower edge back, per the contour convention).
 
     points has m+1 entries; points[0] = points[m] is the image of y1, and
-    points[k] lies over y = mid - half*cos(2 pi k/m), on the upper edge for
-    k <= m/2.  ccw records whether the traversal winds positively around x1;
-    x1_ref/x3_ref keep the branch points used for the checks.
+    points[k] lies over y = mid - half*cos(2 pi k/m).  The first half
+    (k <= m/2) takes the root with -i*sqrt(-dt) (see _UPPER_SIGN), the second
+    half its exact conjugate.  ccw records whether the traversal is positive,
+    from the sign of the polyline's signed area.
     """
 
     z: float
     m: int
     y1: float
     y2: float
-    upper_sign: int
     points: np.ndarray
     closure_defect: float
-    conj_defect: float
     ccw: bool
-    x1_ref: complex
-    x3_ref: complex
 
 
 def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
@@ -325,15 +322,9 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     return y1, y2
 
 
-def _upper_edge_sign(s: StepSet, z: float, y1: float, y2: float) -> int:
-    """Sign sigma so that X0(y + i0+) = (-bt + y/z + i*sigma*sqrt(-dt))/(2 at)
-    on the open slit, fixed by continuity from a probe just above the slit."""
-    y_mid = 0.5 * (y1 + y2)
-    eps = 1e-7 * max(1.0, abs(y2 - y1))
-    probe = X_branches(s, complex(y_mid, eps), z)[0]
-    plus = _edge_values(s, np.array([y_mid]), z, +1)[0]
-    minus = _edge_values(s, np.array([y_mid]), z, -1)[0]
-    return +1 if abs(plus - probe) <= abs(minus - probe) else -1
+#: Sign sigma of the first-half edge values (-bt + y/z + i*sigma*sqrt(-dt))/(2 at).
+#: sigma = -1 gave X0 on the upper edge, X0(y + i0+), on every trace measured.
+_UPPER_SIGN = -1
 
 
 def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
@@ -373,41 +364,33 @@ def winding_number(points: np.ndarray, x: complex) -> int:
 
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
-    and back along the lower edge.  Requires the genus-1 regime."""
+    and back along the lower edge.  Requires the genus-1 regime.
+
+    The first half takes the -i*sqrt(-dt) edge root (_UPPER_SIGN) and the
+    lower edge is its exact conjugate; the orientation comes from the sign
+    of the closed polyline's signed area.
+    """
     if m < 16:
         raise ValueError("m must be >= 16")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
-    sigma = _upper_edge_sign(s, z, y1, y2)
     mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
 
     tau = np.linspace(0.0, 2 * math.pi, m + 1)
     ys_up = mid - half * np.cos(tau[: m // 2 + 1])  # y1 -> y2
-    upper = _edge_values(s, ys_up, z, sigma)
-    lower = _edge_values(s, ys_up[-2::-1], z, -sigma)  # y2 -> y1, lower edge
+    upper = _edge_values(s, ys_up, z, _UPPER_SIGN)
+    lower = _edge_values(s, ys_up[-2::-1], z, -_UPPER_SIGN)  # y2 -> y1, lower edge
     points = np.concatenate([upper, lower])
-
-    closure = float(abs(points[0] - points[-1]))
-    conj_defect = float(np.max(np.abs(points - np.conj(points[::-1]))))
-
-    x_roots = _order_eq8(_disc_roots(s, "x", z)[1])[0]
-    x1, x3 = x_roots[0], x_roots[2]
-    try:
-        w1 = winding_number(points, x1)
-    except ValueError:
-        w1 = 0
+    # twice the signed (shoelace) area: Im(conj(p_k) p_{k+1}) summed over the edges
+    area2 = float(np.sum((np.conj(points[:-1]) * points[1:]).imag))
     return CurveTrace(
         z=z,
         m=m,
         y1=y1,
         y2=y2,
-        upper_sign=sigma,
         points=points,
-        closure_defect=closure,
-        conj_defect=conj_defect,
-        ccw=(w1 == 1),
-        x1_ref=x1,
-        x3_ref=x3,
+        closure_defect=float(abs(points[0] - points[-1])),
+        ccw=area2 > 0,
     )
 
 
@@ -429,7 +412,7 @@ def contour_nodes(
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
     ys = mid - half * np.cos(tau)
-    sig = np.where(tau < math.pi, trace.upper_sign, -trace.upper_sign)
+    sig = np.where(tau < math.pi, _UPPER_SIGN, -_UPPER_SIGN)
     t = _edge_values(s, ys, z, sig)
 
     kp = kernel_polys(s)
@@ -464,18 +447,16 @@ def curve_preimage(
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, np.array([yv]), z, trace.upper_sign)[0])
+        up = complex(_edge_values(s, np.array([yv]), z, _UPPER_SIGN)[0])
         if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
             return yv, up
     return None
 
 
-def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace | None = None) -> str:
+def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace) -> str:
     """Classify x against the domain bounded by the curve: "inside",
     "outside" or "boundary" (band of width 1e-7 around the curve, see
     curve_preimage)."""
-    if trace is None:
-        trace = trace_curve_M(s, z, m=512)
     if curve_preimage(s, x, z, trace) is not None:
         return "boundary"
     return "inside" if winding_number(trace.points, x) != 0 else "outside"

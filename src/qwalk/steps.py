@@ -95,7 +95,9 @@ def parse_step_set(pairs: Iterable[Iterable[int]]) -> StepSet:
         raise InvalidStep(f"not a list of integer pairs: {pairs!r}") from None
     collected = set()
     for step in candidates:
-        if len(step) != 2 or not all(isinstance(v, int) for v in step):
+        # bool is a subclass of int, but JSON true/false are not coordinates
+        if len(step) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
+                                     for v in step):
             raise InvalidStep(f"not an integer pair: {step!r}")
         collected.add(step)  # validity checked by the StepSet constructor
     if not collected:

@@ -185,11 +185,28 @@ def test_steps_file_source(capsys, tmp_path):
     assert json.loads(out)["order"] == 6
 
 
+def test_steps_file_is_read_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text('{"steps": [[-1,0],[0,-1],[1,1]]}')
+    calls = []
+    from_json = qwalk.steps.from_json
+
+    def counted(text):
+        calls.append(text)
+        return from_json(text)
+
+    monkeypatch.setattr(qwalk.steps, "from_json", counted)
+    code, out, _ = run(capsys, "group", "--steps-file", str(path))
+    assert code == 0 and json.loads(out)["config"]["steps"] == [[-1, 0], [0, -1], [1, 1]]
+    assert len(calls) == 1
+
+
 def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
     for source, error in (
         (("--steps", '{"steps": 5}'), "InvalidStep"),
         (("--steps", '{"steps": null}'), "InvalidStep"),
         (("--steps", '{"steps": [[1, 0], 5]}'), "InvalidStep"),
+        (("--steps", '{"steps": [[true, false], [false, true], [-1, -1]]}'), "InvalidStep"),
         (("--steps-file", str(tmp_path / "missing.json")), "StepFileUnreadable"),
         (("--steps-file", str(tmp_path)), "StepFileUnreadable"),
     ):

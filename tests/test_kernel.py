@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk import kernel, steps
-from qwalk.errors import GenusZeroRegime
+from qwalk.errors import GenusZeroRegime, QwalkError
 from qwalk.kernel import is_finite_root
 
 SIMPLE = steps.preset("simple")
@@ -177,7 +177,7 @@ def test_all_diagonal_model_has_tied_branch_points():
     assert mags[0] == pytest.approx(mags[1], rel=1e-12)
     tr = kernel.trace_curve_M(s, z)
     assert tr.y1 == pytest.approx(-tr.y2, rel=1e-9)
-    assert tr.conj_defect < 1e-10
+    assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
 
 
 def test_branch_points_residual_and_degree_drop():
@@ -244,16 +244,75 @@ def test_trace_simple_walk_is_unit_circle():
     for z in (0.1, 0.2):
         tr = kernel.trace_curve_M(SIMPLE, z, m=256)
         assert np.max(np.abs(np.abs(tr.points) - 1.0)) < 1e-8
-        assert tr.conj_defect < 1e-10
+        assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
         assert tr.closure_defect < 1e-10
 
 
 def test_trace_winding_classifications():
     tr = kernel.trace_curve_M(SIMPLE, 0.2, m=256)
-    w1 = kernel.winding_number(tr.points, tr.x1_ref)
-    w3 = kernel.winding_number(tr.points, tr.x3_ref)
+    x1, _, x3, _ = kernel.branch_points(SIMPLE, 0.2).x_roots
+    w1 = kernel.winding_number(tr.points, x1)
+    w3 = kernel.winding_number(tr.points, x3)
     assert w1 in (-1, 1)
     assert w3 == 0
+
+
+def genuine_traces():
+    """(s, z, trace) for the genuine sets at z = f/|S|, f in {0.25, 0.5, 0.85},
+    wherever a trace exists."""
+    for s in steps.all_step_sets():
+        if steps.is_singular(s) or not steps.origin_in_hull_interior(s):
+            continue
+        for f in (0.25, 0.5, 0.85):
+            z = f / len(s)
+            try:
+                yield s, z, kernel.trace_curve_M(s, z)
+            except QwalkError:
+                continue
+
+
+def old_upper_edge_sign(s, z, y1, y2):
+    """The former probe: the edge sign whose value at the slit midpoint is
+    nearer to X0 just above the slit."""
+    y_mid = 0.5 * (y1 + y2)
+    probe = kernel.X_branches(s, complex(y_mid, 1e-7 * max(1.0, abs(y2 - y1))), z)[0]
+    plus, minus = (kernel._edge_values(s, np.array([y_mid]), z, sign)[0] for sign in (1, -1))
+    return +1 if abs(plus - probe) <= abs(minus - probe) else -1
+
+
+def test_trace_orientation_and_edge_match_the_former_rules():
+    # ccw from the signed area agrees with the winding around x1, and the
+    # first half of the trace is the edge the midpoint probe picked
+    count = 0
+    for s, z, tr in genuine_traces():
+        count += 1
+        try:
+            w1 = kernel.winding_number(tr.points, kernel.branch_points(s, z).x_roots[0])
+        except ValueError:
+            w1 = 0
+        assert tr.ccw == (w1 == 1), (s, z)
+        half = tr.m // 2
+        ys_up = 0.5 * (tr.y1 + tr.y2) - 0.5 * (tr.y2 - tr.y1) * np.cos(
+            np.linspace(0.0, 2 * math.pi, tr.m + 1)[: half + 1])
+        sigma = old_upper_edge_sign(s, z, tr.y1, tr.y2)
+        assert np.array_equal(tr.points[: half + 1],
+                              kernel._edge_values(s, ys_up, z, sigma)), (s, z)
+    assert count > 300
+
+
+def test_trace_finds_roots_once(monkeypatch):
+    calls = []
+    poly_roots = kernel._poly_roots
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return poly_roots(coeffs)
+
+    monkeypatch.setattr(kernel, "_poly_roots", counted)
+    for s, z, _ in genuine_traces():
+        calls.clear()
+        kernel.trace_curve_M(s, z)
+        assert len(calls) == 1, (s, z)
 
 
 def test_trace_rejects_genus_zero():
@@ -278,14 +337,14 @@ def test_trace_nontrivial_model():
     s = steps.parse_step_set([(-1, -1), (1, -1), (0, 1)])
     tr = kernel.trace_curve_M(s, 0.15, m=256)
     assert np.max(np.abs(np.abs(tr.points) - 1.0)) < 1e-8
-    assert tr.conj_defect < 1e-10
+    assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
 
 
 def test_trace_kreweras_curve_properties():
     s = steps.preset("kreweras")
     z = 0.2
     tr = kernel.trace_curve_M(s, z, m=512)
-    assert tr.conj_defect < 1e-10
+    assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
     assert tr.closure_defect < 1e-10
     bp = kernel.branch_points(s, z)
     assert kernel.point_in_G_M(s, bp.x_roots[0], z, tr) == "inside"
