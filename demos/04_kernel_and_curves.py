@@ -12,18 +12,18 @@ import numpy as np
 from qwalk import (
     Y_branches,
     branch_points,
-    discriminant_x,
     kernel_eval,
     point_in_G_M,
     preset,
     trace_curve_M,
 )
-from qwalk.kernel import poly_eval
+from qwalk.kernel import cleared_disc_int
 
 s = preset("simple")
 z = 0.2
 
-print("d(x, 0.2) coefficients (ascending):", discriminant_x(s, z))
+print("cleared D(x, z) = z^2 d(x, z), x^k coefficient as (z^0, z^1, z^2) integers:",
+      cleared_disc_int(s))
 bp = branch_points(s, z)
 print("x-plane branch points:", [complex(round(r.real, 6)) for r in bp.x_roots])
 print("ordering asserted:", bp.ordering_asserted)

@@ -31,8 +31,6 @@ from .kernel import (
     X_branches,
     Y_branches,
     branch_points,
-    discriminant_x,
-    discriminant_y,
     kernel_eval,
     kernel_polys,
     point_in_G_M,

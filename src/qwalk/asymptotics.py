@@ -62,12 +62,6 @@ def detect_stride(coeffs) -> tuple[int, int]:
     return stride, first
 
 
-def _pair_average(values: list[float], ks: list[float]) -> tuple[list[float], list[float]]:
-    out = [(a + b) / 2 for a, b in zip(values, values[1:])]
-    kout = [(a + b) / 2 for a, b in zip(ks, ks[1:])]
-    return out, kout
-
-
 def _boxcar(values: list[float], ks: list[float], p: int) -> tuple[list[float], list[float]]:
     if p <= 1:
         return values, ks
@@ -164,7 +158,7 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     period = _detect_period(lr)
     lr, krs = _boxcar(lr, krs, period)
     for _ in range(_SMOOTH_ROUNDS):
-        lr, krs = _pair_average(lr, krs)
+        lr, krs = _boxcar(lr, krs, 2)
     log_rho, u_logrho, res_rho, ok_rho = _extrapolate(lr, krs, _RICHARDSON_DEPTH)
     rho = math.exp(log_rho)
 
@@ -178,7 +172,7 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     kcs = ks[1:]
     cv, kcs = _boxcar(cv, kcs, period)
     for _ in range(_SMOOTH_ROUNDS):
-        cv, kcs = _pair_average(cv, kcs)
+        cv, kcs = _boxcar(cv, kcs, 2)
     log_const, u_logc, res_c, ok_c = _extrapolate(cv, kcs, _RICHARDSON_DEPTH)
     const = math.exp(log_const)
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _ratpoly as rp
 from .errors import (
+    CaseUndetermined,
     DegenerateQuadratic,
     GenusZeroRegime,
     RootFindingFailure,
@@ -89,40 +90,19 @@ def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
     )
 
 
-def discriminant_x(s: StepSet, z: float) -> list[float]:
-    """Ascending coefficients of d(x, z) = (b(x) - x/z)^2 - 4 a(x) c(x)."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    kp = kernel_polys(s)
-    shifted = [kp.b[0], kp.b[1] - 1.0 / z, kp.b[2]]
-    sq = rp.mul(shifted, shifted)
-    ac = rp.mul(kp.a, kp.c)
-    return [sq[k] - 4.0 * ac[k] for k in range(5)]
-
-
-def discriminant_y(s: StepSet, z: float) -> list[float]:
-    """Ascending coefficients of dt(y, z) = (bt(y) - y/z)^2 - 4 at(y) ct(y)."""
-    return discriminant_x(s.mirrored(), z)
-
-
-def cleared_disc_int(s: StepSet, axis: str = "x") -> list[tuple[int, int, int]]:
-    """Integer form of the z^2-cleared discriminant D = (z b(x) - x)^2 - 4 z^2 a c.
+def cleared_disc_int(s: StepSet) -> list[tuple[int, int, int]]:
+    """Integer form of the z^2-cleared x-discriminant
+    D = (z b(x) - x)^2 - 4 z^2 a c = x^2 - 2 z x b(x) + z^2 (b^2 - 4 a c).
 
     Entry k is (c0, c1, c2) with coefficient of x^k equal to c0 + c1 z + c2 z^2.
-    Same roots in x as d(x, z) for z != 0; used for exact resultant work and
-    for well-scaled numeric root-finding.
+    Same roots in x as d(x, z) = (b(x) - x/z)^2 - 4 a(x) c(x) for z != 0;
+    used for exact resultant work and for well-scaled numeric root-finding.
+    The y-plane form is cleared_disc_int(s.mirrored()).
     """
-    kp = kernel_polys(s if axis == "x" else s.mirrored())
-    lin = [(-(k == 1), kp.b[k]) for k in range(3)]  # x^k coeff of z*b(x) - x as (z^0, z^1)
-    sq = [[0, 0, 0] for _ in range(5)]
-    for i in range(3):
-        for j in range(3):
-            p, q = lin[i], lin[j]
-            sq[i + j][0] += p[0] * q[0]
-            sq[i + j][1] += p[0] * q[1] + p[1] * q[0]
-            sq[i + j][2] += p[1] * q[1]
-    ac = rp.mul(kp.a, kp.c)
-    return [(sq[k][0], sq[k][1], sq[k][2] - 4 * ac[k]) for k in range(5)]
+    kp = kernel_polys(s)
+    per_z = ([0, 0, 1], rp.mul([0, -2], kp.b),
+             rp.sub(rp.mul(kp.b, kp.b), rp.mul([4], rp.mul(kp.a, kp.c))))
+    return [tuple(p[k] if k < len(p) else 0 for p in per_z) for k in range(5)]
 
 
 def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
@@ -130,9 +110,8 @@ def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
 
 
 def _newton_polish(coeffs: list[float], r: complex) -> complex:
-    d = [k * coeffs[k] for k in range(1, len(coeffs))]
     p = poly_eval(coeffs, r)
-    dp = poly_eval(d, r)
+    dp = poly_eval(rp.deriv(coeffs), r)
     if dp != 0:
         step = p / dp
         if abs(step) < 0.5 * (1 + abs(r)):
@@ -172,10 +151,10 @@ class BranchPoints:
     ordering_asserted: bool
 
 
-def _disc_roots(s: StepSet, axis: str, z: float) -> tuple[list[float], list[complex]]:
-    """The cleared discriminant's coefficients at z and its finite roots,
+def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
+    """The cleared x-discriminant's coefficients at z and its finite roots,
     with imaginary parts at roundoff level set to exactly 0."""
-    coeffs = _cleared_disc_at(cleared_disc_int(s, axis), z)
+    coeffs = _cleared_disc_at(cleared_disc_int(s), z)
     roots = _poly_roots(coeffs)
     scale = max((abs(r) for r in roots), default=1.0)
     return coeffs, [
@@ -213,8 +192,8 @@ def branch_points(s: StepSet, z: float) -> BranchPoints:
         raise ValueError("z must be positive")
     in_range = z < 1.0 / len(s)
 
-    xr, okx = _order_eq8(_disc_roots(s, "x", z)[1])
-    yr, oky = _order_eq8(_disc_roots(s, "y", z)[1])
+    xr, okx = _order_eq8(disc_roots(s, z)[1])
+    yr, oky = _order_eq8(disc_roots(s.mirrored(), z)[1])
     return BranchPoints(
         z=z,
         x_roots=tuple(xr),
@@ -290,7 +269,7 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     outer cut, which may pass through infinity).  One merged cut signals the
     genus transition.
     """
-    coeffs, roots = _disc_roots(s, "y", z)
+    coeffs, roots = disc_roots(s.mirrored(), z)
     reals = sorted(r.real for r in roots if r.imag == 0.0)
     if len(reals) < 2:
         raise GenusZeroRegime(
@@ -336,15 +315,20 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
     passes through infinity, which the polyline trace cannot represent.
     """
     kp = kernel_polys(s)
-    at = np.polyval(kp.a_t[::-1], ys)
-    bt = np.polyval(kp.b_t[::-1], ys)
+    at = poly_eval(kp.a_t, ys)
+    bt = poly_eval(kp.b_t, ys)
     scale = 1.0 + np.abs(ys) ** 2
     if np.any(np.abs(at) < 1e-12 * scale):
         raise SlitDegenerate(
             "at(y) vanishes on the slit: the curve passes through infinity"
         )
-    dcoef = discriminant_y(s, z)
-    dt = np.polyval(dcoef[::-1], ys)
+    if z <= 0:
+        raise ValueError("z must be positive")
+    # dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from its unfactored coefficients
+    shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
+    sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
+    dcoef = [sq[k] - 4.0 * ac[k] for k in range(5)]
+    dt = poly_eval(dcoef, ys)
     # exact zeros at the slit endpoints reach us as roundoff noise; clamp it
     noise = 1e-12 * sum(abs(c) for c in dcoef) * np.maximum(1.0, np.abs(ys)) ** 4
     dt = np.where(np.abs(dt) < noise, 0.0, np.minimum(dt, 0.0))
@@ -356,7 +340,7 @@ def winding_number(points: np.ndarray, x: complex) -> int:
     """Winding of a closed polyline around x (sum of turning angles)."""
     rel = points - x
     if np.any(np.abs(rel) == 0):
-        raise ValueError("point lies on a polyline vertex")
+        raise CaseUndetermined(f"{x} lies on a polyline vertex")
     ratios = rel[1:] / rel[:-1]
     total = float(np.sum(np.angle(ratios)))
     return round(total / (2 * math.pi))
@@ -416,11 +400,8 @@ def contour_nodes(
     t = _edge_values(s, ys, z, sig)
 
     kp = kernel_polys(s)
-    at = np.polyval(kp.a_t[::-1], ys)
-    bt = np.polyval(kp.b_t[::-1], ys)
-    d_at = np.polyval([2 * kp.a_t[2], kp.a_t[1]], ys)
-    d_bt = np.polyval([2 * kp.b_t[2], kp.b_t[1]], ys)
-    d_ct = np.polyval([2 * kp.c_t[2], kp.c_t[1]], ys)
+    at, bt = poly_eval(kp.a_t, ys), poly_eval(kp.b_t, ys)
+    d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
     k_x = 2 * at * t + (bt - ys / z)
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
     # k_x can cancel to 0 on a very narrow slit; the non-finite sums that

@@ -28,13 +28,7 @@ from .errors import (
     SingularWalk,
     ValidationMismatch,
 )
-from .kernel import (
-    _cleared_disc_at,
-    _poly_roots,
-    cleared_disc_int,
-    kernel_polys,
-    poly_eval,
-)
+from .kernel import cleared_disc_int, disc_roots, kernel_polys, poly_eval
 from .steps import StepSet, drift, is_singular, origin_in_hull_interior
 
 
@@ -117,7 +111,7 @@ def _resultant_in_z(s: StepSet) -> rp.Poly:
     D is the cleared discriminant; the Sylvester dimensions are fixed by its
     formal x-degree, and the determinant is taken fraction-free over Z[z].
     """
-    coeff_polys = [rp.norm(trip) for trip in cleared_disc_int(s, "x")]
+    coeff_polys = [rp.norm(trip) for trip in cleared_disc_int(s)]
     while coeff_polys and not coeff_polys[-1]:
         coeff_polys.pop()
     dp = len(coeff_polys) - 1
@@ -143,13 +137,11 @@ def z_g_via_resultant(s: StepSet) -> float:
     candidates = rp.isolate_positive_roots(res)
     if not candidates:
         raise RootFindingFailure("the resultant has no positive real roots")
-    coeffs_int = cleared_disc_int(s, "x")
     rejected: list[str] = []
     for zc in candidates:
         z = float(zc)
-        coeffs = _cleared_disc_at(coeffs_int, z)
         try:
-            roots = _poly_roots(coeffs)
+            coeffs, roots = disc_roots(s, z)
         except RootFindingFailure as exc:
             rejected.append(f"z={z}: {exc}")
             continue
@@ -168,7 +160,7 @@ def z_g_via_resultant(s: StepSet) -> float:
         if not clusters:
             rejected.append(f"z={z}: no clustered double root")
             continue
-        d2 = [2 * coeffs[2], 6 * coeffs[3], 12 * coeffs[4]]
+        d2 = rp.deriv(rp.deriv(coeffs))
         accepted = False
         for x_star in clusters:
             scale = 1.0 + abs(x_star)

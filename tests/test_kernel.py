@@ -6,16 +6,29 @@ import numpy as np
 import pytest
 
 from qwalk import kernel, steps
-from qwalk.errors import GenusZeroRegime, QwalkError
+from qwalk.errors import CaseUndetermined, GenusZeroRegime, QwalkError
 from qwalk.kernel import is_finite_root
 
 SIMPLE = steps.preset("simple")
 SQ5 = math.sqrt(5.0)
 
 
-def disc_is_even(s, axis):
-    """The cleared discriminant has no odd-degree terms in the plane variable."""
-    return not any(any(trip) for trip in kernel.cleared_disc_int(s, axis)[1::2])
+def disc_is_even(s):
+    """The cleared x-discriminant has no odd-degree terms (the y-plane one:
+    pass s.mirrored())."""
+    return not any(any(trip) for trip in kernel.cleared_disc_int(s)[1::2])
+
+
+def literal_disc(s, x, z):
+    """d(x, z) = (b(x) - x/z)^2 - 4 a(x) c(x), pointwise from the kernel polynomials."""
+    kp = kernel.kernel_polys(s)
+    b = kernel.poly_eval(kp.b, x) - x / z
+    return b * b - 4 * kernel.poly_eval(kp.a, x) * kernel.poly_eval(kp.c, x)
+
+
+def cleared_disc(s, x, z):
+    """D(x, z) = z^2 d(x, z), evaluated from the integer triples of cleared_disc_int."""
+    return kernel.poly_eval(kernel._cleared_disc_at(kernel.cleared_disc_int(s), z), x)
 
 
 def random_nonsingular_models(rng, count, require_quartic=True):
@@ -86,31 +99,31 @@ def test_kernel_eval_two_quadratic_forms_agree():
 
 
 def test_discriminant_simple_walk_value():
-    # d(x, z) = (1 + x^2 - x/z)^2 - 4x^2; at x=1, z=0.2: (2-5)^2 - 4 = 5
-    coeffs = kernel.discriminant_x(SIMPLE, 0.2)
-    assert kernel.poly_eval(coeffs, 1.0) == pytest.approx(5.0)
+    # d(x, z) = (1 + x^2 - x/z)^2 - 4x^2; at x=1, z=0.2: (2-5)^2 - 4 = 5,
+    # and D = (z + z x^2 - x)^2 - 4 z^2 x^2 has these integer triples
+    assert kernel.cleared_disc_int(SIMPLE) == [
+        (0, 0, 1), (0, -2, 0), (1, 0, -2), (0, -2, 0), (0, 0, 1)]
+    assert literal_disc(SIMPLE, 1.0, 0.2) == pytest.approx(5.0)
+    assert cleared_disc(SIMPLE, 1.0, 0.2) == pytest.approx(0.2 * 0.2 * 5.0)
 
 
 def test_discriminant_perfect_square_when_ac_vanishes():
     # no North steps: a = 0, so d = (b - x/z)^2
     s = steps.parse_step_set([(1, 0), (-1, 0), (0, -1)])
     z = 0.2
-    coeffs = kernel.discriminant_x(s, z)
     kp = kernel.kernel_polys(s)
     for x in (0.3, 1.1, -0.7):
         expected = (kernel.poly_eval(kp.b, x) - x / z) ** 2
-        assert kernel.poly_eval(coeffs, x) == pytest.approx(expected)
+        assert cleared_disc(s, x, z) == pytest.approx(z * z * expected)
 
 
 def test_cleared_discriminant_consistent_with_literal():
     rng = random.Random(47)
     for s in random_nonsingular_models(rng, 8):
         z = rng.uniform(0.05, 0.4)
-        lit = kernel.discriminant_x(s, z)
-        cleared = kernel._cleared_disc_at(kernel.cleared_disc_int(s, "x"), z)
         for x in (0.3, 0.9, 2.1):
-            assert kernel.poly_eval(cleared, x) == pytest.approx(
-                z * z * kernel.poly_eval(lit, x), rel=1e-10, abs=1e-12
+            assert cleared_disc(s, x, z) == pytest.approx(
+                z * z * literal_disc(s, x, z), rel=1e-10, abs=1e-12
             )
 
 
@@ -148,7 +161,7 @@ def test_branch_ordering_random_models():
     rng = random.Random(53)
     models = [
         s for s in random_nonsingular_models(rng, 25)
-        if not (disc_is_even(s, "x") or disc_is_even(s, "y"))
+        if not (disc_is_even(s) or disc_is_even(s.mirrored()))
     ]
     for s in models:
         for _ in range(4):
@@ -169,7 +182,7 @@ def test_all_diagonal_model_has_tied_branch_points():
     # the strict ordering is honestly not asserted, yet the curve machinery
     # still works on it (the slit straddles 0)
     s = steps.parse_step_set([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    assert disc_is_even(s, "x") and disc_is_even(s, "y")
+    assert disc_is_even(s) and disc_is_even(s.mirrored())
     z = 0.1
     bp = kernel.branch_points(s, z)
     assert not bp.ordering_asserted
@@ -184,7 +197,7 @@ def test_branch_points_residual_and_degree_drop():
     rng = random.Random(59)
     for s in random_nonsingular_models(rng, 15):
         z = rng.uniform(0.3, 0.9) / len(s)
-        coeffs = kernel._cleared_disc_at(kernel.cleared_disc_int(s, "x"), z)
+        coeffs = kernel._cleared_disc_at(kernel.cleared_disc_int(s), z)
         deg = len([c for c in np.trim_zeros(coeffs, "b")]) - 1
         bp = kernel.branch_points(s, z)
         finite = [r for r in bp.x_roots if is_finite_root(r)]
@@ -288,7 +301,7 @@ def test_trace_orientation_and_edge_match_the_former_rules():
         count += 1
         try:
             w1 = kernel.winding_number(tr.points, kernel.branch_points(s, z).x_roots[0])
-        except ValueError:
+        except CaseUndetermined:
             w1 = 0
         assert tr.ccw == (w1 == 1), (s, z)
         half = tr.m // 2
@@ -329,6 +342,19 @@ def test_point_classification_simple():
     assert kernel.point_in_G_M(SIMPLE, 1.0 + 0j, z, tr) == "boundary"
     assert kernel.point_in_G_M(SIMPLE, 0.3 + 0.4j, z, tr) == "inside"
     assert kernel.point_in_G_M(SIMPLE, 2.0 + 0j, z, tr) == "outside"
+
+
+def test_point_on_a_polyline_vertex_is_a_typed_failure():
+    # curve_preimage misses these points of the curve, which hugs the real
+    # axis near x = -1 at small z, so the winding test meets a vertex
+    for pts in ([(-1, 1), (0, -1), (1, 1)], [(-1, 1), (0, -1), (0, 1), (1, 1)]):
+        s = steps.parse_step_set(pts)
+        z = 0.05 / len(s)
+        tr = kernel.trace_curve_M(s, z)
+        x = complex(tr.points[7])
+        assert kernel.curve_preimage(s, x, z, tr) is None
+        with pytest.raises(CaseUndetermined, match="polyline vertex"):
+            kernel.point_in_G_M(s, x, z, tr)
 
 
 def test_trace_nontrivial_model():

@@ -75,3 +75,17 @@ def test_demos_run_cleanly():
         proc = subprocess.run([sys.executable, str(p)], capture_output=True, text=True,
                               env=env, timeout=120)
         assert (p.name, proc.returncode, proc.stderr) == (p.name, 0, "")
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # `from .mod import _name` reaches into another module's internals;
+    # importing a private module itself (`from . import _ratpoly`) is allowed
+    found = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and (node.level > 0 or node.module.split(".")[0] == "qwalk")):
+                continue
+            found += [f"{p.stem}: {node.module}.{alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    assert found == []

@@ -86,7 +86,7 @@ def test_resultant_matches_fraction_sylvester_determinant():
     for s in genuine_models():
         res = sg._resultant_in_z(s)
         assert res, s
-        disc = list(kernel.cleared_disc_int(s, "x"))
+        disc = list(kernel.cleared_disc_int(s))
         while disc[-1] == (0, 0, 0):
             disc.pop()
         for z in range(1, len(res) + 1):
@@ -173,7 +173,7 @@ def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
     def fail(coeffs):
         raise RootFindingFailure("polished root has large residual")
 
-    monkeypatch.setattr(sg, "_poly_roots", fail)
+    monkeypatch.setattr(kernel, "_poly_roots", fail)
     with pytest.raises(ValidationMismatch, match="large residual"):
         sg.z_g_via_resultant(SIMPLE)
 
@@ -201,8 +201,11 @@ def test_z_y_is_root_of_discriminant_at_one():
     rng = random.Random(79)
     for s in rng.sample(list(genuine_models()), 20):
         zy = sg.z_Y(s)
-        d1 = kernel.poly_eval(kernel.discriminant_x(s, zy), 1.0)
+        kp = kernel.kernel_polys(s)
+        d1 = (sum(kp.b) - 1 / zy) ** 2 - 4 * sum(kp.a) * sum(kp.c)
+        cleared = kernel._cleared_disc_at(kernel.cleared_disc_int(s), zy)
         assert abs(d1) < 1e-12
+        assert abs(kernel.poly_eval(cleared, 1.0)) < 1e-12 * zy * zy
 
 
 def test_z_y_infinite_case():
