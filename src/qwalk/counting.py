@@ -13,19 +13,27 @@ the previous layer's axis sections by the kernel relation at (1, 1), before
 the layer is built; every cell is at most T_n, so when T_n outgrows the
 digits the rolling layer is re-packed in place to a width that holds the
 next _LOOKAHEAD layers.  Before it allocates anything, count() estimates its
-peak memory and raises ResourceLimit above _MAX_BYTES.
+peak memory and raises ResourceLimit above _MAX_BYTES.  A kept layer is
+unpacked into lists in one pass over the bytes of all its rows.
+
+check_functional_equation() packs rows the same way, back from the table's
+lists, at a width W of its own: every coefficient of either side is a sum of
+at most |S| + 7 cells it reads, so with M the largest |cell| read, W is the
+least multiple of 8 with (|S| + 7) * M < 2^(W-1).  The digits of a side are
+then balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a
+side that differs is decoded digit by digit to find the first mismatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add, sub
+from itertools import accumulate, chain
 from typing import Literal
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import OutOfRange, ResourceLimit
 from .steps import StepSet
 
 SeriesLabel = Literal["q00", "q10", "q01", "q11"]
@@ -101,11 +109,38 @@ def _next_layer(prev: list[int], bits: int, steps: tuple[tuple[int, int], ...]) 
     return rows
 
 
-def _unpack(row: int, bits: int, count: int) -> list[int]:
+def _unpack_rows(rows: list[int], bits: int, count: int) -> list[list[int]]:
+    """Digits 0..count-1 of every packed row, in one pass over the joined
+    to_bytes() output: digits of at most 8 bytes are zero-padded to 8 and read
+    as one uint64 array, wider digits are sliced out one by one."""
     nb = bits // 8
-    buf = row.to_bytes(max(nb * count, (row.bit_length() + 7) // 8), "little")
-    buf = buf.ljust(nb * count, b"\x00")
-    return [int.from_bytes(buf[k * nb : (k + 1) * nb], "little") for k in range(count)]
+    buf = b"".join([r.to_bytes(nb * count, "little") for r in rows])
+    cells = len(rows) * count
+    if nb <= 8:
+        wide = np.zeros((cells, 8), np.uint8)
+        wide[:, :nb] = np.frombuffer(buf, np.uint8).reshape(cells, nb)
+        flat = wide.view("<u8").ravel().tolist()
+    else:
+        flat = [int.from_bytes(buf[k * nb : (k + 1) * nb], "little") for k in range(cells)]
+    return [flat[k : k + count] for k in range(0, cells, count)]
+
+
+def _pack_rows(rows: list[list[int]], bits: int) -> list[int]:
+    """Each row as the one int sum_i cell_i * 2**(bits*i): the inverse of
+    _unpack_rows for cells in [0, 2**bits), and the signed sum for negative
+    cells.  Rows may differ in length.  When every cell lies in [0, 2**64),
+    all of them go through one uint64 array; else each row is summed cell by
+    cell."""
+    nb = bits // 8
+    try:
+        cells = np.array(list(chain.from_iterable(rows)), "<u8")
+    except OverflowError:
+        return [sum(v << bits * i for i, v in enumerate(r)) for r in rows]
+    wide = np.zeros((len(cells), max(nb, 8)), np.uint8)
+    wide[:, :8] = cells.view(np.uint8).reshape(-1, 8)
+    buf = wide[:, :nb].tobytes()
+    ends = list(accumulate(nb * len(r) for r in rows))
+    return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
 
 
 @dataclass
@@ -169,7 +204,7 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     when the estimated peak memory exceeds _MAX_BYTES.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise OutOfRange(f"n_max must be >= 0, got {n_max}")
     if dense_max is None:
         dense_max = min(n_max, 64)
     dense_max = min(dense_max, n_max)
@@ -190,12 +225,13 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
 
     def record(n: int, rows: list[int], bits: int, total: int) -> None:
         mask = (1 << bits) - 1
-        table.q00.append(rows[0] & mask)
-        table.row0.append(_unpack(rows[0], bits, n + 1))
+        cells = _unpack_rows(rows if n <= dense_max else rows[:1], bits, n + 1)
+        table.q00.append(cells[0][0])
+        table.row0.append(cells[0][:])  # a list of its own, apart from _dense[n][0]
         table.col0.append([r & mask for r in rows])
         table.totals.append(total)
         if n <= dense_max:
-            table._dense.append([_unpack(r, bits, n + 1) for r in rows])
+            table._dense.append(cells)
 
     bits = _digit_bits(card ** min(_LOOKAHEAD, n_max))
     rows: list[int] = [1]  # layer 0: q(0,0,0) = 1
@@ -276,40 +312,61 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
 
     Each side of degree n is a grid of rows indexed [j][i] that holds the
     coefficient of x^i y^j above (the factor xy makes every exponent >= 0).
-    first_mismatch is (n, i, j, lhs, rhs) at the least n, and within it the
-    least (i, j) in lexicographic order, where the two coefficients differ.
+    Row j is held as one int, the coefficient of x^i at bit W*i: it is built
+    by one shift and add per (row, step) from the table's rows, packed once
+    each.  With M the largest |value| read from the table, every coefficient
+    is below (|S| + 7) * M < 2^(W-1) in absolute value, so the two sides agree
+    exactly when their ints do.  When they differ at degree n, the rows of
+    that degree are decoded as balanced digits (each in (-2^(W-1), 2^(W-1)))
+    back into grids.  first_mismatch is (n, i, j, lhs, rhs) at the least n,
+    and within it the least (i, j) in lexicographic order, where the two
+    coefficients differ.
     """
     if n_degree < 1:
-        raise ValueError("n_degree must be >= 1")
+        raise OutOfRange(f"n_degree must be >= 1, got {n_degree}")
     table = count(s, n_degree, dense_max=n_degree)
     d11 = s.delta(-1, -1)
+    layers = table._dense[: n_degree + 1]
+    read = [*chain.from_iterable(layers), *table.row0[:n_degree], *table.col0[:n_degree],
+            table.q00[:n_degree]]
+    top = max(max(map(max, read)), -min(map(min, read)), 1)
+    bits = _digit_bits(2 * (len(s) + 7) * top)
+    half = 1 << (bits - 1)
 
-    def shift_add(target: list[int], k: int, row: list[int], op=add) -> None:
-        # target[k + i] = op(target[k + i], row[i]) for every i, at C speed
-        target[k : k + len(row)] = map(op, target[k : k + len(row)], row)
+    def grid(packed: list[int]) -> list[list[int]]:
+        # balanced digits: every coefficient lies in (-half, half)
+        bias = sum(half << bits * i for i in range(len(packed)))
+        rows = _unpack_rows([r + bias for r in packed], bits, len(packed))
+        return [[v - half for v in row] for row in rows]
+
+    packed = iter(_pack_rows([*chain.from_iterable(layers), *table.row0[:n_degree]], bits))
+    dense = [[next(packed) for _ in layer] for layer in layers]
+    row0 = list(packed)
 
     first_mismatch = None
     for n in range(0, n_degree + 1):
         size = n + 2  # exponents of degree n lie in 0..n+1
-        lhs = [[0] * size for _ in range(size)]
-        rhs = [[0] * size for _ in range(size)]
+        lhs = [0] * size
+        rhs = [0] * size
         if n >= 1:
-            for j, row in enumerate(table._dense[n - 1]):
+            for j, r in enumerate(dense[n - 1]):
+                moved = (r, r << bits, r << 2 * bits)
                 for p, q in s.steps:
-                    shift_add(lhs[j + q + 1], p + 1, row)
+                    lhs[j + q + 1] += moved[p + 1]
             for d in (-1, 0, 1):
                 if s.delta(d, -1):
-                    shift_add(rhs[0], d + 1, table.row0[n - 1])
+                    rhs[0] += row0[n - 1] << bits * (d + 1)
                 if s.delta(-1, d):
                     for j, v in enumerate(table.col0[n - 1], d + 1):
-                        rhs[j][0] += v
-            rhs[0][0] -= d11 * table.q00[n - 1]
+                        rhs[j] += v
+            rhs[0] -= d11 * table.q00[n - 1]
         else:
-            rhs[1][1] = -1
-        for j, row in enumerate(table._dense[n], 1):
-            shift_add(lhs[j], 1, row, sub)
+            rhs[1] = -1 << bits
+        for j, r in enumerate(dense[n], 1):
+            lhs[j] -= r << bits
 
         if lhs != rhs:
+            lhs, rhs = grid(lhs), grid(rhs)
             i, j = min(
                 (i, j) for j in range(size) for i in range(size) if lhs[j][i] != rhs[j][i]
             )

@@ -224,6 +224,14 @@ def test_bad_values_are_structured_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
 
 
+def test_out_of_range_lengths_are_typed_errors(capsys):
+    for argv in (("check", "--preset", "simple", "--n", "0"),
+                 ("count", "--preset", "simple", "--n", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "OutOfRange", argv
+
+
 def test_count_memory_guard_is_a_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(qwalk.counting, "_MAX_BYTES", 10_000)
     code, out, err = run(capsys, "count", "--preset", "simple", "--n", "12")

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from qwalk import counting, steps
-from qwalk.errors import ResourceLimit
+from qwalk.errors import OutOfRange, QwalkError, ResourceLimit
 
 SIMPLE = steps.preset("simple")
 KREWERAS = steps.preset("kreweras")
@@ -259,6 +259,111 @@ def test_functional_equation_detects_a_corrupted_cell(monkeypatch, name, part, w
     report = counting.check_functional_equation(s, 10)
     assert report.holds is (mismatch is None)
     assert report.first_mismatch == mismatch
+
+
+def grid_check(s, table, n_degree):
+    """The functional-equation check on Python grids, one cell at a time: the
+    reference the packed check must reproduce, report for report."""
+    d11 = s.delta(-1, -1)
+    for n in range(n_degree + 1):
+        size = n + 2
+        lhs = [[0] * size for _ in range(size)]
+        rhs = [[0] * size for _ in range(size)]
+        if n >= 1:
+            for j, row in enumerate(table._dense[n - 1]):
+                for i, v in enumerate(row):
+                    for p, q in s.steps:
+                        lhs[j + q + 1][i + p + 1] += v
+            for d in (-1, 0, 1):
+                if s.delta(d, -1):
+                    for i, v in enumerate(table.row0[n - 1]):
+                        rhs[0][i + d + 1] += v
+                if s.delta(-1, d):
+                    for j, v in enumerate(table.col0[n - 1]):
+                        rhs[j + d + 1][0] += v
+            rhs[0][0] -= d11 * table.q00[n - 1]
+        else:
+            rhs[1][1] = -1
+        for j, row in enumerate(table._dense[n]):
+            for i, v in enumerate(row):
+                lhs[j + 1][i + 1] -= v
+        if lhs != rhs:
+            i, j = min((i, j) for j in range(size) for i in range(size) if lhs[j][i] != rhs[j][i])
+            return counting.FunctionalEquationReport(False, n_degree, bool(d11),
+                                                     (n, i, j, lhs[j][i], rhs[j][i]))
+    return counting.FunctionalEquationReport(True, n_degree, bool(d11), None)
+
+
+def test_functional_equation_matches_grid_check_on_every_step_set():
+    for s in steps.all_step_sets():
+        table = counting.count(s, 12, dense_max=12)
+        assert counting.check_functional_equation(s, 12) == grid_check(s, table, 12), s
+
+
+def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
+    # huge deltas push one cell far past the layer total, so a packing width
+    # taken from the totals instead of the cells read would alias coefficients
+    rng = random.Random(29)
+    sets = list(steps.all_step_sets())
+    real_count = counting.count
+    detected = 0
+    for _ in range(300):
+        s = rng.choice(sets)
+        table = real_count(s, 10, dense_max=10)
+        part = rng.choice(("_dense", "row0", "col0", "q00"))
+        n = rng.randint(0, 10)
+        where = {"_dense": (n, rng.randint(0, n), rng.randint(0, n)),
+                 "row0": (n, rng.randint(0, n)), "col0": (n, rng.randint(0, n)), "q00": (n,)}[part]
+        *path, last = where
+        cells = getattr(table, part)
+        for k in path:
+            cells = cells[k]
+        cells[last] += rng.choice((1, -1, -1000, 2**100, -2**90))
+        monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
+        report = counting.check_functional_equation(s, 10)
+        assert report == grid_check(s, table, 10), (s, part, where)
+        detected += not report.holds
+    assert 0 < detected < 300
+    # a cell at the top of a whole number of bytes: without the headroom for
+    # the |S| + 7 cells summed into one coefficient, the width leaves none
+    for value in (2**64 - 1, -(2**72 - 1)):
+        table = real_count(SIMPLE, 10, dense_max=10)
+        table._dense[5][2][3] = value
+        monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
+        report = counting.check_functional_equation(SIMPLE, 10)
+        assert report == grid_check(SIMPLE, table, 10) and not report.holds, value
+
+
+def test_unpack_rows_matches_per_cell_reference():
+    rng = random.Random(5)
+    count = 6
+    for nb in range(1, 17):  # both sides of the 8-byte choice
+        bits = 8 * nb
+        top = (1 << bits) - 1
+        digit_rows = [
+            [0] * count,
+            [rng.randint(0, top), rng.randint(0, top)] + [0] * (count - 2),  # leading zeros
+            [rng.randint(0, top) for _ in range(count - 1)] + [top],  # top digit all ones
+            [top] * count,
+            [rng.randint(0, top) for _ in range(count)],
+        ]
+        rows = [sum(v << bits * i for i, v in enumerate(r)) for r in digit_rows]
+        reference = [
+            [int.from_bytes(r.to_bytes(nb * count, "little")[k * nb:(k + 1) * nb], "little")
+             for k in range(count)]
+            for r in rows
+        ]
+        assert reference == digit_rows
+        assert counting._unpack_rows(rows, bits, count) == reference, nb
+        assert counting._pack_rows(digit_rows, bits) == rows, nb
+
+
+def test_negative_lengths_are_out_of_range():
+    with pytest.raises(OutOfRange, match="n_max"):
+        counting.count(SIMPLE, -1)
+    with pytest.raises(OutOfRange, match="n_degree"):
+        counting.check_functional_equation(SIMPLE, 0)
+    assert issubclass(OutOfRange, QwalkError) and issubclass(OutOfRange, ValueError)
 
 
 def test_memory_guard_refuses_before_allocating():
