@@ -52,12 +52,10 @@ from .kernel import (
     Y_branches,
     contour_nodes,
     curve_preimage,
-    kernel_polys,
-    poly_eval,
     trace_curve_M,
     winding_number,
 )
-from .steps import StepSet, drift
+from .steps import StepSet, drift, kernel_polys, poly_eval
 
 _MAX_NODES = 2**14
 _GLUING_TOL = 1e-9

@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on an analysis error (structured JSON on
 stderr), 2 on usage errors.  Exact integers are serialised as decimal
-strings; identical invocations produce byte-identical output.
+strings; identical invocations produce byte-identical output.  Each
+subcommand imports the modules it uses, so `group`, `count` and `series`
+start without numpy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import asymptotics, bvp, counting, group, kernel, singularities, steps
+from . import steps
 from .errors import QwalkError, StepFileUnreadable
 
 
@@ -51,11 +53,13 @@ def _config_echo(s: steps.StepSet, args, fields) -> dict:
     return cfg
 
 
-def _fs_dict(fs: singularities.FirstSingularity) -> dict:
+def _fs_dict(fs) -> dict:
     return {"label": fs.label, "ties": list(fs.ties), "value": fs.value}
 
 
 def _cmd_count(s: steps.StepSet, args) -> int:
+    from . import counting
+
     table = counting.count(s, args.n, dense_max=args.n)
     if args.format == "csv":
         sys.stdout.write("n,i,j,q\n")
@@ -80,6 +84,8 @@ def _cmd_count(s: steps.StepSet, args) -> int:
 
 
 def _cmd_series(s: steps.StepSet, args) -> int:
+    from . import counting
+
     table = counting.count(s, args.n, dense_max=0)
     ser = counting.series(table, args.series)
     if args.format == "csv":
@@ -96,6 +102,8 @@ def _cmd_series(s: steps.StepSet, args) -> int:
 
 
 def _cmd_group(s: steps.StepSet, args) -> int:
+    from . import group
+
     res = group.group_order(s, max_half_order=args.max_half_order, seed=args.seed)
     if res.finite:
         payload = {"order": res.order}
@@ -107,6 +115,8 @@ def _cmd_group(s: steps.StepSet, args) -> int:
 
 
 def _cmd_kernel(s: steps.StepSet, args) -> int:
+    from . import kernel
+
     if args.action == "branch-points":
         bp = kernel.branch_points(s, args.z)
 
@@ -131,6 +141,8 @@ def _cmd_kernel(s: steps.StepSet, args) -> int:
 
 
 def _singularities_payload(s: steps.StepSet, args) -> dict:
+    from . import singularities
+
     rep = singularities.classify_first_singularities(s)
     return {
         "config": _config_echo(s, args, []),
@@ -162,6 +174,8 @@ def _cmd_classify(s: steps.StepSet, args) -> int:
 
 
 def _cmd_bvp(s: steps.StepSet, args) -> int:
+    from . import bvp
+
     cgf = bvp.circle_cgf()  # the one builtin; user CGFs go through the library
     canon = s.sorted_steps() == steps.preset("simple").sorted_steps()
     if canon and args.target in ("q00", "q10", "q01"):
@@ -182,6 +196,8 @@ def _cmd_bvp(s: steps.StepSet, args) -> int:
 
 
 def _cmd_asymptotics(s: steps.StepSet, args) -> int:
+    from . import asymptotics, counting
+
     table = counting.count(s, args.n, dense_max=0)
     coeffs = counting.series(table, args.series).coeffs
     an = asymptotics.growth_estimate(coeffs)
@@ -193,6 +209,8 @@ def _cmd_asymptotics(s: steps.StepSet, args) -> int:
 
 
 def _cmd_check(s: steps.StepSet, args) -> int:
+    from . import asymptotics, bvp, counting, kernel, singularities
+
     results: list[dict] = []
     skipped: list[dict] = []
 
@@ -241,10 +259,10 @@ def _cmd_check(s: steps.StepSet, args) -> int:
                 skip("cauchy-integral-vs-series", f"no circle gluing: defect {defect:.2e}")
             else:
                 z = 0.5 * inv
-                kp = kernel.kernel_polys(s)
+                kp = steps.kernel_polys(s)
                 x = 0.3
                 got = bvp.cauchy_value(s, x, z, bvp.circle_cgf(), trace)[0]
-                want = kernel.poly_eval(kp.c, x) * counting.eval_q_x0(table, x, z) \
+                want = steps.poly_eval(kp.c, x) * counting.eval_q_x0(table, x, z) \
                     - kp.c[0] * counting.eval_series(counting.series(table, "q00").coeffs, z)
                 record("cauchy-integral-vs-series", abs(got - want) < 1e-8,
                        f"difference {abs(got - want):.2e}")

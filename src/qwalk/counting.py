@@ -27,11 +27,12 @@ side that differs is decoded digit by digit to find the first mismatch.
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Literal
-
-import numpy as np
 
 from .errors import OutOfRange, ResourceLimit
 from .steps import StepSet
@@ -53,6 +54,10 @@ _LOOKAHEAD = 24
 
 # count() refuses to start when its estimated peak memory is above this.
 _MAX_BYTES = 4 << 30
+
+# Digits of at most 8 bytes are read and written as one array("Q"), whose
+# items are the digits' bytes only on a little-endian machine.
+_NATIVE_Q = sys.byteorder == "little" and array("Q").itemsize == 8
 
 
 def _digit_bits(bound: int) -> int:
@@ -77,16 +82,38 @@ def _peak_bytes(card: int, n_max: int, dense_max: int) -> int:
     return layers + axes + dense
 
 
+def _respace(buf: bytes, nb: int, new_nb: int) -> bytes | bytearray:
+    """Little-endian digits of nb bytes each, re-spaced to new_nb bytes each:
+    zero-extended when new_nb > nb, cut to their low new_nb bytes when less.
+    Many narrow digits are moved one byte column at a time by strided slices
+    (a Python step per column); few wide ones as one struct of byte strings,
+    which pads or truncates each (an object per digit).  Measured, the two
+    cost the same at 4 to 20 digits per column, the wider the digits the later."""
+    count = len(buf) // nb
+    if count > 16 * min(nb, new_nb):
+        out = bytearray(count * new_nb)
+        for k in range(min(nb, new_nb)):
+            out[k::new_nb] = buf[k::nb]
+        return out
+    return struct.Struct(f"{new_nb}s" * count).pack(*_split(buf, nb))
+
+
+def _split(buf: bytes, nb: int) -> tuple[bytes, ...]:
+    """buf cut into its digits of nb bytes each.  A Struct of its own: the
+    module-level functions would keep up to 100 long formats cached."""
+    return struct.Struct(f"{nb}s" * (len(buf) // nb)).unpack(buf)
+
+
 def _widen(rows: list[int], bits: int, new_bits: int) -> None:
     """Re-pack a layer's rows from `bits` to `new_bits` per digit, in place,
-    so that besides the layer only copies of one row are alive at a time."""
-    count, nb = len(rows), bits // 8
-    wide = np.zeros((count, new_bits // 8), np.uint8)
+    so that besides the layer only copies of one row are alive at a time.
+    Only the occupied digits of a row are re-spaced."""
+    nb, new_nb = bits // 8, new_bits // 8
     for k, r in enumerate(rows):
         if r:
-            digits = np.frombuffer(r.to_bytes(count * nb, "little"), np.uint8)
-            wide[:, :nb] = digits.reshape(count, nb)
-            rows[k] = int.from_bytes(wide.tobytes(), "little")
+            used = (r.bit_length() + bits - 1) // bits
+            rows[k] = int.from_bytes(_respace(r.to_bytes(used * nb, "little"), nb, new_nb),
+                                     "little")
 
 
 def _next_layer(prev: list[int], bits: int, steps: tuple[tuple[int, int], ...]) -> list[int]:
@@ -111,17 +138,16 @@ def _next_layer(prev: list[int], bits: int, steps: tuple[tuple[int, int], ...]) 
 
 def _unpack_rows(rows: list[int], bits: int, count: int) -> list[list[int]]:
     """Digits 0..count-1 of every packed row, in one pass over the joined
-    to_bytes() output: digits of at most 8 bytes are zero-padded to 8 and read
-    as one uint64 array, wider digits are sliced out one by one."""
+    to_bytes() output: digits of at most 8 bytes are re-spaced to 8 and read
+    as one array("Q"), wider digits are split off as bytes and read one by
+    one."""
     nb = bits // 8
     buf = b"".join([r.to_bytes(nb * count, "little") for r in rows])
     cells = len(rows) * count
-    if nb <= 8:
-        wide = np.zeros((cells, 8), np.uint8)
-        wide[:, :nb] = np.frombuffer(buf, np.uint8).reshape(cells, nb)
-        flat = wide.view("<u8").ravel().tolist()
+    if nb <= 8 and _NATIVE_Q:
+        flat = array("Q", _respace(buf, nb, 8)).tolist()
     else:
-        flat = [int.from_bytes(buf[k * nb : (k + 1) * nb], "little") for k in range(cells)]
+        flat = list(map(int.from_bytes, _split(buf, nb), repeat("little")))
     return [flat[k : k + count] for k in range(0, cells, count)]
 
 
@@ -129,16 +155,16 @@ def _pack_rows(rows: list[list[int]], bits: int) -> list[int]:
     """Each row as the one int sum_i cell_i * 2**(bits*i): the inverse of
     _unpack_rows for cells in [0, 2**bits), and the signed sum for negative
     cells.  Rows may differ in length.  When every cell lies in [0, 2**64),
-    all of them go through one uint64 array; else each row is summed cell by
+    all of them go through one array("Q"); else each row is summed cell by
     cell."""
-    nb = bits // 8
     try:
-        cells = np.array(list(chain.from_iterable(rows)), "<u8")
+        cells = array("Q", chain.from_iterable(rows)) if _NATIVE_Q else None
     except OverflowError:
+        cells = None
+    if cells is None:
         return [sum(v << bits * i for i, v in enumerate(r)) for r in rows]
-    wide = np.zeros((len(cells), max(nb, 8)), np.uint8)
-    wide[:, :8] = cells.view(np.uint8).reshape(-1, 8)
-    buf = wide[:, :nb].tobytes()
+    nb = bits // 8
+    buf = _respace(cells.tobytes(), 8, nb)
     ends = list(accumulate(nb * len(r) for r in rows))
     return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
 
@@ -165,7 +191,7 @@ class CountTable:
     def q(self, i: int, j: int, n: int) -> int:
         """q(i, j, n); requires n <= dense_max unless (i, j) is on an axis."""
         if n > self.n_max or n < 0:
-            raise IndexError(f"layer {n} not computed (n_max={self.n_max})")
+            raise OutOfRange(f"layer {n} not computed (n_max={self.n_max})")
         if i < 0 or j < 0 or i > n or j > n:
             return 0
         if j == 0:
@@ -277,14 +303,14 @@ def series(table: CountTable, label: SeriesLabel) -> CoefficientSeries:
     elif label == "q11":
         coeffs = tuple(table.totals)
     else:
-        raise ValueError(f"unknown series label {label!r}")
+        raise OutOfRange(f"unknown series label {label!r}")
     return CoefficientSeries(label=label, coeffs=coeffs)
 
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n)/(n+1), exactly."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise OutOfRange(f"n must be >= 0, got {n}")
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -66,7 +66,8 @@ class ValidationMismatch(QwalkError, ArithmeticError):
 
 
 class OutOfRange(QwalkError, ValueError):
-    """An evaluation point lies outside the operation's z-domain."""
+    """An argument lies outside what the operation accepts: a z outside its
+    domain, a length, layer or node count out of bounds, an unknown label."""
 
 
 class PointOutsideDomain(QwalkError, ValueError):

@@ -26,9 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateGenerators, PoleEncountered, TestPointExhaustion
-from .kernel import KernelPolys, kernel_polys, poly_eval
-from .steps import StepSet
+from .errors import DegenerateGenerators, OutOfRange, PoleEncountered, TestPointExhaustion
+from .steps import KernelPolys, StepSet, kernel_polys, poly_eval
 
 _SCREEN_PRIMES = (2**61 - 1, 10**18 + 9, 10**18 + 3)
 
@@ -152,7 +151,7 @@ def group_order(s: StepSet, max_half_order: int = 16, seed: int = 0) -> GroupOrd
     """
     _check_defined(kernel_polys(s))
     if max_half_order < 2:
-        raise ValueError("max_half_order must be >= 2 (psi and phi are never equal)")
+        raise OutOfRange("max_half_order must be >= 2 (psi and phi are never equal)")
     rng = random.Random(seed)
 
     panel: list[RationalPoint] = []

@@ -1,5 +1,6 @@
-"""Kernel algebra: boundary polynomials, discriminants, branch points and
-the two-valued algebraic functions X and Y.
+"""Kernel algebra: discriminants, branch points and the two-valued
+algebraic functions X and Y, built on the boundary polynomials of
+steps.kernel_polys.
 
 The kernel of a step set is the bivariate quadratic
 
@@ -18,7 +19,6 @@ limit from the upper edge.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +29,11 @@ from .errors import (
     CaseUndetermined,
     DegenerateQuadratic,
     GenusZeroRegime,
+    OutOfRange,
     RootFindingFailure,
     SlitDegenerate,
 )
-from .steps import StepSet
+from .steps import StepSet, kernel_polys, poly_eval
 
 #: Marker for a branch point at infinity (degree drop of the discriminant).
 INF_ROOT = complex(math.inf, 0.0)
@@ -43,39 +44,6 @@ _BAND = 1e-7
 
 def is_finite_root(r: complex) -> bool:
     return math.isfinite(r.real) and math.isfinite(r.imag)
-
-
-@dataclass(frozen=True)
-class KernelPolys:
-    """The six boundary polynomials, each as (x^0, x^1, x^2) coefficients."""
-
-    a: tuple[int, int, int]
-    b: tuple[int, int, int]
-    c: tuple[int, int, int]
-    a_t: tuple[int, int, int]
-    b_t: tuple[int, int, int]
-    c_t: tuple[int, int, int]
-
-
-@functools.cache  # at most 255 step sets; every field is an immutable tuple
-def kernel_polys(s: StepSet) -> KernelPolys:
-    def row(j: int) -> tuple[int, int, int]:
-        return (s.delta(-1, j), s.delta(0, j), s.delta(1, j))
-
-    def col(i: int) -> tuple[int, int, int]:
-        return (s.delta(i, -1), s.delta(i, 0), s.delta(i, 1))
-
-    return KernelPolys(
-        a=row(1), b=row(0), c=row(-1), a_t=col(1), b_t=col(0), c_t=col(-1)
-    )
-
-
-def poly_eval(p, v):
-    """Evaluate an ascending coefficient sequence at v (Horner)."""
-    acc = 0
-    for coeff in reversed(p):
-        acc = acc * v + coeff
-    return acc
 
 
 def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
@@ -189,7 +157,7 @@ def branch_points(s: StepSet, z: float) -> BranchPoints:
     """Roots of both discriminants at z, ordered per the branch-point pattern
     when z is inside (0, 1/|S|) and the pattern verifies."""
     if z <= 0:
-        raise ValueError("z must be positive")
+        raise OutOfRange("z must be positive")
     in_range = z < 1.0 / len(s)
 
     xr, okx = _order_eq8(disc_roots(s, z)[1])
@@ -223,7 +191,7 @@ def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
     """Both kernel roots in y at x, with |Y0| <= |Y1|; Y1 = INF_ROOT when
     a(x) = 0.  Branch separation by modulus is valid off the x-plane slits."""
     if z <= 0:
-        raise ValueError("z must be positive")
+        raise OutOfRange("z must be positive")
     kp = kernel_polys(s)
     A = complex(poly_eval(kp.a, x))
     B = complex(poly_eval(kp.b, x)) - x / z
@@ -323,7 +291,7 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
             "at(y) vanishes on the slit: the curve passes through infinity"
         )
     if z <= 0:
-        raise ValueError("z must be positive")
+        raise OutOfRange("z must be positive")
     # dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from its unfactored coefficients
     shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
     sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
@@ -355,7 +323,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     of the closed polyline's signed area.
     """
     if m < 16:
-        raise ValueError("m must be >= 16")
+        raise OutOfRange("m must be >= 16")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
     mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
@@ -392,7 +360,7 @@ def contour_nodes(
     curve, so integrand densities need no branch selection.
     """
     if m % 2:
-        raise ValueError("m must be even")
+        raise OutOfRange("m must be even")
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
     ys = mid - half * np.cos(tau)

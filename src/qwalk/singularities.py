@@ -28,8 +28,8 @@ from .errors import (
     SingularWalk,
     ValidationMismatch,
 )
-from .kernel import cleared_disc_int, disc_roots, kernel_polys, poly_eval
-from .steps import StepSet, drift, is_singular, origin_in_hull_interior
+from .kernel import cleared_disc_int, disc_roots
+from .steps import StepSet, drift, is_singular, kernel_polys, origin_in_hull_interior, poly_eval
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Small step sets on {-1,0,1}^2 \\ {(0,0)} and their scalar statistics.
+"""Small step sets on {-1,0,1}^2 \\ {(0,0)}, their scalar statistics and
+the coefficient polynomials of their kernel.
 
 A walk model is described by the set of allowed unit steps.  Everything
 downstream (enumeration, kernel algebra, singularity analysis) consumes the
-:class:`StepSet` value type defined here.
+:class:`StepSet` value type defined here.  The boundary polynomials
+(kernel_polys) are plain integer tuples, so the exact layers (the group,
+the counts) need nothing from the numeric kernel module.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -173,3 +177,36 @@ def all_step_sets() -> Iterator[StepSet]:
     order = sorted(_ALLOWED)
     for mask in range(1, 1 << 8):
         yield StepSet(frozenset(order[k] for k in range(8) if mask >> k & 1))
+
+
+@dataclass(frozen=True)
+class KernelPolys:
+    """The six boundary polynomials, each as (x^0, x^1, x^2) coefficients."""
+
+    a: tuple[int, int, int]
+    b: tuple[int, int, int]
+    c: tuple[int, int, int]
+    a_t: tuple[int, int, int]
+    b_t: tuple[int, int, int]
+    c_t: tuple[int, int, int]
+
+
+@functools.cache  # at most 255 step sets; every field is an immutable tuple
+def kernel_polys(s: StepSet) -> KernelPolys:
+    def row(j: int) -> tuple[int, int, int]:
+        return (s.delta(-1, j), s.delta(0, j), s.delta(1, j))
+
+    def col(i: int) -> tuple[int, int, int]:
+        return (s.delta(i, -1), s.delta(i, 0), s.delta(i, 1))
+
+    return KernelPolys(
+        a=row(1), b=row(0), c=row(-1), a_t=col(1), b_t=col(0), c_t=col(-1)
+    )
+
+
+def poly_eval(p, v):
+    """Evaluate an ascending coefficient sequence at v (Horner)."""
+    acc = 0
+    for coeff in reversed(p):
+        acc = acc * v + coeff
+    return acc

@@ -219,7 +219,7 @@ def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
 def test_bad_values_are_structured_errors(capsys):
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple",
                          "--z", "0.2", "--points", "4")
-    assert code == 1 and json.loads(err)["error"] == "ValueError"
+    assert code == 1 and json.loads(err)["error"] == "OutOfRange"
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple", "--z", "0.26")
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
 
@@ -255,9 +255,24 @@ def test_byte_identical_reruns(capsys):
     assert c == d
 
 
-def test_cli_import_loads_no_scipy():
-    # start-up guard: every subcommand pays for what `import qwalk.cli` loads
-    code = ("import qwalk.cli, sys; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def test_exact_subcommands_start_without_numpy():
+    # start-up guard: `import qwalk` loads no submodule, and the exact
+    # subcommands (series past its first widening of the digits) load
+    # neither numpy nor scipy
+    code = """
+import contextlib, io, json, sys
+import qwalk
+loaded = {"package": sorted(m for m in sys.modules if m.startswith("qwalk."))}
+from qwalk import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (
+        ["group", "--preset", "gessel"],
+        ["count", "--preset", "simple", "--n", "8"],
+        ["series", "--preset", "kreweras", "--series", "q00", "--n", "30"],
+    )]
+loaded["numeric"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+print(json.dumps({"codes": codes, **loaded}))
+"""
     proc = run_process("-c", code)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "package": [], "numeric": []}

@@ -334,28 +334,50 @@ def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
         assert report == grid_check(SIMPLE, table, 10) and not report.holds, value
 
 
-def test_unpack_rows_matches_per_cell_reference():
+def test_unpack_rows_matches_per_cell_reference(monkeypatch):
     rng = random.Random(5)
-    count = 6
-    for nb in range(1, 17):  # both sides of the 8-byte choice
-        bits = 8 * nb
-        top = (1 << bits) - 1
-        digit_rows = [
-            [0] * count,
-            [rng.randint(0, top), rng.randint(0, top)] + [0] * (count - 2),  # leading zeros
-            [rng.randint(0, top) for _ in range(count - 1)] + [top],  # top digit all ones
-            [top] * count,
-            [rng.randint(0, top) for _ in range(count)],
-        ]
-        rows = [sum(v << bits * i for i, v in enumerate(r)) for r in digit_rows]
-        reference = [
-            [int.from_bytes(r.to_bytes(nb * count, "little")[k * nb:(k + 1) * nb], "little")
-             for k in range(count)]
-            for r in rows
-        ]
-        assert reference == digit_rows
-        assert counting._unpack_rows(rows, bits, count) == reference, nb
-        assert counting._pack_rows(digit_rows, bits) == rows, nb
+    # _NATIVE_Q False: the per-digit path a big-endian machine takes
+    for native, count in product((True, False), (6, 40)):
+        # 6 digits are re-spaced as one struct, 40 narrow ones by byte columns
+        monkeypatch.setattr(counting, "_NATIVE_Q", native)
+        for nb in range(1, 17):  # both sides of the 8-byte choice
+            bits = 8 * nb
+            top = (1 << bits) - 1
+            digit_rows = [
+                [0] * count,
+                [rng.randint(0, top), rng.randint(0, top)] + [0] * (count - 2),  # leading zeros
+                [rng.randint(0, top) for _ in range(count - 1)] + [top],  # top digit all ones
+                [top] * count,
+                [rng.randint(0, top) for _ in range(count)],
+            ]
+            rows = [sum(v << bits * i for i, v in enumerate(r)) for r in digit_rows]
+            reference = [
+                [int.from_bytes(r.to_bytes(nb * count, "little")[k * nb:(k + 1) * nb], "little")
+                 for k in range(count)]
+                for r in rows
+            ]
+            assert reference == digit_rows
+            assert counting._unpack_rows(rows, bits, count) == reference, (native, nb)
+            assert counting._pack_rows(digit_rows, bits) == rows, (native, nb)
+            for extra in range(1, 10):
+                new_bits = bits + 8 * extra
+                wide = rows[:]
+                counting._widen(wide, bits, new_bits)
+                assert wide == [sum(v << new_bits * i for i, v in enumerate(r))
+                                for r in digit_rows], (native, nb, extra)
+        # rows of different lengths; cells of 2**64 and more, or below 0, are
+        # summed cell by cell (the signed sum, for negative ones)
+        ragged = [[1, 2, 3], [], [5], [2**64 - 1, 0, 7]]
+        for bits in (64, 72):
+            packed = counting._pack_rows(ragged, bits)
+            assert packed == [sum(v << bits * i for i, v in enumerate(r)) for r in ragged]
+            assert counting._unpack_rows(packed, bits, 3) == [r + [0] * (3 - len(r))
+                                                               for r in ragged]
+        big = [[2**64, 1], [3, 2**100 - 1]]
+        assert counting._unpack_rows(counting._pack_rows(big, 104), 104, 2) == big
+        signed = [[-1, 5], [7, -(2**70)], [2**64, -3]]
+        assert counting._pack_rows(signed, 80) == [
+            sum(v << 80 * i for i, v in enumerate(r)) for r in signed]
 
 
 def test_negative_lengths_are_out_of_range():
@@ -364,6 +386,17 @@ def test_negative_lengths_are_out_of_range():
     with pytest.raises(OutOfRange, match="n_degree"):
         counting.check_functional_equation(SIMPLE, 0)
     assert issubclass(OutOfRange, QwalkError) and issubclass(OutOfRange, ValueError)
+
+
+def test_bad_layers_indices_and_labels_are_out_of_range():
+    table = counting.count(SIMPLE, 5)
+    for n in (6, -1):
+        with pytest.raises(OutOfRange, match="not computed"):
+            table.q(0, 0, n)
+    with pytest.raises(OutOfRange, match="got -1"):
+        counting.catalan(-1)
+    with pytest.raises(OutOfRange, match="q22"):
+        counting.series(table, "q22")
 
 
 def test_memory_guard_refuses_before_allocating():

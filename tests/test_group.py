@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qwalk import group, kernel, singularities, steps
-from qwalk.errors import DegenerateGenerators, PoleEncountered
+from qwalk.errors import DegenerateGenerators, OutOfRange, PoleEncountered
 from qwalk.group import RationalPoint
 
 SIMPLE = steps.preset("simple")
@@ -210,6 +210,11 @@ def test_king_walk_generators_collapse_to_order_four():
 def test_degenerate_generators_rejected():
     with pytest.raises(DegenerateGenerators):
         group.group_order(steps.parse_step_set([(1, 0), (0, 1)]))
+
+
+def test_half_order_bound_below_two_is_out_of_range():
+    with pytest.raises(OutOfRange, match="max_half_order"):
+        group.group_order(steps.preset("kreweras"), max_half_order=1)
 
 
 def test_group_order_deterministic_in_seed():

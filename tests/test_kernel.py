@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk import kernel, steps
-from qwalk.errors import CaseUndetermined, GenusZeroRegime, QwalkError
+from qwalk.errors import CaseUndetermined, GenusZeroRegime, OutOfRange, QwalkError
 from qwalk.kernel import is_finite_root
 
 SIMPLE = steps.preset("simple")
@@ -331,6 +331,20 @@ def test_trace_finds_roots_once(monkeypatch):
 def test_trace_rejects_genus_zero():
     with pytest.raises(GenusZeroRegime):
         kernel.trace_curve_M(SIMPLE, 0.2500001, m=64)
+
+
+def test_bad_z_and_node_counts_are_out_of_range():
+    trace = kernel.trace_curve_M(SIMPLE, 0.2, m=64)
+    for call, match in (
+        (lambda: kernel.branch_points(SIMPLE, 0.0), "z must be positive"),
+        (lambda: kernel.Y_branches(SIMPLE, 0.5, -0.1), "z must be positive"),
+        # contour_nodes has no z guard of its own: this one is _edge_values'
+        (lambda: kernel.contour_nodes(SIMPLE, 0.0, trace, 64), "z must be positive"),
+        (lambda: kernel.trace_curve_M(SIMPLE, 0.2, m=8), "m must be >= 16"),
+        (lambda: kernel.contour_nodes(SIMPLE, 0.2, trace, 63), "m must be even"),
+    ):
+        with pytest.raises(OutOfRange, match=match):
+            call()
 
 
 def test_point_classification_simple():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qwalk"
 
@@ -89,3 +91,44 @@ def test_no_module_imports_a_private_name_of_a_sibling():
             found += [f"{p.stem}: {node.module}.{alias.name}"
                       for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+SUBMODULES = ["asymptotics", "bvp", "counting", "errors", "group", "kernel", "singularities",
+              "steps"]
+
+# the package's __all__: 56 public names and the 8 submodules
+PUBLIC_NAMES = [
+    "BranchPoints", "CGF", "CoefficientSeries", "CountTable", "CriticalPoint", "CurveTrace",
+    "DriftData", "FirstSingularity", "GFValue", "GroupOrderResult", "KernelPolys", "PRESETS",
+    "PredictionReport", "RationalPoint", "SeriesAnalysis", "SingularityReport", "StepSet",
+    "X_branches", "Y_branches", "all_step_sets", "asymptotics", "branch_points", "bvp",
+    "catalan", "check_functional_equation", "circle_cgf", "classify_first_singularities",
+    "count", "counting", "critical_point", "drift", "errors", "from_json", "group",
+    "group_order", "growth_estimate", "invariant_check", "is_singular", "kernel", "kernel_eval",
+    "kernel_polys", "origin_in_hull_interior", "parse_step_set", "phi", "point_in_G_M",
+    "preset", "psi", "q00_general", "q00_simple", "q01_general", "q10_general", "q10_simple",
+    "q11_from_relation", "q11_general", "series", "singularities", "steps", "symmetry_class",
+    "to_json", "trace_curve_M", "verify_prediction", "z_X", "z_Y", "z_g_via_resultant",
+]
+
+
+def test_public_surface_resolves_to_the_submodules():
+    # the names are loaded lazily, on first access; each must be the very
+    # object its submodule defines, and dir() must list it beforehand
+    import qwalk
+
+    assert qwalk.__all__ == PUBLIC_NAMES
+    assert len(set(PUBLIC_NAMES) - set(SUBMODULES)) == 56
+    assert set(PUBLIC_NAMES) <= set(dir(qwalk))
+    modules = {m: importlib.import_module(f"qwalk.{m}") for m in SUBMODULES}
+    for name in PUBLIC_NAMES:
+        value = getattr(qwalk, name)
+        if name in modules:
+            assert value is modules[name], name
+        else:
+            assert any(vars(m).get(name) is value for m in modules.values()), name
+    assert qwalk.kernel.kernel_polys is qwalk.steps.kernel_polys
+    assert isinstance(qwalk.__version__, str)
+    assert not hasattr(qwalk, "numpy")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qwalk.no_such_name
