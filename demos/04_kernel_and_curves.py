@@ -40,4 +40,4 @@ print(f"\ntraced curve over the slit [{trace.y1:.6f}, {trace.y2:.6f}]:")
 print("  max | |x| - 1 | over the trace:", float(np.max(np.abs(radii - 1.0))))
 
 for x in (bp.x_roots[0], bp.x_roots[2], 1.0 + 0j, 0.3 + 0.4j):
-    print(f"  position of {x}: {point_in_G_M(s, x, z, trace)}")
+    print(f"  position of {x}: {point_in_G_M(trace, x)}")

@@ -17,6 +17,7 @@ from qwalk import (
     q10_simple,
     q11_from_relation,
     series,
+    trace_curve_M,
 )
 from qwalk.bvp import cauchy_value
 from qwalk.counting import eval_q_x0, eval_series
@@ -39,8 +40,9 @@ print(f"  Q(1,1,z): relation   {gf11.value:.12f}   series {oracle11:.12f}")
 
 print("\ngluing-function route (unit-circle curve, w = t + 1/t):")
 cgf = circle_cgf()
+trace = trace_curve_M(s, z)
 for x in (0.3, 0.5j, -0.7):
-    lhs = cauchy_value(s, x, z, cgf)[0]        # c(x) Q(x,0,z) - c(0) Q(0,0,z)
+    lhs = cauchy_value(trace, x, cgf)[0]       # c(x) Q(x,0,z) - c(0) Q(0,0,z)
     rhs = x * eval_q_x0(table, x, z)           # c(x) = x and c(0) = 0 here
     print(f"  x = {x}: contour {lhs:.12f}  series {rhs:.12f}")
 

@@ -70,6 +70,13 @@ def _boxcar(values: list[float], ks: list[float], p: int) -> tuple[list[float], 
     return out, kout
 
 
+def _smooth(values: list[float], ks: list[float], period: int) -> tuple[list[float], list[float]]:
+    """A boxcar over the modulation period, then _SMOOTH_ROUNDS pair averages."""
+    for p in (period,) + (2,) * _SMOOTH_ROUNDS:
+        values, ks = _boxcar(values, ks, p)
+    return values, ks
+
+
 def _wobble(values: list[float]) -> float:
     if len(values) < 3:
         return 0.0
@@ -154,11 +161,8 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
 
     # log-ratios ~ log rho + smooth(1/k) + periodic and alternating parts
     lr = [b - a for a, b in zip(logs, logs[1:])]
-    krs = ks[1:]
     period = _detect_period(lr)
-    lr, krs = _boxcar(lr, krs, period)
-    for _ in range(_SMOOTH_ROUNDS):
-        lr, krs = _boxcar(lr, krs, 2)
+    lr, krs = _smooth(lr, ks[1:], period)
     log_rho, u_logrho, res_rho, ok_rho = _extrapolate(lr, krs, _RICHARDSON_DEPTH)
     rho = math.exp(log_rho)
 
@@ -169,10 +173,7 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     # constant from n^-alpha rho^-n c_n, in log space (the geometric mean
     # over a modulation period when one is present)
     cv = [logs[k] - ks[k] * log_rho - alpha * math.log(ks[k]) for k in range(1, len(sub))]
-    kcs = ks[1:]
-    cv, kcs = _boxcar(cv, kcs, period)
-    for _ in range(_SMOOTH_ROUNDS):
-        cv, kcs = _boxcar(cv, kcs, 2)
+    cv, kcs = _smooth(cv, ks[1:], period)
     log_const, u_logc, res_c, ok_c = _extrapolate(cv, kcs, _RICHARDSON_DEPTH)
     const = math.exp(log_const)
 

@@ -18,15 +18,16 @@ Two layers:
   CGF glues: for x inside the curve-bounded domain,
 
       c(x) Q(x,0,z) - c(0) Q(0,0,z)
-          = (1/(2 pi i z)) oint t Y0(t,z) w'(t,z) / (w(t,z) - w(x,z)) dt,
+          = (1/(2 pi i z)) oint t Y0(t,z) w'(t) / (w(t) - w(x)) dt,
 
   specialised to Q(0,0,z) by a pole-cancellation limit at x -> 0 (when
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
   and c is not constant).  When c is constant the curve passes through
   infinity and no CGF glues it.  Each plane's curve is traced and checked
-  once per call.  A point x on the curve takes the inside limit of the same
-  integral: the same integrand minus its poles (principal value), plus
-  their Sokhotski-Plemelj half-residues.
+  once per call; the trace carries the model and z to every integral on it.
+  A point x on the curve takes the inside limit of the same integral: the
+  same integrand minus its poles (principal value), plus their
+  Sokhotski-Plemelj half-residues.
 """
 
 from __future__ import annotations
@@ -74,17 +75,17 @@ class GFValue:
 
 @dataclass(frozen=True)
 class CGF:
-    """A conformal gluing function for a curve-bounded domain.
+    """A conformal gluing function for one curve-bounded domain.
 
     w maps the domain conformally onto the plane cut along a segment, takes
     equal values at conjugate boundary points, and has its unique pole at
     t = 0 with residue `pole_residue` and constant term `pole_const` in the
-    Laurent expansion w(t) = pole_residue/t + pole_const + O(t).  Both
-    evaluators must accept numpy arrays of points elementwise.
+    Laurent expansion w(t) = pole_residue/t + pole_const + O(t).  The traced
+    curve fixes the model and z, so w and dw take t alone, elementwise on arrays.
     """
 
-    w: Callable[[complex, float], complex]
-    dw: Callable[[complex, float], complex]
+    w: Callable[[complex], complex]
+    dw: Callable[[complex], complex]
     pole_residue: float
     pole_const: float
     label: str
@@ -93,27 +94,27 @@ class CGF:
 def circle_cgf() -> CGF:
     """The gluing map t + 1/t of the unit disc (cut image [-2, 2])."""
     return CGF(
-        w=lambda t, z: t + 1.0 / t,
-        dw=lambda t, z: 1.0 - 1.0 / (t * t),
+        w=lambda t: t + 1.0 / t,
+        dw=lambda t: 1.0 - 1.0 / (t * t),
         pole_residue=1.0,
         pole_const=0.0,
         label="builtin-circle",
     )
 
 
-def gluing_defect(cgf: CGF, trace: CurveTrace, z: float) -> float:
+def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
     """max |w(t) - w(conj t)| over the traced curve (inf when w blows up on
     it, e.g. a curve through the CGF's pole)."""
     pts = trace.points[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        defect = np.abs(cgf.w(pts, z) - cgf.w(np.conj(pts), z))
+        defect = np.abs(cgf.w(pts) - cgf.w(np.conj(pts)))
     if not np.all(np.isfinite(defect)):
         return math.inf
     return float(np.max(defect))
 
 
-def _require_gluing(cgf: CGF, trace: CurveTrace, z: float) -> None:
-    defect = gluing_defect(cgf, trace, z)
+def _require_gluing(cgf: CGF, trace: CurveTrace) -> None:
+    defect = gluing_defect(cgf, trace)
     if defect > _GLUING_TOL:
         raise CGFUnavailable(
             f"CGF {cgf.label!r} does not glue this curve (defect {defect:.2e}); "
@@ -189,6 +190,8 @@ def q11_from_relation(
         (|S| - 1/z) Q(1,1,z) = c(1) Q(1,0,z) + ct(1) Q(0,1,z)
                                - delta_{-1,-1} Q(0,0,z) - 1/z.
     """
+    if z <= 0:
+        raise OutOfRange("z must be positive")
     card = len(s)
     denom = card - 1.0 / z
     if abs(denom) < 1e-9:
@@ -223,29 +226,31 @@ def _converge(eval_at, tol: float, start: int = 256) -> tuple[complex, float]:
 
 
 def _contour_integral(
-    s: StepSet, z: float, trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
+    trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
 ) -> tuple[complex, float]:
     """(1/(2 pi i z)) (oint integrand dtau + plemelj), CCW: integrand(tau, ys,
-    t, dt) is summed over the midpoint nodes, doubled until converged."""
-    orient = 1.0 if trace.ccw else -1.0
+    t, dt) is summed over the midpoint nodes, doubled until converged.  A
+    node on a pole makes a non-finite round, which _converge passes over."""
+    orient, z = (1.0 if trace.ccw else -1.0), trace.z
 
     def at_m(m: int) -> complex:
-        f = integrand(*contour_nodes(s, z, trace, m))
-        return complex(np.sum(f)) * (2 * math.pi / m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = integrand(*contour_nodes(trace, m=m))
+            return complex(np.sum(f)) * (2 * math.pi / m)
 
     total, err = _converge(at_m, tol)
     return (orient * total + plemelj) / (2j * math.pi * z), err / (2 * math.pi * abs(z))
 
 
 def _moment_integral(
-    s: StepSet, z: float, cgf: CGF, trace: CurveTrace, power: int, tol: float
+    cgf: CGF, trace: CurveTrace, power: int, tol: float
 ) -> tuple[complex, float]:
     """(1/(2 pi i z)) oint t Y0 w'(t) w(t)^power dt, CCW."""
     def moment(tau, ys, t, dt):
-        f = t * ys * cgf.dw(t, z) * dt
-        return f * cgf.w(t, z) ** power if power else f
+        f = t * ys * cgf.dw(t) * dt
+        return f * cgf.w(t) ** power if power else f
 
-    return _contour_integral(s, z, trace, moment, tol)
+    return _contour_integral(trace, moment, tol)
 
 
 def _boundary_pole_data(
@@ -276,12 +281,7 @@ def _boundary_pole_data(
 
 
 def cauchy_value(
-    s: StepSet,
-    x: complex,
-    z: float,
-    cgf: CGF,
-    trace: CurveTrace | None = None,
-    tol: float = 1e-9,
+    trace: CurveTrace, x: complex, cgf: CGF, tol: float = 1e-9
 ) -> tuple[complex, float, str]:
     """c(x) Q(x,0,z) - c(0) Q(0,0,z) with its error estimate and position tag
     ("inside" or "boundary").
@@ -293,24 +293,21 @@ def cauchy_value(
     half-residues added back.  Points outside the domain raise
     PointOutsideDomain.
     """
-    if trace is None:
-        trace = trace_curve_M(s, z)
-    _require_gluing(cgf, trace, z)
-    on_curve = curve_preimage(s, x, z, trace)
+    _require_gluing(cgf, trace)
+    on_curve = curve_preimage(trace, x)
     if on_curve is None and winding_number(trace.points, x) == 0:
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
     poles = [] if on_curve is None else _boundary_pole_data(trace, x, *on_curve)
-    wx = cgf.w(complex(x), z)
+    wx = cgf.w(complex(x))
 
     def cauchy(tau, ys, t, dt):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = t * ys * cgf.dw(t, z) / (cgf.w(t, z) - wx) * dt
+        f = t * ys * cgf.dw(t) / (cgf.w(t) - wx) * dt
         for (tau_j, res_j, _side) in poles:
             f = f - res_j * 0.5 / np.tan(0.5 * (tau - tau_j))
         return f
 
     plemelj = sum(1j * math.pi * res_j * side for (_tau, res_j, side) in poles)
-    value, err = _contour_integral(s, z, trace, cauchy, tol, plemelj)
+    value, err = _contour_integral(trace, cauchy, tol, plemelj)
     return value, err, "inside" if on_curve is None else "boundary"
 
 
@@ -334,7 +331,7 @@ def _glued_curve(s: StepSet, z: float, cgf: CGF) -> CurveTrace:
             "c is constant: the curve passes through infinity and no CGF glues it"
         )
     trace = trace_curve_M(s, z)
-    _require_gluing(cgf, trace, z)
+    _require_gluing(cgf, trace)
     return trace
 
 
@@ -351,22 +348,23 @@ def q00_general(
     circle, which must not lie outside the domain.  A constant c raises
     CGFUnavailable.
     """
-    return _q00(s, z, cgf, _glued_curve(s, z, cgf), tol)
+    return _q00(cgf, _glued_curve(s, z, cgf), tol)
 
 
-def _q00(s: StepSet, z: float, cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
-    c0, c1, c2 = kernel_polys(s).c
+def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
+    z = trace.z
+    c0, c1, c2 = kernel_polys(trace.steps).c
     r = cgf.pole_residue
     flags: tuple[str, ...] = ()
 
     if c0 == 0:
         # lim_{x->0} J(x)/c(x) with J = -(A0/w(x) + A1/w(x)^2 + ...)
-        a0, e0 = _moment_integral(s, z, cgf, trace, 0, tol)
+        a0, e0 = _moment_integral(cgf, trace, 0, tol)
         if c1 != 0:
             value = -a0 / (r * c1)
             err = e0 / abs(r * c1)
         else:
-            a1, e1 = _moment_integral(s, z, cgf, trace, 1, tol)
+            a1, e1 = _moment_integral(cgf, trace, 1, tol)
             if abs(a0) > 1e-6:
                 raise CaseUndetermined(
                     f"second-order limit requires a vanishing zeroth moment, got {a0}"
@@ -379,15 +377,12 @@ def _q00(s: StepSet, z: float, cgf: CGF, trace: CurveTrace, tol: float) -> GFVal
                        flags=flags)
 
     # roots of c(x) = c0 + c1 x + c2 x^2, all on the unit circle
-    if c2 == 0:
-        roots = [complex(-c0 / c1)]
-    else:
-        roots = [complex(rt) for rt in np.roots([c2, c1, c0])]
+    roots = [complex(rt) for rt in np.roots([c2, c1, c0])]  # np.roots drops a zero c2
     roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
     outside: list[complex] = []
     for x_hat in roots:
         try:
-            val, err, position = cauchy_value(s, x_hat, z, cgf, trace, tol)
+            val, err, position = cauchy_value(trace, x_hat, cgf, tol)
         except PointOutsideDomain:
             outside.append(x_hat)
             continue
@@ -416,17 +411,16 @@ def q10_general(
     to x* = X0(Y0(1,z),z), which does lie inside.
     """
     trace = _glued_curve(s, z, cgf)
-    return _q10(s, z, cgf, trace, _q00(s, z, cgf, trace, tol).value, tol)
+    return _q10(cgf, trace, _q00(cgf, trace, tol).value, tol)
 
 
-def _q10(
-    s: StepSet, z: float, cgf: CGF, trace: CurveTrace, q00: float, tol: float
-) -> GFValue:
+def _q10(cgf: CGF, trace: CurveTrace, q00: float, tol: float) -> GFValue:
+    s, z = trace.steps, trace.z
     kp = kernel_polys(s)
     c_at_1 = sum(kp.c)
     c0 = kp.c[0]
     try:
-        val, err, position = cauchy_value(s, 1.0 + 0j, z, cgf, trace, tol)
+        val, err, position = cauchy_value(trace, 1.0 + 0j, cgf, tol)
     except PointOutsideDomain:
         pass  # x = 1 outside: transport along the kernel
     else:
@@ -441,7 +435,7 @@ def _q10(
         raise CaseUndetermined(
             "the composite point returns to 1; the transport identity is trivial here"
         )
-    val, err, _pos = cauchy_value(s, x_star, z, cgf, trace, tol)
+    val, err, _pos = cauchy_value(trace, x_star, cgf, tol)
     c_at_star = poly_eval(kp.c, x_star)
     q_star = (val + c0 * q00) / c_at_star  # Q(x*, 0, z)
     value = (c_at_star * q_star + (y_star / z) * (1.0 - x_star)) / c_at_1
@@ -476,6 +470,8 @@ def q11_general(
     Zero-drift models have z_g = 1/|S|, so the offset above it would cross
     the genus transition: there z = 1/|S| raises OutOfRange.
     """
+    if z <= 0:
+        raise OutOfRange("z must be positive")
     card = len(s)
     removable = abs(card - 1.0 / z) < 1e-6
     d = drift(s)
@@ -490,11 +486,11 @@ def q11_general(
         def evaluator(zv: float) -> tuple[float, float, float]:
             inner_tol = min(tol, 1e-12)
             trace = _glued_curve(s, zv, cgf)
-            q00 = _q00(s, zv, cgf, trace, inner_tol).value
+            q00 = _q00(cgf, trace, inner_tol).value
             # q01 first: its gluing check on the mirrored curve is cheap and
             # would otherwise wait behind q10's tight-tolerance contour sums
             q01 = q01_general(s, zv, cgf, inner_tol).value
-            q10 = _q10(s, zv, cgf, trace, q00, inner_tol).value
+            q10 = _q10(cgf, trace, q00, inner_tol).value
             return q00, q10, q01
 
     def assemble(zv: float) -> GFValue:

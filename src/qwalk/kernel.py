@@ -49,7 +49,7 @@ def is_finite_root(r: complex) -> bool:
 def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
     """K(x, y, z), computed from the quadratic-in-x form (finite at x=y=0)."""
     if z == 0:
-        raise ZeroDivisionError("the kernel is undefined at z = 0")
+        raise OutOfRange("the kernel is undefined at z = 0")
     kp = kernel_polys(s)
     return (
         poly_eval(kp.a_t, y) * x * x
@@ -210,8 +210,9 @@ def X_branches(s: StepSet, y: complex, z: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class CurveTrace:
-    """Polyline approximation of the x-plane curve traced by X0 over the slit
-    [y1, y2] (upper edge out, lower edge back, per the contour convention).
+    """Polyline approximation of the x-plane curve of the step set `steps` at
+    `z`, the one handle on both: X0 traced over the slit [y1, y2] (upper edge
+    out, lower edge back, per the contour convention).
 
     points has m+1 entries; points[0] = points[m] is the image of y1, and
     points[k] lies over y = mid - half*cos(2 pi k/m).  The first half
@@ -220,6 +221,7 @@ class CurveTrace:
     from the sign of the polyline's signed area.
     """
 
+    steps: StepSet
     z: float
     m: int
     y1: float
@@ -336,6 +338,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     # twice the signed (shoelace) area: Im(conj(p_k) p_{k+1}) summed over the edges
     area2 = float(np.sum((np.conj(points[:-1]) * points[1:]).imag))
     return CurveTrace(
+        steps=s,
         z=z,
         m=m,
         y1=y1,
@@ -347,7 +350,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
 
 
 def contour_nodes(
-    s: StepSet, z: float, trace: CurveTrace, m: int
+    trace: CurveTrace, *, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint-rule nodes for integrals over the traced curve.
 
@@ -361,6 +364,7 @@ def contour_nodes(
     """
     if m % 2:
         raise OutOfRange("m must be even")
+    s, z = trace.steps, trace.z
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
     ys = mid - half * np.cos(tau)
@@ -372,17 +376,12 @@ def contour_nodes(
     d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
     k_x = 2 * at * t + (bt - ys / z)
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
-    # k_x can cancel to 0 on a very narrow slit; the non-finite sums that
-    # follow end in QuadratureNotConverged, not in a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dt_dy = -k_y / k_x
-    dt_dtau = dt_dy * (half * np.sin(tau))
+    # k_x can cancel to 0 on a very narrow slit, giving non-finite nodes
+    dt_dtau = -k_y / k_x * (half * np.sin(tau))
     return tau, ys, t, dt_dtau
 
 
-def curve_preimage(
-    s: StepSet, x: complex, z: float, trace: CurveTrace
-) -> tuple[float, complex] | None:
+def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | None:
     """Where x lies on the traced curve: the slit ordinate y, clamped onto
     [y1, y2], and the upper-edge value X0(y + i0), which equals x or its
     conjugate within _BAND; None when x is off the curve.
@@ -391,6 +390,7 @@ def curve_preimage(
     a kernel y-root at x is real, inside [y1, y2], and the slit edge value
     at that y reproduces x.
     """
+    s, z = trace.steps, trace.z
     for yr in Y_branches(s, x, z):
         if not (is_finite_root(yr) and abs(yr.imag) <= _BAND
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
@@ -402,10 +402,10 @@ def curve_preimage(
     return None
 
 
-def point_in_G_M(s: StepSet, x: complex, z: float, trace: CurveTrace) -> str:
+def point_in_G_M(trace: CurveTrace, x: complex) -> str:
     """Classify x against the domain bounded by the curve: "inside",
     "outside" or "boundary" (band of width 1e-7 around the curve, see
     curve_preimage)."""
-    if curve_preimage(s, x, z, trace) is not None:
+    if curve_preimage(trace, x) is not None:
         return "boundary"
     return "inside" if winding_number(trace.points, x) != 0 else "outside"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from . import _ratpoly as rp
 from .errors import (
     NoPositiveSolution,
+    OutOfRange,
     RootFindingFailure,
     SingularWalk,
     ValidationMismatch,
@@ -186,7 +187,7 @@ def z_Y(s: StepSet) -> float:
     a1, b1, c1 = sum(kp.a), sum(kp.b), sum(kp.c)
     denom = b1 + 2.0 * math.sqrt(a1 * c1)
     if denom == 0:
-        raise ZeroDivisionError("no finite z_Y: b(1) = a(1)c(1) = 0")
+        raise OutOfRange("no finite z_Y: b(1) = a(1)c(1) = 0")
     return 1.0 / denom
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import EmptyStepSet, InvalidStep
+from .errors import EmptyStepSet, InvalidStep, OutOfRange
 
 Step = tuple[int, int]
 
@@ -114,12 +114,15 @@ def preset(name: str) -> StepSet:
     try:
         return parse_step_set(PRESETS[name])
     except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
+        raise OutOfRange(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
 
 
 def from_json(text: str) -> StepSet:
     """Parse the JSON wire format {"steps": [[i, j], ...]}."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidStep(f"the step set is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "steps" not in data:
         raise InvalidStep('expected a JSON object of the form {"steps": [[i,j], ...]}')
     return parse_step_set(data["steps"])

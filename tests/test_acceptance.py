@@ -244,8 +244,8 @@ def test_criterion_10_simple_curve():
         assert float(np.max(np.abs(np.abs(tr.points) - 1.0))) < 1e-8
         assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
         bp = kernel.branch_points(SIMPLE, z)
-        assert kernel.point_in_G_M(SIMPLE, bp.x_roots[0], z, tr) == "inside"
-        assert kernel.point_in_G_M(SIMPLE, bp.x_roots[2], z, tr) == "outside"
+        assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
+        assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
         assert kernel.winding_number(tr.points, bp.x_roots[0]) in (-1, 1)
         assert kernel.winding_number(tr.points, bp.x_roots[2]) == 0
     ok("criterion 10 (unit-circle trace)", "z in {0.1, 0.2}")
@@ -259,7 +259,7 @@ def test_criterion_11_cauchy_integral(simple600):
     tr = kernel.trace_curve_M(SIMPLE, z)
     table = counting.count(SIMPLE, 120, dense_max=0)
     for x in (0.3, 0.5j, -0.7):
-        got = bvp.cauchy_value(SIMPLE, x, z, cgf, tr)[0]
+        got = bvp.cauchy_value(tr, x, cgf)[0]
         want = x * counting.eval_q_x0(table, x, z)  # c(x) = x, c(0) = 0
         assert abs(got - want) < 1e-8, x
     general = bvp.q00_general(SIMPLE, z, cgf)

@@ -203,6 +203,7 @@ def test_steps_file_is_read_once(capsys, tmp_path, monkeypatch):
 
 def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
     for source, error in (
+        (("--steps", "nope"), "InvalidStep"),
         (("--steps", '{"steps": 5}'), "InvalidStep"),
         (("--steps", '{"steps": null}'), "InvalidStep"),
         (("--steps", '{"steps": [[1, 0], 5]}'), "InvalidStep"),
@@ -222,6 +223,8 @@ def test_bad_values_are_structured_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "OutOfRange"
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple", "--z", "0.26")
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
+    code, out, err = run(capsys, "bvp", "--preset", "simple", "--z", "0", "--target", "q11")
+    assert code == 1 and json.loads(err)["error"] == "OutOfRange"
 
 
 def test_out_of_range_lengths_are_typed_errors(capsys):

@@ -338,10 +338,9 @@ def test_bad_z_and_node_counts_are_out_of_range():
     for call, match in (
         (lambda: kernel.branch_points(SIMPLE, 0.0), "z must be positive"),
         (lambda: kernel.Y_branches(SIMPLE, 0.5, -0.1), "z must be positive"),
-        # contour_nodes has no z guard of its own: this one is _edge_values'
-        (lambda: kernel.contour_nodes(SIMPLE, 0.0, trace, 64), "z must be positive"),
+        (lambda: kernel.kernel_eval(SIMPLE, 0.5, 0.5, 0.0), "undefined at z = 0"),
         (lambda: kernel.trace_curve_M(SIMPLE, 0.2, m=8), "m must be >= 16"),
-        (lambda: kernel.contour_nodes(SIMPLE, 0.2, trace, 63), "m must be even"),
+        (lambda: kernel.contour_nodes(trace, m=63), "m must be even"),
     ):
         with pytest.raises(OutOfRange, match=match):
             call()
@@ -351,11 +350,11 @@ def test_point_classification_simple():
     z = 0.2
     tr = kernel.trace_curve_M(SIMPLE, z, m=256)
     bp = kernel.branch_points(SIMPLE, z)
-    assert kernel.point_in_G_M(SIMPLE, bp.x_roots[0], z, tr) == "inside"
-    assert kernel.point_in_G_M(SIMPLE, bp.x_roots[2], z, tr) == "outside"
-    assert kernel.point_in_G_M(SIMPLE, 1.0 + 0j, z, tr) == "boundary"
-    assert kernel.point_in_G_M(SIMPLE, 0.3 + 0.4j, z, tr) == "inside"
-    assert kernel.point_in_G_M(SIMPLE, 2.0 + 0j, z, tr) == "outside"
+    assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
+    assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
+    assert kernel.point_in_G_M(tr, 1.0 + 0j) == "boundary"
+    assert kernel.point_in_G_M(tr, 0.3 + 0.4j) == "inside"
+    assert kernel.point_in_G_M(tr, 2.0 + 0j) == "outside"
 
 
 def test_point_on_a_polyline_vertex_is_a_typed_failure():
@@ -366,9 +365,9 @@ def test_point_on_a_polyline_vertex_is_a_typed_failure():
         z = 0.05 / len(s)
         tr = kernel.trace_curve_M(s, z)
         x = complex(tr.points[7])
-        assert kernel.curve_preimage(s, x, z, tr) is None
+        assert kernel.curve_preimage(tr, x) is None
         with pytest.raises(CaseUndetermined, match="polyline vertex"):
-            kernel.point_in_G_M(s, x, z, tr)
+            kernel.point_in_G_M(tr, x)
 
 
 def test_trace_nontrivial_model():
@@ -387,8 +386,8 @@ def test_trace_kreweras_curve_properties():
     assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
     assert tr.closure_defect < 1e-10
     bp = kernel.branch_points(s, z)
-    assert kernel.point_in_G_M(s, bp.x_roots[0], z, tr) == "inside"
-    assert kernel.point_in_G_M(s, bp.x_roots[2], z, tr) == "outside"
+    assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
+    assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
     # kernel vanishes along the trace against its defining slit values
     mid = 0.5 * (tr.y1 + tr.y2)
     vals = [kernel.Y_branches(s, complex(t), z)[0] for t in tr.points[5:20]]
@@ -403,7 +402,7 @@ def test_contour_nodes_derivative_consistency():
     z = 0.2
     tr = kernel.trace_curve_M(SIMPLE, z, m=256)
     m = 512
-    tau, ys, t, dt = kernel.contour_nodes(SIMPLE, z, tr, m)
+    tau, ys, t, dt = kernel.contour_nodes(tr, m=m)
     h = tau[1] - tau[0]
     fd = (np.roll(t, -1) - np.roll(t, 1)) / (2 * h)
     # central differences are O(h^2); compare away from nothing special

@@ -48,6 +48,20 @@ def test_every_public_definition_is_reached_outside_the_tests():
     assert unreached == []
 
 
+def test_a_trace_is_the_only_handle_on_its_model_and_z():
+    # a CurveTrace carries its step set and z; a function that takes the
+    # trace reads them from it instead of taking them again, unchecked
+    found = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+                if "trace" in params and params & {"s", "z"}:
+                    found.append(f"{p.stem}.{node.name}")
+    assert found == []
+
+
 def test_every_name_the_demos_import_exists():
     # a deleted public name would break a demo; every
     # `from qwalk[.mod] import name` must resolve, demo 06 included

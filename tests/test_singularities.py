@@ -7,6 +7,7 @@ from qwalk import _ratpoly as rp
 from qwalk import kernel, singularities as sg, steps
 from qwalk.errors import (
     NoPositiveSolution,
+    OutOfRange,
     RootFindingFailure,
     SingularWalk,
     ValidationMismatch,
@@ -211,8 +212,10 @@ def test_z_y_is_root_of_discriminant_at_one():
 def test_z_y_infinite_case():
     # b(1) = 0 and c = 0: only North-ish steps on the y-side
     s = steps.parse_step_set([(0, 1), (1, 1), (-1, 1)])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(OutOfRange, match="no finite z_Y"):
         sg.z_Y(s)
+    with pytest.raises(OutOfRange, match="no finite z_Y"):
+        sg.z_X(s.mirrored())
 
 
 def test_diagonal_swap_exchanges_z_x_and_z_y():

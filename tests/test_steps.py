@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qwalk import steps
-from qwalk.errors import EmptyStepSet, InvalidStep
+from qwalk.errors import EmptyStepSet, InvalidStep, OutOfRange
 
 
 def test_parse_simple_walk():
@@ -125,6 +125,13 @@ def test_json_round_trip():
     assert steps.from_json(steps.to_json(s)) == s
     with pytest.raises(InvalidStep):
         steps.from_json(json.dumps({"moves": []}))
+    with pytest.raises(InvalidStep, match="not valid JSON"):
+        steps.from_json("nope")
+
+
+def test_unknown_preset_is_out_of_range():
+    with pytest.raises(OutOfRange, match="unknown preset 'nope'; available: .*'simple'"):
+        steps.preset("nope")
 
 
 def test_all_step_sets_census_size():
