@@ -23,8 +23,9 @@ Two layers:
   specialised to Q(0,0,z) by a pole-cancellation limit at x -> 0 (when
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
   and c is not constant).  When c is constant the curve passes through
-  infinity and no CGF glues it.  Each plane's curve is traced and checked
-  once per call; the trace carries the model and z to every integral on it.
+  infinity and no CGF glues it.  Each plane's curve is traced, checked and
+  its nodes built once per call; the trace carries the model and z to every
+  integral on it, and keeps its nodes and passed gluing checks.
   A point x on the curve takes the inside limit of the same integral: the
   same integrand minus its poles (principal value), plus their
   Sokhotski-Plemelj half-residues.
@@ -114,12 +115,16 @@ def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
 
 
 def _require_gluing(cgf: CGF, trace: CurveTrace) -> None:
+    """Check once per trace that cgf glues it; a pass is kept on the trace."""
+    if cgf in trace._memo:
+        return
     defect = gluing_defect(cgf, trace)
     if defect > _GLUING_TOL:
         raise CGFUnavailable(
             f"CGF {cgf.label!r} does not glue this curve (defect {defect:.2e}); "
             "supply a CGF for the model's own domain"
         )
+    trace._memo[cgf] = True
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,10 @@ class CurveTrace:
     (k <= m/2) takes the root with -i*sqrt(-dt) (see _UPPER_SIGN), the second
     half its exact conjugate.  ccw records whether the traversal is positive,
     from the sign of the polyline's signed area.
+
+    _memo holds the per-curve work done once and dropped with the trace: the
+    contour_nodes result for each m (its arrays read-only) and, keyed by
+    themselves, the CGFs that passed bvp's gluing check on this curve.
     """
 
     steps: StepSet
@@ -229,6 +233,7 @@ class CurveTrace:
     points: np.ndarray
     closure_defect: float
     ccw: bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
@@ -276,8 +281,8 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
 _UPPER_SIGN = -1
 
 
-def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
-    """X0 on the sigma edge of the slit for real y nodes.
+def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> tuple[np.ndarray, ...]:
+    """X0 on the sigma edge of the slit for real y nodes, with at(ys) and bt(ys).
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
@@ -292,8 +297,6 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
         raise SlitDegenerate(
             "at(y) vanishes on the slit: the curve passes through infinity"
         )
-    if z <= 0:
-        raise OutOfRange("z must be positive")
     # dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from its unfactored coefficients
     shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
     sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
@@ -303,7 +306,7 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> np.ndarray:
     noise = 1e-12 * sum(abs(c) for c in dcoef) * np.maximum(1.0, np.abs(ys)) ** 4
     dt = np.where(np.abs(dt) < noise, 0.0, np.minimum(dt, 0.0))
     num = (-bt + ys / z) + 1j * (sigma * np.sqrt(-dt))
-    return num / (2 * at)
+    return num / (2 * at), at, bt
 
 
 def winding_number(points: np.ndarray, x: complex) -> int:
@@ -324,6 +327,8 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     lower edge is its exact conjugate; the orientation comes from the sign
     of the closed polyline's signed area.
     """
+    if z <= 0:
+        raise OutOfRange("z must be positive")
     if m < 16:
         raise OutOfRange("m must be >= 16")
     m = m + (m % 2)
@@ -332,8 +337,9 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
 
     tau = np.linspace(0.0, 2 * math.pi, m + 1)
     ys_up = mid - half * np.cos(tau[: m // 2 + 1])  # y1 -> y2
-    upper = _edge_values(s, ys_up, z, _UPPER_SIGN)
-    lower = _edge_values(s, ys_up[-2::-1], z, -_UPPER_SIGN)  # y2 -> y1, lower edge
+    upper = _edge_values(s, ys_up, z, _UPPER_SIGN)[0]
+    lower = np.conj(upper[-2::-1])  # y2 -> y1, lower edge
+    lower.imag[lower.imag == 0] = 0.0  # +0.0, as the edge formula gives
     points = np.concatenate([upper, lower])
     # twice the signed (shoelace) area: Im(conj(p_k) p_{k+1}) summed over the edges
     area2 = float(np.sum((np.conj(points[:-1]) * points[1:]).imag))
@@ -360,25 +366,30 @@ def contour_nodes(
     after, so a full period traverses the curve in the slit-contour
     orientation; dt/dtau comes from implicit differentiation of K(t, y) = 0.
     ys are the slit ordinates: K(t, ys, z) = 0 exactly, i.e. ys = Y0 on the
-    curve, so integrand densities need no branch selection.
+    curve, so integrand densities need no branch selection.  The nodes are
+    built once per trace and m; a repeat m returns the same read-only arrays.
     """
-    if m % 2:
-        raise OutOfRange("m must be even")
+    if m <= 0 or m % 2:
+        raise OutOfRange(f"m must be even and positive, got {m}")
+    if m in trace._memo:
+        return trace._memo[m]
     s, z = trace.steps, trace.z
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
     ys = mid - half * np.cos(tau)
     sig = np.where(tau < math.pi, _UPPER_SIGN, -_UPPER_SIGN)
-    t = _edge_values(s, ys, z, sig)
+    t, at, bt = _edge_values(s, ys, z, sig)
 
     kp = kernel_polys(s)
-    at, bt = poly_eval(kp.a_t, ys), poly_eval(kp.b_t, ys)
     d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
     k_x = 2 * at * t + (bt - ys / z)
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
     # k_x can cancel to 0 on a very narrow slit, giving non-finite nodes
     dt_dtau = -k_y / k_x * (half * np.sin(tau))
-    return tau, ys, t, dt_dtau
+    nodes = trace._memo[m] = (tau, ys, t, dt_dtau)
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
 
 
 def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | None:
@@ -396,7 +407,7 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | Non
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, np.array([yv]), z, _UPPER_SIGN)[0])
+        up = complex(_edge_values(s, np.array([yv]), z, _UPPER_SIGN)[0][0])
         if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
             return yv, up
     return None

@@ -470,6 +470,51 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
         assert len(traced) == want, fn.__name__
 
 
+def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
+    # several integrals on one trace share its node arrays and its gluing
+    # check; _edge_values sees an even length only when nodes are built
+    traced, glued, built, asked = [], [], [], []
+    trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
+    edge_values, contour_nodes = kernel._edge_values, bvp.contour_nodes
+
+    def counting_trace(*args, **kwargs):
+        traced.append(trace_curve_M(*args, **kwargs))
+        return traced[-1]
+
+    def counting_defect(cgf, trace):
+        glued.append(trace)
+        return gluing_defect(cgf, trace)
+
+    def counting_edges(s, ys, z, sigma):
+        if len(ys) % 2 == 0:
+            built.append(len(ys))
+        return edge_values(s, ys, z, sigma)
+
+    def counting_nodes(trace, *, m):
+        asked.append((id(trace), m))
+        return contour_nodes(trace, m=m)
+
+    monkeypatch.setattr(bvp, "trace_curve_M", counting_trace)
+    monkeypatch.setattr(bvp, "gluing_defect", counting_defect)
+    monkeypatch.setattr(kernel, "_edge_values", counting_edges)
+    monkeypatch.setattr(bvp, "contour_nodes", counting_nodes)
+    cgf = bvp.circle_cgf()
+    for fn, s, z, n_traces in ((bvp.q10_general, LRS, 0.15, 1),
+                               (bvp.q11_general, SIMPLE, 0.2, 2)):
+        for log in (traced, glued, built, asked):
+            log.clear()
+        fn(s, z, cgf)
+        assert len(traced) == n_traces and len(glued) == n_traces, fn.__name__
+        assert sorted(built) == sorted(m for _, m in set(asked)), fn.__name__
+        assert len(asked) > len(set(asked)), fn.__name__
+
+    nodes = kernel.contour_nodes(traced[0], m=256)
+    assert kernel.contour_nodes(traced[0], m=256) is nodes
+    for arr in nodes:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_q11_general_equals_the_relation_on_its_parts():
     # the five genuine models symmetric in both axes: the circle glues both
     # planes, and reusing the x-plane trace leaves every number unchanged

@@ -221,6 +221,8 @@ def test_bad_values_are_structured_errors(capsys):
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple",
                          "--z", "0.2", "--points", "4")
     assert code == 1 and json.loads(err)["error"] == "OutOfRange"
+    code, out, err = run(capsys, "kernel", "trace", "--preset", "simple", "--z", "0")
+    assert code == 1 and json.loads(err)["error"] == "OutOfRange"
     code, out, err = run(capsys, "kernel", "trace", "--preset", "simple", "--z", "0.26")
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
     code, out, err = run(capsys, "bvp", "--preset", "simple", "--z", "0", "--target", "q11")

@@ -289,7 +289,7 @@ def old_upper_edge_sign(s, z, y1, y2):
     nearer to X0 just above the slit."""
     y_mid = 0.5 * (y1 + y2)
     probe = kernel.X_branches(s, complex(y_mid, 1e-7 * max(1.0, abs(y2 - y1))), z)[0]
-    plus, minus = (kernel._edge_values(s, np.array([y_mid]), z, sign)[0] for sign in (1, -1))
+    plus, minus = (kernel._edge_values(s, np.array([y_mid]), z, sign)[0][0] for sign in (1, -1))
     return +1 if abs(plus - probe) <= abs(minus - probe) else -1
 
 
@@ -309,7 +309,7 @@ def test_trace_orientation_and_edge_match_the_former_rules():
             np.linspace(0.0, 2 * math.pi, tr.m + 1)[: half + 1])
         sigma = old_upper_edge_sign(s, z, tr.y1, tr.y2)
         assert np.array_equal(tr.points[: half + 1],
-                              kernel._edge_values(s, ys_up, z, sigma)), (s, z)
+                              kernel._edge_values(s, ys_up, z, sigma)[0]), (s, z)
     assert count > 300
 
 
@@ -339,8 +339,11 @@ def test_bad_z_and_node_counts_are_out_of_range():
         (lambda: kernel.branch_points(SIMPLE, 0.0), "z must be positive"),
         (lambda: kernel.Y_branches(SIMPLE, 0.5, -0.1), "z must be positive"),
         (lambda: kernel.kernel_eval(SIMPLE, 0.5, 0.5, 0.0), "undefined at z = 0"),
+        (lambda: kernel.trace_curve_M(SIMPLE, 0.0), "z must be positive"),
         (lambda: kernel.trace_curve_M(SIMPLE, 0.2, m=8), "m must be >= 16"),
         (lambda: kernel.contour_nodes(trace, m=63), "m must be even"),
+        (lambda: kernel.contour_nodes(trace, m=0), "m must be even"),
+        (lambda: kernel.contour_nodes(trace, m=-2), "m must be even"),
     ):
         with pytest.raises(OutOfRange, match=match):
             call()

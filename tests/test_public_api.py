@@ -62,6 +62,24 @@ def test_a_trace_is_the_only_handle_on_its_model_and_z():
     assert found == []
 
 
+def test_kernel_polys_is_the_only_cache_across_calls():
+    # per-curve work is kept on its CurveTrace and dies with it; a functools
+    # cache keyed by z would serve repeated inputs instead of doing the work.
+    # kernel_polys, keyed by the step set alone, is the one exception
+    caching = {"cache", "lru_cache", "cached_property"}
+    decorated, uses = [], 0
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    caching & _names(dec) for dec in node.decorator_list):
+                decorated.append(f"{p.stem}.{node.name}")
+            own = ({node.id} if isinstance(node, ast.Name) else
+                   {node.attr} if isinstance(node, ast.Attribute) else
+                   {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
+            uses += len(caching & own)
+    assert decorated == ["steps.kernel_polys"] and uses == 1
+
+
 def test_every_name_the_demos_import_exists():
     # a deleted public name would break a demo; every
     # `from qwalk[.mod] import name` must resolve, demo 06 included
