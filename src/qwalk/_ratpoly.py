@@ -185,9 +185,9 @@ def cauchy_bound(p: Poly) -> int:
     return 1 + max((-(-abs(c) // lead) for c in p[:-1]), default=0)
 
 
-def isolate_positive_roots(p: Poly, width: Fraction = BRACKET_WIDTH) -> list[Fraction]:
+def isolate_positive_roots(p: Poly) -> list[Fraction]:
     """Centres of certified isolating brackets, one for every distinct
-    positive real root of p, ascending; each bracket is `width` wide.
+    positive real root of p, ascending; each bracket is BRACKET_WIDTH wide.
 
     The square-free part's Sturm chain counts the positive roots N exactly.
     Float roots from numpy.roots seed the brackets; a bracket is certified
@@ -206,7 +206,7 @@ def isolate_positive_roots(p: Poly, width: Fraction = BRACKET_WIDTH) -> list[Fra
         r.real for r in np.roots([c / big for c in reversed(p)])
         if 0 < r.real < bound and abs(r.imag) <= 1e-7 * max(1.0, abs(r))
     })
-    half = width / 2
+    half = BRACKET_WIDTH / 2
     centres: list[Fraction] = []
     for r in seeds:
         c = Fraction(r)

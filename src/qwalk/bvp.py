@@ -22,10 +22,11 @@ Two layers:
 
   specialised to Q(0,0,z) by a pole-cancellation limit at x -> 0 (when
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
-  and c is not constant).  When c is constant the curve passes through
-  infinity and no CGF glues it.  Each plane's curve is traced, checked and
-  its nodes built once per call; the trace carries the model and z to every
-  integral on it, and keeps its nodes and passed gluing checks.
+  and c is not constant).  No CGF glues the curve when c is constant (it
+  passes through infinity) or c(x) = x^2 (it passes through x = 0, the pole
+  of every CGF).  Each plane's curve is traced, checked and its nodes built
+  once per call; the trace carries the model and z to every integral on it,
+  and keeps its nodes and passed gluing checks.
   A point x on the curve takes the inside limit of the same integral: the
   same integrand minus its poles (principal value), plus their
   Sokhotski-Plemelj half-residues.
@@ -80,15 +81,13 @@ class CGF:
 
     w maps the domain conformally onto the plane cut along a segment, takes
     equal values at conjugate boundary points, and has its unique pole at
-    t = 0 with residue `pole_residue` and constant term `pole_const` in the
-    Laurent expansion w(t) = pole_residue/t + pole_const + O(t).  The traced
-    curve fixes the model and z, so w and dw take t alone, elementwise on arrays.
+    t = 0 with residue `pole_residue`.  The traced curve fixes the model and
+    z, so w and dw take t alone, elementwise on arrays.
     """
 
     w: Callable[[complex], complex]
     dw: Callable[[complex], complex]
     pole_residue: float
-    pole_const: float
     label: str
 
 
@@ -98,7 +97,6 @@ def circle_cgf() -> CGF:
         w=lambda t: t + 1.0 / t,
         dw=lambda t: 1.0 - 1.0 / (t * t),
         pole_residue=1.0,
-        pole_const=0.0,
         label="builtin-circle",
     )
 
@@ -213,10 +211,10 @@ def q11_from_relation(
 # contour machinery
 # --------------------------------------------------------------------------
 
-def _converge(eval_at, tol: float, start: int = 256) -> tuple[complex, float]:
-    """Double midpoint nodes until successive values differ by < tol; raise
-    QuadratureNotConverged at the node cap."""
-    m, diff = start, math.inf
+def _converge(eval_at, tol: float) -> tuple[complex, float]:
+    """Double midpoint nodes from 256 until successive values differ by
+    < tol; raise QuadratureNotConverged at the node cap."""
+    m, diff = 256, math.inf
     prev = eval_at(m)
     while m < _MAX_NODES:
         m *= 2
@@ -245,17 +243,6 @@ def _contour_integral(
 
     total, err = _converge(at_m, tol)
     return (orient * total + plemelj) / (2j * math.pi * z), err / (2 * math.pi * abs(z))
-
-
-def _moment_integral(
-    cgf: CGF, trace: CurveTrace, power: int, tol: float
-) -> tuple[complex, float]:
-    """(1/(2 pi i z)) oint t Y0 w'(t) w(t)^power dt, CCW."""
-    def moment(tau, ys, t, dt):
-        f = t * ys * cgf.dw(t) * dt
-        return f * cgf.w(t) ** power if power else f
-
-    return _contour_integral(trace, moment, tol)
 
 
 def _boundary_pole_data(
@@ -326,15 +313,26 @@ def _as_real(value: complex, what: str) -> float:
     return value.real
 
 
-def _glued_curve(s: StepSet, z: float, cgf: CGF) -> CurveTrace:
-    """The plane's traced curve, checked to be glued by cgf.  A constant c
-    raises CGFUnavailable before tracing: its curve passes through infinity,
-    so no CGF glues it."""
+def _require_glueable(s: StepSet) -> None:
+    """Raise CGFUnavailable, before any tracing, for a plane whose curve no
+    CGF glues.  A constant c puts the curve through infinity.  With
+    c(x) = x^2 (the only down step is (1,-1)), y = 0 is the slit end y1 and
+    X0(0) = 0, so the curve passes through x = 0, the pole of every CGF."""
     c0, c1, c2 = kernel_polys(s).c
     if c0 != 0 and c1 == 0 and c2 == 0:
         raise CGFUnavailable(
             "c is constant: the curve passes through infinity and no CGF glues it"
         )
+    if c0 == 0 and c1 == 0 and c2 != 0:
+        raise CGFUnavailable(
+            "c(x) = x^2: the curve passes through x = 0, the pole of every CGF, "
+            "and no CGF glues it"
+        )
+
+
+def _glued_curve(s: StepSet, z: float, cgf: CGF) -> CurveTrace:
+    """The plane's traced curve, checked to be glued by cgf."""
+    _require_glueable(s)
     trace = trace_curve_M(s, z)
     _require_gluing(cgf, trace)
     return trace
@@ -350,8 +348,8 @@ def q00_general(
 
     Case dispatch on c: (a) c(0) = 0: pole-cancellation limit at x -> 0;
     (b) c(0) = 1, c non-constant: evaluate at a root of c on the unit
-    circle, which must not lie outside the domain.  A constant c raises
-    CGFUnavailable.
+    circle, which must not lie outside the domain.  A constant c and
+    c(x) = x^2 raise CGFUnavailable before tracing.
     """
     return _q00(cgf, _glued_curve(s, z, cgf), tol)
 
@@ -359,32 +357,22 @@ def q00_general(
 def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
     z = trace.z
     c0, c1, c2 = kernel_polys(trace.steps).c
-    r = cgf.pole_residue
-    flags: tuple[str, ...] = ()
 
     if c0 == 0:
-        # lim_{x->0} J(x)/c(x) with J = -(A0/w(x) + A1/w(x)^2 + ...)
-        a0, e0 = _moment_integral(cgf, trace, 0, tol)
-        if c1 != 0:
-            value = -a0 / (r * c1)
-            err = e0 / abs(r * c1)
-        else:
-            a1, e1 = _moment_integral(cgf, trace, 1, tol)
-            if abs(a0) > 1e-6:
-                raise CaseUndetermined(
-                    f"second-order limit requires a vanishing zeroth moment, got {a0}"
-                )
-            value = (a0 * cgf.pole_const - a1) / (r * r * c2)
-            err = (e0 * abs(cgf.pole_const) + e1) / (r * r * abs(c2))
-            flags += ("second-order-limit",)
-        return GFValue(value=_as_real(value, "Q(0,0,z)"), z=z,
-                       method="cgf-integral/limit", quadrature_error_estimate=err,
-                       flags=flags)
+        # lim_{x->0} J(x)/c(x) with J = -(A0/w(x) + A1/w(x)^2 + ...) and
+        # w(x) = r/x + O(1); c1 != 0, as _glued_curve refuses c = x^2
+        a0, e0 = _contour_integral(
+            trace, lambda tau, ys, t, dt: t * ys * cgf.dw(t) * dt, tol)
+        r = cgf.pole_residue
+        return GFValue(value=_as_real(-a0 / (r * c1), "Q(0,0,z)"), z=z,
+                       method="cgf-integral/limit",
+                       quadrature_error_estimate=e0 / abs(r * c1))
 
     # roots of c(x) = c0 + c1 x + c2 x^2, all on the unit circle
     roots = [complex(rt) for rt in np.roots([c2, c1, c0])]  # np.roots drops a zero c2
     roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
     outside: list[complex] = []
+    flags: tuple[str, ...] = ()
     for x_hat in roots:
         try:
             val, err, position = cauchy_value(trace, x_hat, cgf, tol)
@@ -487,6 +475,8 @@ def q11_general(
     if evaluator is None:
         if cgf is None:
             raise CGFUnavailable("q11_general needs a CGF or an explicit evaluator")
+        for plane in (s, s.mirrored()):
+            _require_glueable(plane)  # before tracing either plane
 
         def evaluator(zv: float) -> tuple[float, float, float]:
             inner_tol = min(tol, 1e-12)

@@ -254,18 +254,13 @@ def _cmd_check(s: steps.StepSet, args) -> int:
             skip("growth-vs-first-singularity", f"n = {args.n} is below 80")
         try:
             trace = kernel.trace_curve_M(s, 0.5 * inv)
-            cgf = bvp.circle_cgf()
-            defect = bvp.gluing_defect(cgf, trace)
-            if defect >= 1e-9:
-                skip("cauchy-integral-vs-series", f"no circle gluing: defect {defect:.2e}")
-            else:
-                kp = steps.kernel_polys(s)
-                x, z = 0.3, trace.z
-                got = bvp.cauchy_value(trace, x, cgf)[0]
-                want = steps.poly_eval(kp.c, x) * counting.eval_q_x0(table, x, z) \
-                    - kp.c[0] * counting.eval_series(counting.series(table, "q00").coeffs, z)
-                record("cauchy-integral-vs-series", abs(got - want) < 1e-8,
-                       f"difference {abs(got - want):.2e}")
+            kp = steps.kernel_polys(s)
+            x, z = 0.3, trace.z
+            got = bvp.cauchy_value(trace, x, bvp.circle_cgf())[0]
+            want = steps.poly_eval(kp.c, x) * counting.eval_q_x0(table, x, z) \
+                - kp.c[0] * counting.eval_series(counting.series(table, "q00").coeffs, z)
+            record("cauchy-integral-vs-series", abs(got - want) < 1e-8,
+                   f"difference {abs(got - want):.2e}")
         except QwalkError as exc:
             skip("cauchy-integral-vs-series", f"{type(exc).__name__}: {exc}")
     else:

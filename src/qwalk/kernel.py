@@ -156,7 +156,7 @@ def _order_eq8(roots: list[complex]) -> tuple[list[complex], bool]:
 def branch_points(s: StepSet, z: float) -> BranchPoints:
     """Roots of both discriminants at z, ordered per the branch-point pattern
     when z is inside (0, 1/|S|) and the pattern verifies."""
-    if z <= 0:
+    if not 0 < z < math.inf:
         raise OutOfRange("z must be positive")
     in_range = z < 1.0 / len(s)
 
@@ -190,7 +190,7 @@ def _quad_roots_stable(A: complex, B: complex, C: complex) -> tuple[complex, com
 def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
     """Both kernel roots in y at x, with |Y0| <= |Y1|; Y1 = INF_ROOT when
     a(x) = 0.  Branch separation by modulus is valid off the x-plane slits."""
-    if z <= 0:
+    if not 0 < z < math.inf:
         raise OutOfRange("z must be positive")
     kp = kernel_polys(s)
     A = complex(poly_eval(kp.a, x))
@@ -231,7 +231,6 @@ class CurveTrace:
     y1: float
     y2: float
     points: np.ndarray
-    closure_defect: float
     ccw: bool
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -327,7 +326,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     lower edge is its exact conjugate; the orientation comes from the sign
     of the closed polyline's signed area.
     """
-    if z <= 0:
+    if not 0 < z < math.inf:
         raise OutOfRange("z must be positive")
     if m < 16:
         raise OutOfRange("m must be >= 16")
@@ -350,7 +349,6 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         y1=y1,
         y2=y2,
         points=points,
-        closure_defect=float(abs(points[0] - points[-1])),
         ccw=area2 > 0,
     )
 

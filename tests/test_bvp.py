@@ -170,7 +170,6 @@ def test_circle_cgf_pole_data():
     cgf = bvp.circle_cgf()
     t = 1e-7
     assert cgf.w(t) * t == pytest.approx(cgf.pole_residue, rel=1e-6)
-    assert cgf.pole_const == 0.0
 
 
 def test_gluing_defect_rejects_wrong_domain():
@@ -336,6 +335,47 @@ def test_q00_general_constant_c_is_unavailable():
                               (bvp.q01_general, s.mirrored())):
                 with pytest.raises(CGFUnavailable, match="c is constant"):
                     fn(model, f / len(s), bvp.circle_cgf())
+
+
+def x_squared_c(s):
+    # the only down step is (1,-1)
+    return kernel.kernel_polys(s).c == (0, 0, 1)
+
+
+def test_x_squared_c_is_unavailable_before_tracing(monkeypatch):
+    # c(x) = x^2 puts the curve through x = 0, the pole of every CGF; the
+    # route refuses the plane before it traces anything
+    def no_trace(*args, **kwargs):
+        raise AssertionError("trace_curve_M was called")
+
+    monkeypatch.setattr(kernel, "trace_curve_M", no_trace)
+    monkeypatch.setattr(bvp, "trace_curve_M", no_trace)
+    x_planes = [s for s in steps.all_step_sets() if x_squared_c(s)]
+    y_planes = [s for s in steps.all_step_sets() if x_squared_c(s.mirrored())]
+    assert len(x_planes) == len(y_planes) == 32
+    cgf = bvp.circle_cgf()
+    for f in (0.25, 0.5, 0.85):
+        for fns, models in (((bvp.q00_general, bvp.q10_general), x_planes),
+                            ((bvp.q01_general, bvp.q11_general), y_planes)):
+            for fn in fns:
+                for s in models:
+                    with pytest.raises(CGFUnavailable, match="x = 0, the pole of every CGF"):
+                        fn(s, f / len(s), cgf)
+
+
+def test_x_squared_c_curves_pass_through_the_pole():
+    # on the 13 genuine sets with c(x) = x^2, y = 0 is the slit end y1 and
+    # X0(0) = 0, so the traced curve holds the point 0 and w blows up on it
+    genuine = [
+        s for s in steps.all_step_sets()
+        if x_squared_c(s) and not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+    ]
+    assert len(genuine) == 13
+    for s in genuine:
+        for f in (0.25, 0.5, 0.85):
+            tr = kernel.trace_curve_M(s, f / len(s))
+            assert tr.y1 == 0.0 and np.min(np.abs(tr.points)) == 0.0
+            assert bvp.gluing_defect(bvp.circle_cgf(), tr) == math.inf
 
 
 def test_q00_via_kernel_point_dp_backed(lrs_table):
@@ -547,12 +587,11 @@ def test_positivity_and_monotonicity():
 def test_cgf_interface_shift_invariance(simple_table):
     # w -> w + const is another valid gluing map of the same domain; every
     # produced value must be unchanged (the Cauchy kernel sees differences
-    # of w only, and the limit formulas use w' and the pole data)
+    # of w only, and the limit formula uses w' and the pole residue)
     shifted = bvp.CGF(
         w=lambda t: t + 1.0 / t + 5.0,
         dw=lambda t: 1.0 - 1.0 / (t * t),
         pole_residue=1.0,
-        pole_const=5.0,
         label="shifted-circle",
     )
     z = 0.2

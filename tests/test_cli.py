@@ -177,6 +177,24 @@ def test_check_lists_skipped_checks(capsys):
     assert not skipped.keys() & {r["name"] for r in data["results"]}
 
 
+def test_check_runs_its_gluing_check_once(capsys, monkeypatch):
+    # the circle does not glue kreweras's curve: cauchy_value's own gluing
+    # check raises, and check reports that error as the skip reason
+    calls = []
+    gluing_defect = qwalk.bvp.gluing_defect
+
+    def counted(cgf, trace):
+        calls.append(trace)
+        return gluing_defect(cgf, trace)
+
+    monkeypatch.setattr(qwalk.bvp, "gluing_defect", counted)
+    code, out, _ = run(capsys, "check", "--preset", "kreweras", "--n", "40")
+    skipped = {r["name"]: r["reason"] for r in json.loads(out)["skipped"]}
+    assert code == 0
+    assert skipped["cauchy-integral-vs-series"].startswith("CGFUnavailable")
+    assert len(calls) == 1
+
+
 def test_steps_file_source(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text('{"steps": [[-1,0],[0,-1],[1,1]]}')
@@ -227,6 +245,14 @@ def test_bad_values_are_structured_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
     code, out, err = run(capsys, "bvp", "--preset", "simple", "--z", "0", "--target", "q11")
     assert code == 1 and json.loads(err)["error"] == "OutOfRange"
+    # a non-finite z is refused before numpy.roots sees it
+    for argv in (("kernel", "branch-points", "--preset", "kreweras", "--z", "nan"),
+                 ("kernel", "branch-points", "--preset", "kreweras", "--z", "inf"),
+                 ("kernel", "trace", "--preset", "kreweras", "--z", "nan"),
+                 ("bvp", "--preset", "kreweras", "--z", "nan", "--target", "q00"),
+                 ("bvp", "--preset", "simple", "--z", "inf", "--target", "q11")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and json.loads(err)["error"] == "OutOfRange", argv
 
 
 def test_out_of_range_lengths_are_typed_errors(capsys):

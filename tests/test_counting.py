@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -417,6 +418,48 @@ def test_eval_series_matches_direct_sum():
     z = 0.11
     direct = sum(c * z**n for n, c in enumerate(coeffs))
     assert counting.eval_series(coeffs, z) == pytest.approx(direct, rel=1e-14)
+
+
+def test_eval_series_with_coefficients_beyond_float_range():
+    # the simple walk's q(n) = C(n, n//2) C(n+1, (n+1)//2) (Guy, Krattenthaler
+    # and Sagan); from n = 503 on they have 1000 bits or more, the terms that
+    # eval_series sums through logarithms
+    coeffs = [math.comb(n, n // 2) * math.comb(n + 1, (n + 1) // 2) for n in range(541)]
+    assert tuple(coeffs[:41]) == counting.series(counting.count(SIMPLE, 40), "q11").coeffs
+    assert sum(c.bit_length() >= 1000 for c in coeffs) == 37
+    top = len(coeffs) - 1
+    for z in (0.05, 0.1, 0.2, -0.2):
+        num, den = z.as_integer_ratio()  # the sum exactly, over den**top
+        exact = float(Fraction(
+            sum(c * num**n * den ** (top - n) for n, c in enumerate(coeffs)), den**top))
+        assert counting.eval_series(coeffs, z) == pytest.approx(exact, rel=1e-14), z
+
+
+def test_count_table_q_reads_every_cell():
+    n_max, dense_max = 6, 4
+    for s in (SIMPLE, KREWERAS, KING):
+        t = counting.count(s, n_max, dense_max=dense_max)
+        for n in range(dense_max + 1):
+            tally = paths_tally(s, n)
+            grid = t.layer(n)
+            for j in range(-1, n + 3):
+                for i in range(-1, n + 3):
+                    want = tally.get((i, j), 0)
+                    assert t.q(i, j, n) == want, (s, i, j, n)
+                    if 0 <= i <= n and 0 <= j <= n:
+                        assert grid[j][i] == want
+        # beyond dense_max the axes still answer; interior cells and layers refuse
+        ref = naive_count(s, n_max)[n_max]
+        for k in range(n_max + 1):
+            assert t.q(k, 0, n_max) == ref[0][k] and t.q(0, k, n_max) == ref[k][0]
+        assert t.q(n_max + 1, 1, n_max) == t.q(1, n_max + 1, n_max) == 0
+        with pytest.raises(ResourceLimit, match="dense_max=4"):
+            t.q(1, 1, n_max)
+        with pytest.raises(ResourceLimit, match="dense_max=4"):
+            t.layer(dense_max + 1)
+        for n in (n_max + 1, -1):
+            with pytest.raises(OutOfRange, match="not computed"):
+                t.q(1, 1, n)
 
 
 def test_eval_q_x0_matches_direct_sum():

@@ -258,7 +258,7 @@ def test_trace_simple_walk_is_unit_circle():
         tr = kernel.trace_curve_M(SIMPLE, z, m=256)
         assert np.max(np.abs(np.abs(tr.points) - 1.0)) < 1e-8
         assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
-        assert tr.closure_defect < 1e-10
+        assert abs(tr.points[0] - tr.points[-1]) < 1e-10
 
 
 def test_trace_winding_classifications():
@@ -387,7 +387,7 @@ def test_trace_kreweras_curve_properties():
     z = 0.2
     tr = kernel.trace_curve_M(s, z, m=512)
     assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
-    assert tr.closure_defect < 1e-10
+    assert abs(tr.points[0] - tr.points[-1]) < 1e-10
     bp = kernel.branch_points(s, z)
     assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
     assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
