@@ -193,8 +193,8 @@ def q11_from_relation(
         (|S| - 1/z) Q(1,1,z) = c(1) Q(1,0,z) + ct(1) Q(0,1,z)
                                - delta_{-1,-1} Q(0,0,z) - 1/z.
     """
-    if z <= 0:
-        raise OutOfRange("z must be positive")
+    if not 0 < z < math.inf:
+        raise OutOfRange("z must be positive and finite")
     card = len(s)
     denom = card - 1.0 / z
     if abs(denom) < 1e-9:
@@ -452,19 +452,20 @@ def q11_general(
     s: StepSet,
     z: float,
     cgf: CGF | None = None,
-    tol: float = 1e-9,
     evaluator: Callable[[float], tuple[float, float, float]] | None = None,
 ) -> GFValue:
     """Q(1,1,z) from the kernel relation at (1,1).
 
-    evaluator(z) -> (q00, q10, q01) defaults to the gluing route.  At the
+    evaluator(z) -> (q00, q10, q01) defaults to the gluing route at tolerance
+    1e-12; Q(0,0,z), the same on both planes, is computed once, on the x
+    plane.  At the
     removable point z = 1/|S| the relation degenerates to 0 = 0; the value
     is then recovered by Richardson extrapolation of symmetric offsets.
     Zero-drift models have z_g = 1/|S|, so the offset above it would cross
     the genus transition: there z = 1/|S| raises OutOfRange.
     """
-    if z <= 0:
-        raise OutOfRange("z must be positive")
+    if not 0 < z < math.inf:
+        raise OutOfRange("z must be positive and finite")
     card = len(s)
     removable = abs(card - 1.0 / z) < 1e-6
     d = drift(s)
@@ -479,14 +480,9 @@ def q11_general(
             _require_glueable(plane)  # before tracing either plane
 
         def evaluator(zv: float) -> tuple[float, float, float]:
-            inner_tol = min(tol, 1e-12)
-            trace = _glued_curve(s, zv, cgf)
-            q00 = _q00(cgf, trace, inner_tol).value
-            # q01 first: its gluing check on the mirrored curve is cheap and
-            # would otherwise wait behind q10's tight-tolerance contour sums
-            q01 = q01_general(s, zv, cgf, inner_tol).value
-            q10 = _q10(cgf, trace, q00, inner_tol).value
-            return q00, q10, q01
+            x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in (s, s.mirrored()))
+            q00 = _q00(cgf, x_plane, 1e-12).value
+            return (q00, *(_q10(cgf, p, q00, 1e-12).value for p in (x_plane, y_plane)))
 
     def assemble(zv: float) -> GFValue:
         q00, q10, q01 = evaluator(zv)

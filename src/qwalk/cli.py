@@ -115,6 +115,8 @@ def _cmd_group(s: steps.StepSet, args) -> int:
 
 
 def _cmd_kernel(s: steps.StepSet, args) -> int:
+    import cmath
+
     from . import kernel
 
     if args.action == "branch-points":
@@ -122,7 +124,7 @@ def _cmd_kernel(s: steps.StepSet, args) -> int:
 
         def fmt(roots):
             return [
-                {"re": r.real, "im": r.imag} if kernel.is_finite_root(r) else "infinity"
+                {"re": r.real, "im": r.imag} if cmath.isfinite(r) else "infinity"
                 for r in roots
             ]
 

@@ -42,14 +42,10 @@ INF_ROOT = complex(math.inf, 0.0)
 _BAND = 1e-7
 
 
-def is_finite_root(r: complex) -> bool:
-    return math.isfinite(r.real) and math.isfinite(r.imag)
-
-
 def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
     """K(x, y, z), computed from the quadratic-in-x form (finite at x=y=0)."""
-    if z == 0:
-        raise OutOfRange("the kernel is undefined at z = 0")
+    if z == 0 or not math.isfinite(z):
+        raise OutOfRange(f"the kernel is undefined at z = {z}")
     kp = kernel_polys(s)
     return (
         poly_eval(kp.a_t, y) * x * x
@@ -157,7 +153,7 @@ def branch_points(s: StepSet, z: float) -> BranchPoints:
     """Roots of both discriminants at z, ordered per the branch-point pattern
     when z is inside (0, 1/|S|) and the pattern verifies."""
     if not 0 < z < math.inf:
-        raise OutOfRange("z must be positive")
+        raise OutOfRange("z must be positive and finite")
     in_range = z < 1.0 / len(s)
 
     xr, okx = _order_eq8(disc_roots(s, z)[1])
@@ -191,7 +187,7 @@ def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
     """Both kernel roots in y at x, with |Y0| <= |Y1|; Y1 = INF_ROOT when
     a(x) = 0.  Branch separation by modulus is valid off the x-plane slits."""
     if not 0 < z < math.inf:
-        raise OutOfRange("z must be positive")
+        raise OutOfRange("z must be positive and finite")
     kp = kernel_polys(s)
     A = complex(poly_eval(kp.a, x))
     B = complex(poly_eval(kp.b, x)) - x / z
@@ -214,10 +210,10 @@ class CurveTrace:
     `z`, the one handle on both: X0 traced over the slit [y1, y2] (upper edge
     out, lower edge back, per the contour convention).
 
-    points has m+1 entries; points[0] = points[m] is the image of y1, and
-    points[k] lies over y = mid - half*cos(2 pi k/m).  The first half
-    (k <= m/2) takes the root with -i*sqrt(-dt) (see _UPPER_SIGN), the second
-    half its exact conjugate.  ccw records whether the traversal is positive,
+    points has m+1 entries for an even m; points[0] = points[m] is the image
+    of y1, and points[k] lies over y = mid - half*cos(2 pi k/m).  The first
+    half (k <= m/2) is the upper edge (_edge_values), the second half its
+    exact conjugate.  ccw records whether the traversal is positive,
     from the sign of the polyline's signed area.
 
     _memo holds the per-curve work done once and dropped with the trace: the
@@ -227,7 +223,6 @@ class CurveTrace:
 
     steps: StepSet
     z: float
-    m: int
     y1: float
     y2: float
     points: np.ndarray
@@ -275,13 +270,15 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     return y1, y2
 
 
-#: Sign sigma of the first-half edge values (-bt + y/z + i*sigma*sqrt(-dt))/(2 at).
+#: Sign sigma of the edge values (-bt + y/z + i*sigma*sqrt(-dt))/(2 at).
 #: sigma = -1 gave X0 on the upper edge, X0(y + i0+), on every trace measured.
 _UPPER_SIGN = -1
 
 
-def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> tuple[np.ndarray, ...]:
-    """X0 on the sigma edge of the slit for real y nodes, with at(ys) and bt(ys).
+def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """X0 on the upper edge of the slit for real y nodes (the lower edge is
+    its conjugate), with dK/dx = 2 at X0 + bt - y/z there, which is the
+    formula's root term i*sigma*sqrt(-dt).
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
@@ -304,8 +301,8 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float, sigma) -> tuple[np.ndarra
     # exact zeros at the slit endpoints reach us as roundoff noise; clamp it
     noise = 1e-12 * sum(abs(c) for c in dcoef) * np.maximum(1.0, np.abs(ys)) ** 4
     dt = np.where(np.abs(dt) < noise, 0.0, np.minimum(dt, 0.0))
-    num = (-bt + ys / z) + 1j * (sigma * np.sqrt(-dt))
-    return num / (2 * at), at, bt
+    k_x = 1j * (_UPPER_SIGN * np.sqrt(-dt))
+    return ((-bt + ys / z) + k_x) / (2 * at), k_x
 
 
 def winding_number(points: np.ndarray, x: complex) -> int:
@@ -322,12 +319,12 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
     and back along the lower edge.  Requires the genus-1 regime.
 
-    The first half takes the -i*sqrt(-dt) edge root (_UPPER_SIGN) and the
-    lower edge is its exact conjugate; the orientation comes from the sign
+    The first half is the upper edge (_edge_values) and the lower edge is its
+    exact conjugate; the orientation comes from the sign
     of the closed polyline's signed area.
     """
     if not 0 < z < math.inf:
-        raise OutOfRange("z must be positive")
+        raise OutOfRange("z must be positive and finite")
     if m < 16:
         raise OutOfRange("m must be >= 16")
     m = m + (m % 2)
@@ -336,7 +333,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
 
     tau = np.linspace(0.0, 2 * math.pi, m + 1)
     ys_up = mid - half * np.cos(tau[: m // 2 + 1])  # y1 -> y2
-    upper = _edge_values(s, ys_up, z, _UPPER_SIGN)[0]
+    upper = _edge_values(s, ys_up, z)[0]
     lower = np.conj(upper[-2::-1])  # y2 -> y1, lower edge
     lower.imag[lower.imag == 0] = 0.0  # +0.0, as the edge formula gives
     points = np.concatenate([upper, lower])
@@ -345,7 +342,6 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     return CurveTrace(
         steps=s,
         z=z,
-        m=m,
         y1=y1,
         y2=y2,
         points=points,
@@ -360,9 +356,10 @@ def contour_nodes(
 
     Returns (tau, ys, t, dt_dtau) on the staggered grid tau_k = 2 pi (k+1/2)/m,
     which never touches the fold points tau = 0, pi where dK/dx vanishes.
-    t(tau) = X0(y(tau)) on the upper edge for tau < pi and the lower edge
-    after, so a full period traverses the curve in the slit-contour
-    orientation; dt/dtau comes from implicit differentiation of K(t, y) = 0.
+    t(tau) = X0(y(tau)) on the upper edge for tau < pi, where the nodes are
+    evaluated, and their mirror on the lower edge after, so a full period
+    traverses the curve in the slit-contour orientation; dt/dtau comes from
+    implicit differentiation of K(t, y) = 0 (its mirror is -conj).
     ys are the slit ordinates: K(t, ys, z) = 0 exactly, i.e. ys = Y0 on the
     curve, so integrand densities need no branch selection.  The nodes are
     built once per trace and m; a repeat m returns the same read-only arrays.
@@ -374,17 +371,17 @@ def contour_nodes(
     s, z = trace.steps, trace.z
     mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
-    ys = mid - half * np.cos(tau)
-    sig = np.where(tau < math.pi, _UPPER_SIGN, -_UPPER_SIGN)
-    t, at, bt = _edge_values(s, ys, z, sig)
+    up = tau[: m // 2]
+    ys = mid - half * np.cos(up)
+    t, k_x = _edge_values(s, ys, z)
 
     kp = kernel_polys(s)
     d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
-    k_x = 2 * at * t + (bt - ys / z)
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
-    # k_x can cancel to 0 on a very narrow slit, giving non-finite nodes
-    dt_dtau = -k_y / k_x * (half * np.sin(tau))
-    nodes = trace._memo[m] = (tau, ys, t, dt_dtau)
+    dt_dtau = -k_y / k_x * (half * np.sin(up))
+    nodes = trace._memo[m] = (tau, np.concatenate([ys, ys[::-1]]),
+                              np.concatenate([t, np.conj(t[::-1])]),
+                              np.concatenate([dt_dtau, -np.conj(dt_dtau[::-1])]))
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
@@ -401,11 +398,11 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | Non
     """
     s, z = trace.steps, trace.z
     for yr in Y_branches(s, x, z):
-        if not (is_finite_root(yr) and abs(yr.imag) <= _BAND
+        if not (cmath.isfinite(yr) and abs(yr.imag) <= _BAND
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, np.array([yv]), z, _UPPER_SIGN)[0][0])
+        up = complex(_edge_values(s, np.array([yv]), z)[0][0])
         if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
             return yv, up
     return None

@@ -137,6 +137,27 @@ def test_q11_at_zero_z_is_out_of_range():
         bvp.q11_general(SIMPLE, 0.0, bvp.circle_cgf())
 
 
+def test_non_finite_z_is_out_of_range():
+    cgf = bvp.circle_cgf()
+    for z in (math.nan, math.inf):
+        with pytest.raises(OutOfRange, match=f"undefined at z = {z}"):
+            kernel.kernel_eval(SIMPLE, 0.5, 0.5, z)
+        for call in (
+            lambda: kernel.branch_points(SIMPLE, z),
+            lambda: kernel.Y_branches(SIMPLE, 0.5, z),
+            lambda: kernel.X_branches(SIMPLE, 0.5, z),
+            lambda: kernel.trace_curve_M(SIMPLE, z),
+            lambda: bvp.q00_general(SIMPLE, z, cgf),
+            lambda: bvp.q10_general(SIMPLE, z, cgf),
+            lambda: bvp.q01_general(SIMPLE, z, cgf),
+            lambda: bvp.q11_general(SIMPLE, z, cgf),
+            lambda: bvp.q11_from_relation(SIMPLE, z, 1.0, 1.0, 1.0),
+            lambda: bvp.q11_general(SIMPLE, z, evaluator=lambda zv: (1.0, 1.0, 1.0)),
+        ):
+            with pytest.raises(OutOfRange, match="z must be positive and finite"):
+                call()
+
+
 def test_q11_removable_singularity_raises():
     with pytest.raises(RemovableSingularity):
         bvp.q11_from_relation(SIMPLE, 0.25, 1.0, 1.0, 1.0)
@@ -512,7 +533,8 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
 
 def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
     # several integrals on one trace share its node arrays and its gluing
-    # check; _edge_values sees an even length only when nodes are built
+    # check; _edge_values sees the m/2 upper-edge nodes, an even count, only
+    # when nodes are built
     traced, glued, built, asked = [], [], [], []
     trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
     edge_values, contour_nodes = kernel._edge_values, bvp.contour_nodes
@@ -525,10 +547,10 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         glued.append(trace)
         return gluing_defect(cgf, trace)
 
-    def counting_edges(s, ys, z, sigma):
+    def counting_edges(s, ys, z):
         if len(ys) % 2 == 0:
-            built.append(len(ys))
-        return edge_values(s, ys, z, sigma)
+            built.append(2 * len(ys))
+        return edge_values(s, ys, z)
 
     def counting_nodes(trace, *, m):
         asked.append((id(trace), m))
@@ -553,6 +575,22 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
     for arr in nodes:
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_q11_general_computes_q00_once(monkeypatch):
+    # Q(0,0,z) is the same on both planes: one _q00 per evaluator call
+    calls = []
+    q00 = bvp._q00
+
+    def counting_q00(*args):
+        calls.append(args[1])
+        return q00(*args)
+
+    monkeypatch.setattr(bvp, "_q00", counting_q00)
+    for z in (0.1, 0.2):
+        calls.clear()
+        bvp.q11_general(SIMPLE, z, bvp.circle_cgf())
+        assert len(calls) == 1 and calls[0].steps == SIMPLE, z
 
 
 def test_q11_general_equals_the_relation_on_its_parts():

@@ -7,7 +7,6 @@ import pytest
 
 from qwalk import kernel, steps
 from qwalk.errors import CaseUndetermined, GenusZeroRegime, OutOfRange, QwalkError
-from qwalk.kernel import is_finite_root
 
 SIMPLE = steps.preset("simple")
 SQ5 = math.sqrt(5.0)
@@ -200,7 +199,7 @@ def test_branch_points_residual_and_degree_drop():
         coeffs = kernel._cleared_disc_at(kernel.cleared_disc_int(s), z)
         deg = len([c for c in np.trim_zeros(coeffs, "b")]) - 1
         bp = kernel.branch_points(s, z)
-        finite = [r for r in bp.x_roots if is_finite_root(r)]
+        finite = [r for r in bp.x_roots if cmath.isfinite(r)]
         assert len(finite) == deg
         scale = max(abs(c) for c in coeffs)
         for r in finite:
@@ -240,7 +239,7 @@ def test_branch_vieta_and_kernel_residual():
             a = kernel.poly_eval(kp.a, x)
             b = kernel.poly_eval(kp.b, x) - x / z
             c = kernel.poly_eval(kp.c, x)
-            if not is_finite_root(y1):
+            if not cmath.isfinite(y1):
                 assert abs(a) < 1e-10
                 continue
             assert y0 * y1 == pytest.approx(c / a, rel=1e-9, abs=1e-10)
@@ -249,7 +248,7 @@ def test_branch_vieta_and_kernel_residual():
             # mirror property for X branches
             y = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             x0, _ = kernel.X_branches(s, y, z)
-            if is_finite_root(x0):
+            if cmath.isfinite(x0):
                 assert abs(kernel.kernel_eval(s, x0, y, z)) < 1e-10 * (1 + abs(y)) ** 2
 
 
@@ -270,13 +269,13 @@ def test_trace_winding_classifications():
     assert w3 == 0
 
 
-def genuine_traces():
-    """(s, z, trace) for the genuine sets at z = f/|S|, f in {0.25, 0.5, 0.85},
-    wherever a trace exists."""
+def genuine_traces(fs=(0.25, 0.5, 0.85)):
+    """(s, z, trace) for the genuine sets at z = f/|S|, f in fs, wherever a
+    trace exists."""
     for s in steps.all_step_sets():
         if steps.is_singular(s) or not steps.origin_in_hull_interior(s):
             continue
-        for f in (0.25, 0.5, 0.85):
+        for f in fs:
             z = f / len(s)
             try:
                 yield s, z, kernel.trace_curve_M(s, z)
@@ -286,11 +285,14 @@ def genuine_traces():
 
 def old_upper_edge_sign(s, z, y1, y2):
     """The former probe: the edge sign whose value at the slit midpoint is
-    nearer to X0 just above the slit."""
+    nearer to X0 just above the slit.  The edge with sign _UPPER_SIGN is
+    _edge_values' and the other is its conjugate, as at(y) and bt(y) are
+    real on the slit."""
     y_mid = 0.5 * (y1 + y2)
     probe = kernel.X_branches(s, complex(y_mid, 1e-7 * max(1.0, abs(y2 - y1))), z)[0]
-    plus, minus = (kernel._edge_values(s, np.array([y_mid]), z, sign)[0][0] for sign in (1, -1))
-    return +1 if abs(plus - probe) <= abs(minus - probe) else -1
+    upper = kernel._edge_values(s, np.array([y_mid]), z)[0][0]
+    edge = {kernel._UPPER_SIGN: upper, -kernel._UPPER_SIGN: upper.conjugate()}
+    return +1 if abs(edge[1] - probe) <= abs(edge[-1] - probe) else -1
 
 
 def test_trace_orientation_and_edge_match_the_former_rules():
@@ -304,13 +306,36 @@ def test_trace_orientation_and_edge_match_the_former_rules():
         except CaseUndetermined:
             w1 = 0
         assert tr.ccw == (w1 == 1), (s, z)
-        half = tr.m // 2
+        m = len(tr.points) - 1
         ys_up = 0.5 * (tr.y1 + tr.y2) - 0.5 * (tr.y2 - tr.y1) * np.cos(
-            np.linspace(0.0, 2 * math.pi, tr.m + 1)[: half + 1])
-        sigma = old_upper_edge_sign(s, z, tr.y1, tr.y2)
-        assert np.array_equal(tr.points[: half + 1],
-                              kernel._edge_values(s, ys_up, z, sigma)[0]), (s, z)
+            np.linspace(0.0, 2 * math.pi, m + 1)[: m // 2 + 1])
+        assert old_upper_edge_sign(s, z, tr.y1, tr.y2) == kernel._UPPER_SIGN, (s, z)
+        assert np.array_equal(tr.points[: m // 2 + 1],
+                              kernel._edge_values(s, ys_up, z)[0]), (s, z)
     assert count > 300
+
+
+def test_contour_nodes_mirror_the_upper_edge():
+    # the lower half of the nodes is the exact mirror of the upper half, and
+    # the k_x of _edge_values is dK/dx = 2 at X0 + bt - y/z on the upper edge
+    count = 0
+    for s, z, tr in genuine_traces((0.25, 0.85)):
+        kp = kernel.kernel_polys(s)
+        for m in (256, 1024):
+            count += 1
+            h = m // 2
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau, ys, t, dt_dtau = kernel.contour_nodes(tr, m=m)
+            assert np.array_equal(ys[h:], ys[h - 1::-1]), (s, z, m)
+            assert np.array_equal(t[h:], np.conj(t[h - 1::-1])), (s, z, m)
+            assert np.array_equal(dt_dtau[h:], -np.conj(dt_dtau[h - 1::-1]),
+                                  equal_nan=True), (s, z, m)
+            x0, k_x = kernel._edge_values(s, ys[:h], z)
+            assert np.array_equal(x0, t[:h]), (s, z, m)
+            shifted = kernel.poly_eval(kp.b_t, ys[:h]) - ys[:h] / z
+            resid = 2 * kernel.poly_eval(kp.a_t, ys[:h]) * x0 + shifted - k_x
+            assert np.all(np.abs(resid) <= 1e-12 * (1 + np.abs(shifted))), (s, z, m)
+    assert count > 400
 
 
 def test_trace_finds_roots_once(monkeypatch):
