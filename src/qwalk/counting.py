@@ -2,11 +2,18 @@
 
 q(i, j, n) is the number of n-step walks from the origin that stay in
 Z_+^2 and end at (i, j).  Layers are computed with arbitrary-precision
-integers; a layer's row j is packed into a single Python int with one
-digit per i, all of one width, which keeps the whole recurrence inside
-C-speed bigint shifts and adds.  This module is the brute-force oracle for
-every analytic formula in the package: no floating point is used in the
-counting itself.
+integers; a layer's row j is packed into a single Python int, all digits of
+one width, which keeps the whole recurrence inside C-speed bigint shifts and
+adds.  This module is the brute-force oracle for every analytic formula in
+the package: no floating point is used in the counting itself.
+
+A row packs only its coset's cells.  Every n-step walk ends in n*s0 + L,
+with s0 = (a0, b0) a step and L the lattice spanned by the differences of
+the steps.  L meets Z x {0} in pZ x {0} and its y-parts form qZ, so in layer
+n only the rows j in n*b0 + qZ can be nonzero, and in such a row only the
+cells i = r + p*k, where r = r(n, j) is the x mod p that all walks ending in
+the row share.  Digit k of the row is cell r + p*k.  The simple walk,
+Gessel's and Gouyou-Beauchamps' have p = 2, Kreweras' p = 3.
 
 The digit width grows with the layer.  Each layer total T_n follows from
 the previous layer's axis sections by the kernel relation at (1, 1), before
@@ -14,10 +21,11 @@ the layer is built; every cell is at most T_n, so when T_n outgrows the
 digits the rolling layer is re-packed in place to a width that holds the
 next _LOOKAHEAD layers.  Before it allocates anything, count() estimates its
 peak memory and raises ResourceLimit above _MAX_BYTES.  A kept layer is
-unpacked into lists in one pass over the bytes of all its rows.
+unpacked into lists in one pass over the bytes of all its rows, then spread
+back to one cell per i.
 
-check_functional_equation() packs rows the same way, back from the table's
-lists, at a width W of its own: every coefficient of either side is a sum of
+check_functional_equation() packs whole rows, one digit per i, back from the
+table's lists, at a width W of its own: every coefficient of either side is a sum of
 at most |S| + 7 cells it reads, so with M the largest |cell| read, W is the
 least multiple of 8 with (|S| + 7) * M < 2^(W-1).  The digits of a side are
 then balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a
@@ -66,17 +74,18 @@ def _digit_bits(bound: int) -> int:
     return (bound.bit_length() + 7) // 8 * 8
 
 
-def _peak_bytes(card: int, n_max: int, dense_max: int) -> int:
+def _peak_bytes(card: int, n_max: int, dense_max: int, index: int) -> int:
     """Estimate of count()'s peak memory in bytes: two rolling layers of
-    (n_max+1)^2 digits at the final width, plus the Python ints kept in the
-    axis sections and in the dense layers up to dense_max."""
+    (n_max+1)^2 / index digits at the final width (index = p*q: only one cell
+    in p of a row, and one row in q, is on the coset), plus the Python ints
+    kept in the axis sections and in the dense layers up to dense_max."""
     lg = math.log2(max(card, 2))
 
     def ints(n: int) -> int:
         # n + 1 ints below card**n: 4 bytes per 30 bits, header and list slot
         return (n + 1) * (32 + 4 * math.ceil(n * lg / 30))
 
-    layers = 2 * (n_max + 1) ** 2 * _digit_bits(card**n_max) // 8
+    layers = 2 * (n_max + 1) ** 2 * _digit_bits(card**n_max) // 8 // index
     axes = 2 * sum(ints(n) for n in range(n_max + 1))
     dense = sum((n + 1) * ints(n) for n in range(dense_max + 1))
     return layers + axes + dense
@@ -116,23 +125,62 @@ def _widen(rows: list[int], bits: int, new_bits: int) -> None:
                                      "little")
 
 
-def _next_layer(prev: list[int], bits: int, steps: tuple[tuple[int, int], ...]) -> list[int]:
-    """One step of the packed DP.  Source row j feeds row j + b for every
-    step (a, b), its digits moved by a: a shift left by one digit for a = 1,
-    right for a = -1 (which drops digit i = 0, the step out of the quadrant).
+def _coset(steps: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """(p, q, u) of the lattice L spanned by the differences s - s0 of the
+    steps, s0 = steps[0]: L meets Z x {0} in pZ x {0}, its y-parts form qZ,
+    and (u, q) lies in L, with 0 <= u < p.  So p*q is the index of L, the gcd
+    of the 2x2 minors of the differences.  (1, 1, 0) when L has rank < 2."""
+    (a0, b0), *rest = steps
+    u = q = p = 0
+    for x, y in rest:
+        x, y = x - a0, y - b0
+        # Euclid on the y-parts, carried out on vectors of L; what is left,
+        # (x, 0), lies in L too, and L = span{(u, q), (p, 0)} throughout
+        while y:
+            k = q // y
+            (u, q), (x, y) = (x, y), (u - k * x, q - k * y)
+        p = math.gcd(p, x)
+    if not (p and q):
+        return 1, 1, 0
+    if q < 0:
+        u, q = -u, -q
+    return p, q, u % p
+
+
+def _moves(steps: tuple[tuple[int, int], ...], p: int) -> list[tuple[bool, bool, tuple]]:
+    """Per residue r of a source row: whether it is shifted left, whether
+    right, and (b, shift) per step (a, b).  Cell r + p*k moves to
+    r + a + p*k, which is digit k + (r + a) // p of residue (r + a) % p; the
+    shift is -1 only for r = 0, a = -1, which drops digit 0 (cell i = 0, the
+    step out of the quadrant).  For p = 1 the shift is a."""
+    moves = []
+    for r in range(p):
+        targets = tuple((b, (r + a) // p) for a, b in steps)
+        shifts = {k for _, k in targets}
+        moves.append((1 in shifts, -1 in shifts, targets))
+    return moves
+
+
+def _next_layer(prev: list[int], bits: int, coset: list[tuple[int, int]], stride: int,
+                moves: list[tuple[bool, bool, tuple]]) -> list[int]:
+    """One step of the packed DP.  The source rows on the coset are
+    start + stride*m, of one residue per (start, residue) in `coset`; source
+    row j feeds row j + b for every step (a, b), its digits shifted as
+    moves[residue] says: left by one digit, right by one, or not at all.
     Each row is shifted at most once per direction, whatever the steps."""
-    left = any(a == 1 for a, _ in steps)
-    right = any(a == -1 for a, _ in steps)
     rows = [0] * (len(prev) + 1)
-    for src, r in enumerate(prev):
-        if r:
-            moved = (r, r << bits if left else 0, r >> bits if right else 0)
-            for a, b in steps:
-                t = src + b
-                if t >= 0:
-                    # moved[-1] is the right shift; a first contribution is
-                    # stored as is, since 0 + x would copy x
-                    rows[t] = rows[t] + moved[a] if rows[t] else moved[a]
+    for start, res in coset:
+        left, right, targets = moves[res]
+        for src in range(start, len(prev), stride):
+            r = prev[src]
+            if r:
+                moved = (r, r << bits if left else 0, r >> bits if right else 0)
+                for b, k in targets:
+                    t = src + b
+                    if t >= 0:
+                        # moved[-1] is the right shift; a first contribution is
+                        # stored as is, since 0 + x would copy x
+                        rows[t] = rows[t] + moved[k] if rows[t] else moved[k]
     return rows
 
 
@@ -208,6 +256,8 @@ class CountTable:
 
     def layer(self, n: int) -> list[list[int]]:
         """Dense layer n as rows indexed [j][i] (n <= dense_max)."""
+        if n > self.n_max or n < 0:
+            raise OutOfRange(f"layer {n} not computed (n_max={self.n_max})")
         if n > self.dense_max:
             raise ResourceLimit(f"layer {n} beyond dense_max={self.dense_max}")
         return [row[:] for row in self._dense[n]]
@@ -226,35 +276,65 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     with c(1) (ct(1)) the number of steps with b = -1 (a = -1) and R (C) the
     sum of the horizontal (vertical) axis section.  No cell of layer n
     exceeds T_n, so the digits are widened, when T_n no longer fits, to hold
-    the next _LOOKAHEAD layers.  Raises ResourceLimit, before allocating,
-    when the estimated peak memory exceeds _MAX_BYTES.
+    the next _LOOKAHEAD layers.  A row packs only its coset's cells (see the
+    module docstring).  Raises OutOfRange for a negative n_max or dense_max,
+    and ResourceLimit, before allocating, when the estimated peak memory
+    exceeds _MAX_BYTES.
     """
     if n_max < 0:
         raise OutOfRange(f"n_max must be >= 0, got {n_max}")
     if dense_max is None:
         dense_max = min(n_max, 64)
+    if dense_max < 0:
+        raise OutOfRange(f"dense_max must be >= 0, got {dense_max}")
     dense_max = min(dense_max, n_max)
     card = len(s)
-    peak = _peak_bytes(card, n_max, dense_max)
+    steps = s.sorted_steps()
+    p, q, u = _coset(steps)
+    peak = _peak_bytes(card, n_max, dense_max, p * q)
     if peak > _MAX_BYTES:
         raise ResourceLimit(
             f"count(n_max={n_max}, dense_max={dense_max}) needs about "
             f"{peak / 2**30:.3g} GiB, over the {_MAX_BYTES / 2**30:.3g} GiB limit"
         )
 
-    steps = s.sorted_steps()
     lost_x = sum(1 for _, b in steps if b == -1)  # c(1)
     lost_y = sum(1 for a, _ in steps if a == -1)  # ct(1)
     corner = s.delta(-1, -1)
+    a0, b0 = steps[0]
+    stride = p * q
+    moves = _moves(steps, p)
+
+    def residue(n: int, j: int) -> int:
+        # x mod p of the walks of length n that end in row j, for j on the coset
+        return (n * a0 + (j - n * b0) // q * u) % p
+
+    # The rows of layer n on the coset are start + stride*m, one residue per
+    # start; the pattern repeats with period p*q in n.
+    cosets = [[(j, residue(n, j)) for j in range(n * b0 % q, stride, q)] for n in range(stride)]
 
     table = CountTable(steps=s, n_max=n_max, dense_max=dense_max)
 
     def record(n: int, rows: list[int], bits: int, total: int) -> None:
         mask = (1 << bits) - 1
-        cells = _unpack_rows(rows if n <= dense_max else rows[:1], bits, n + 1)
+        cells = _unpack_rows(rows if n <= dense_max else rows[:1], bits, n // p + 1)
+        if p > 1:
+            # digit k of a row of residue r is cell r + p*k; rows off the
+            # coset are 0, whatever residue they are given
+            for start in range(min(stride, len(cells))):
+                r = residue(n, start)
+                for j in range(start, len(cells), stride):
+                    full = [0] * (p * len(cells[j]))
+                    full[r::p] = cells[j]
+                    del full[n + 1:]
+                    cells[j] = full
         table.q00.append(cells[0][0])
         table.row0.append(cells[0][:])  # a list of its own, apart from _dense[n][0]
-        table.col0.append([r & mask for r in rows])
+        col0 = [r & mask for r in rows]
+        for start, res in cosets[n % stride]:
+            if res:  # digit 0 of the row is cell res, not cell 0
+                col0[start::stride] = [0] * len(col0[start::stride])
+        table.col0.append(col0)
         table.totals.append(total)
         if n <= dense_max:
             table._dense.append(cells)
@@ -274,7 +354,7 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
             wide = _digit_bits(prev_total * card ** (min(_LOOKAHEAD, n_max - n) + 1))
             _widen(rows, bits, wide)
             bits = wide
-        rows = _next_layer(rows, bits, steps)
+        rows = _next_layer(rows, bits, cosets[(n - 1) % stride], stride, moves)
         record(n, rows, bits, total)
     return table
 

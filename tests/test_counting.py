@@ -12,6 +12,7 @@ from qwalk.errors import OutOfRange, QwalkError, ResourceLimit
 SIMPLE = steps.preset("simple")
 KREWERAS = steps.preset("kreweras")
 KING = steps.parse_step_set([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)])
+GESSEL = steps.preset("gessel")
 
 
 def naive_count(s, n_max):
@@ -62,18 +63,57 @@ def test_series_extraction():
 
 
 def test_packed_matches_naive_dp():
-    rng = random.Random(3)
-    pool = list(steps.all_step_sets())
-    for s in rng.sample(pool, 12):
-        n = 9
+    # every step set: rows packing one cell in p = 1, 2, 3 or 4, rows off the
+    # coset (q = 2), and lattices of rank 0 and 1
+    n = 24
+    for s in steps.all_step_sets():
         t = counting.count(s, n, dense_max=n)
+        axes = counting.count(s, n, dense_max=0)
         ref = naive_count(s, n)
         for m in range(n + 1):
-            grid = t.layer(m)
-            for j in range(m + 1):
-                for i in range(m + 1):
-                    assert grid[j][i] == ref[m][j][i], (s, i, j, m)
+            grid = [row[: m + 1] for row in ref[m][: m + 1]]
+            assert t.layer(m) == grid, (s, m)
+            assert t.row0[m] == axes.row0[m] == grid[0], (s, m)
+            assert t.col0[m] == axes.col0[m] == [row[0] for row in grid], (s, m)
             assert t.totals[m] == sum(map(sum, ref[m]))
+
+
+def lattice_search(s, radius=8):
+    """The points of the lattice spanned by the differences of the steps that
+    sums of differences reach without leaving the box |x|, |y| <= radius."""
+    diffs = {(a - c, b - d) for a, b in s.steps for c, d in s.steps}
+    seen = {(0, 0)}
+    todo = [(0, 0)]
+    while todo:
+        x, y = todo.pop()
+        for dx, dy in diffs:
+            pt = (x + dx, y + dy)
+            if max(map(abs, pt)) <= radius and pt not in seen:
+                seen.add(pt)
+                todo.append(pt)
+    return seen
+
+
+def test_coset_matches_a_lattice_search():
+    indices = set()
+    for s in steps.all_step_sets():
+        p, q, u = counting._coset(s.sorted_steps())
+        found = lattice_search(s)
+        xs = [x for x, y in found if y == 0 and x > 0]
+        ys = [y for _, y in found if y > 0]
+        (a0, b0), *rest = s.sorted_steps()
+        diffs = [(a - a0, b - b0) for a, b in rest]
+        minors = 0
+        for k, (x1, y1) in enumerate(diffs):
+            for x2, y2 in diffs[k + 1:]:
+                minors = math.gcd(minors, x1 * y2 - x2 * y1)
+        if xs and ys:
+            assert (p, q) == (min(xs), min(ys)) and p * q == minors, s
+            assert 0 <= u < p and (u, q) in found, s
+        else:  # rank < 2
+            assert (p, q, u) == (1, 1, 0) and minors == 0, s
+        indices.add((p, q))
+    assert indices == {(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 1)}
 
 
 def paths_tally(s, n):
@@ -152,22 +192,24 @@ def widenings(monkeypatch):
 
 
 def test_widening_schedule_does_not_change_counts(widenings):
-    for s in (SIMPLE, KREWERAS, steps.preset("gessel"), KING):
+    # simple, Kreweras and Gessel pack one cell in 2, 3 and 2 of a row
+    for s in (SIMPLE, KREWERAS, GESSEL, KING):
         widenings.clear()
         short = counting.count(s, 40, dense_max=0)
         short_schedule = widenings[:]
         widenings.clear()
-        long = counting.count(s, 150, dense_max=0)
+        long = counting.count(s, 150, dense_max=40)
         # the longer run re-packs more often, at other layers or widths
         assert len(widenings) >= 2 and widenings[: len(short_schedule)] != short_schedule, s
         assert short.q00 == long.q00[:41]
         assert short.row0 == long.row0[:41]
         assert short.col0 == long.col0[:41]
         assert short.totals == long.totals[:41]
+        assert long._dense == counting.count(s, 40, dense_max=40)._dense
 
 
 def test_widened_layers_match_naive_dp(widenings):
-    for s in (KREWERAS, KING):
+    for s in (KREWERAS, GESSEL, KING):
         widenings.clear()
         t = counting.count(s, 40, dense_max=40)
         assert widenings, s
@@ -386,14 +428,24 @@ def test_negative_lengths_are_out_of_range():
         counting.count(SIMPLE, -1)
     with pytest.raises(OutOfRange, match="n_degree"):
         counting.check_functional_equation(SIMPLE, 0)
+    with pytest.raises(OutOfRange, match="dense_max must be >= 0, got -3"):
+        counting.count(SIMPLE, 5, dense_max=-3)
+    assert counting.count(SIMPLE, 5, dense_max=None).dense_max == 5
+    assert counting.count(SIMPLE, 70, dense_max=None).dense_max == 64
     assert issubclass(OutOfRange, QwalkError) and issubclass(OutOfRange, ValueError)
 
 
 def test_bad_layers_indices_and_labels_are_out_of_range():
     table = counting.count(SIMPLE, 5)
-    for n in (6, -1):
+    for n in (6, -1, -7):
         with pytest.raises(OutOfRange, match="not computed"):
             table.q(0, 0, n)
+        with pytest.raises(OutOfRange, match="not computed"):
+            table.layer(n)
+    short = counting.count(SIMPLE, 5, dense_max=3)
+    for n in (4, 5):
+        with pytest.raises(ResourceLimit, match="dense_max=3"):
+            short.layer(n)
     with pytest.raises(OutOfRange, match="got -1"):
         counting.catalan(-1)
     with pytest.raises(OutOfRange, match="q22"):
@@ -410,6 +462,21 @@ def test_memory_guard_refuses_before_allocating():
     counting.count(SIMPLE, 200, dense_max=0)
     with pytest.raises(ResourceLimit):  # the same walk, kept dense
         counting.count(SIMPLE, 1000, dense_max=1000)
+
+
+def test_memory_guard_counts_only_the_coset(monkeypatch):
+    # the simple walk packs one cell in 2 of a row; these 4 steps pack all
+    full = steps.parse_step_set([(1, 0), (0, 1), (-1, -1), (1, 1)])
+    assert counting._coset(SIMPLE.sorted_steps())[:2] == (2, 1)
+    assert counting._coset(full.sorted_steps())[:2] == (1, 1)
+    n = 120
+    layers = 2 * (n + 1) ** 2 * counting._digit_bits(4**n) // 8
+    whole, half = (counting._peak_bytes(4, n, 0, index) for index in (1, 2))
+    assert whole - half == layers - layers // 2
+    monkeypatch.setattr(counting, "_MAX_BYTES", half)
+    counting.count(SIMPLE, n, dense_max=0)
+    with pytest.raises(ResourceLimit, match="GiB"):
+        counting.count(full, n, dense_max=0)
 
 
 def test_eval_series_matches_direct_sum():
