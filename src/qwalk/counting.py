@@ -15,6 +15,16 @@ cells i = r + p*k, where r = r(n, j) is the x mod p that all walks ending in
 the row share.  Digit k of the row is cell r + p*k.  The simple walk,
 Gessel's and Gouyou-Beauchamps' have p = 2, Kreweras' p = 3.
 
+Past dense_max a layer keeps only the cells that can still reach an axis by
+n_max.  A step moves each coordinate by at most 1, so a cell (i, j) of layer
+n reaches row 0 by layer n_max only if j <= K = n_max - n, and column 0 only
+if i <= K.  This L-shaped set holds every predecessor of its cells, and the
+table reads nothing outside it: q00, row0 and col0 lie on the axes, the
+totals come from the axis sections, and the dense layers come before any
+cut.  So each row j > K is cut to its cells i <= K by one AND with a mask
+of its low digits, (K - r) // p + 1 of them, and a row of residue r > K
+becomes 0.
+
 The digit width grows with the layer.  Each layer total T_n follows from
 the previous layer's axis sections by the kernel relation at (1, 1), before
 the layer is built; every cell is at most T_n, so when T_n outgrows the
@@ -78,7 +88,9 @@ def _peak_bytes(card: int, n_max: int, dense_max: int, index: int) -> int:
     """Estimate of count()'s peak memory in bytes: two rolling layers of
     (n_max+1)^2 / index digits at the final width (index = p*q: only one cell
     in p of a row, and one row in q, is on the coset), plus the Python ints
-    kept in the axis sections and in the dense layers up to dense_max."""
+    kept in the axis sections and in the dense layers up to dense_max.  Past
+    dense_max the layers are cut to the cells that can still reach an axis,
+    so there the estimate is an upper bound."""
     lg = math.log2(max(card, 2))
 
     def ints(n: int) -> int:
@@ -276,10 +288,11 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     with c(1) (ct(1)) the number of steps with b = -1 (a = -1) and R (C) the
     sum of the horizontal (vertical) axis section.  No cell of layer n
     exceeds T_n, so the digits are widened, when T_n no longer fits, to hold
-    the next _LOOKAHEAD layers.  A row packs only its coset's cells (see the
-    module docstring).  Raises OutOfRange for a negative n_max or dense_max,
-    and ResourceLimit, before allocating, when the estimated peak memory
-    exceeds _MAX_BYTES.
+    the next _LOOKAHEAD layers.  A row packs only its coset's cells, and past
+    dense_max each row j > n_max - n only its cells i <= n_max - n, the ones
+    that can still reach column 0 by n_max (see the module docstring).
+    Raises OutOfRange for a negative n_max or dense_max, and ResourceLimit,
+    before allocating, when the estimated peak memory exceeds _MAX_BYTES.
     """
     if n_max < 0:
         raise OutOfRange(f"n_max must be >= 0, got {n_max}")
@@ -355,6 +368,14 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
             _widen(rows, bits, wide)
             bits = wide
         rows = _next_layer(rows, bits, cosets[(n - 1) % stride], stride, moves)
+        if n > dense_max:
+            # rows j > horizon keep their cells i <= horizon (see the module
+            # docstring): digits k <= (horizon - r) // p, none when r > horizon
+            horizon = n_max - n
+            for start, res in cosets[n % stride]:
+                mask = (1 << bits * ((horizon - res) // p + 1)) - 1
+                for j in range(horizon + 1 + (start - horizon - 1) % stride, len(rows), stride):
+                    rows[j] &= mask
         record(n, rows, bits, total)
     return table
 
@@ -503,6 +524,9 @@ def eval_q_x0(table: CountTable, x: complex, z: complex) -> complex:
 
 def eval_series(coeffs, z: float) -> float:
     """Truncated univariate series sum c_n z^n (coefficients may be huge ints)."""
+    if not z:
+        # only the constant term is left, and log(0) is undefined
+        return float(next(iter(coeffs), 0))
     total = 0.0
     zp = 1.0
     for n, c in enumerate(coeffs):

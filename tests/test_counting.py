@@ -219,6 +219,55 @@ def test_widened_layers_match_naive_dp(widenings):
             assert t.totals[m] == sum(map(sum, ref[m]))
 
 
+def test_dense_max_does_not_change_the_axes():
+    # past dense_max the layers are cut to the cells that can still reach an
+    # axis; the axes, the totals and the dense layers must not see the cut
+    n = 30
+    for s in steps.all_step_sets():
+        cut, part, whole = (counting.count(s, n, dense_max=d) for d in (0, 9, n))
+        for t in (cut, part):
+            assert (t.q00, t.row0, t.col0, t.totals) == (
+                whole.q00, whole.row0, whole.col0, whole.totals), s
+        assert part._dense == whole._dense[:10] == counting.count(s, 9, dense_max=9)._dense, s
+
+
+@pytest.fixture
+def source_layers(monkeypatch):
+    """Record (layer, rows, bits, coset, stride, p) of every source layer
+    count() steps from."""
+    calls = []
+    next_layer = counting._next_layer
+
+    def spy(prev, bits, coset, stride, moves):
+        calls.append((len(prev) - 1, prev[:], bits, coset, stride, len(moves)))
+        return next_layer(prev, bits, coset, stride, moves)
+
+    monkeypatch.setattr(counting, "_next_layer", spy)
+    return calls
+
+
+def test_rows_past_dense_max_keep_only_cells_that_reach_an_axis(source_layers):
+    # a row j > K = n_max - n of layer n holds no digit beyond cell K: digit k
+    # of a row of residue r is cell r + p*k
+    n_max = 24
+    cut = 0
+    for dense_max in (0, 7):
+        for s in steps.all_step_sets():
+            source_layers.clear()
+            counting.count(s, n_max, dense_max=dense_max)
+            for n, rows, bits, coset, stride, p in source_layers:
+                if n <= dense_max:
+                    continue
+                horizon = n_max - n
+                for start, res in coset:
+                    for j in range(start, len(rows), stride):
+                        if j > horizon:
+                            keep = len(range(res, horizon + 1, p))  # cells res + p*k <= K
+                            assert rows[j].bit_length() <= bits * keep, (s, dense_max, n, j)
+                            cut += rows[j] != 0
+    assert cut > 0
+
+
 def test_simple_excursions_have_zero_odd_coefficients():
     t = counting.count(SIMPLE, 31)
     assert all(t.q00[n] == 0 for n in range(1, 32, 2))
@@ -500,6 +549,13 @@ def test_eval_series_with_coefficients_beyond_float_range():
         exact = float(Fraction(
             sum(c * num**n * den ** (top - n) for n, c in enumerate(coeffs)), den**top))
         assert counting.eval_series(coeffs, z) == pytest.approx(exact, rel=1e-14), z
+
+
+def test_eval_series_at_zero_is_the_constant_term():
+    # a term of 1000 bits or more is summed through log|z|, undefined at 0
+    assert counting.eval_series([1, 7**400], 0.0) == 1.0
+    assert counting.eval_series((3, 2**1200, 5), -0.0) == 3.0
+    assert counting.eval_series([], 0.0) == 0.0
 
 
 def test_count_table_q_reads_every_cell():
