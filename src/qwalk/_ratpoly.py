@@ -6,14 +6,18 @@ in z is a fraction-free (Bareiss) determinant of a Sylvester matrix whose
 entries are integer polynomials in z, and its positive real roots are
 float roots certified by exact signs at rational bracket endpoints and an
 exact Sturm count.
+
+roots() is the package's one float root finder (kernel discriminants, the
+resultant's bracket seeds, the roots of c(x) in bvp), in pure Python so
+that the subcommands built on it start without numpy.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from .errors import InexactDivision, RootFindingFailure
 
@@ -185,12 +189,194 @@ def cauchy_bound(p: Poly) -> int:
     return 1 + max((-(-abs(c) // lead) for c in p[:-1]), default=0)
 
 
+# Aberth-Ehrlich leaves a root where it is once |p(x)| is within this many
+# units of roundoff per degree of the bound sum |a_k| |x|^k on Horner's
+# error there (a Newton step would be noise then, all the more at a clustered
+# root).  It also leaves a root alone after a step this small against its
+# modulus and its distance to the others: cubic convergence puts it within
+# roundoff then.
+_RESIDUAL_ULPS = 4
+_STEP_SCALE = 2.0**-26
+_MAX_SWEEPS = 64
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2)  # primitive cube root of unity
+
+
+def roots(coeffs) -> list[complex]:
+    """All complex roots, with multiplicity, of the polynomial with the
+    ascending real coefficients `coeffs`.
+
+    Trailing zeros (a degree drop) are dropped, and each zero low-order
+    coefficient gives an exact 0j root.  The other roots come from
+    Aberth-Ehrlich iteration, which moves every root by its Newton step
+    corrected for the pull of the others.  It starts from the closed-form
+    roots up to degree 4, so that one or two sweeps suffice, and above that
+    from circles whose radii follow the Newton polygon of the coefficients
+    (Bini's start).  Like the roots, the result is real or conjugate in
+    pairs (_conjugate_symmetric).
+    """
+    p = [float(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    zeros = 0
+    while zeros < len(p) and p[zeros] == 0:
+        zeros += 1
+    if len(p) - zeros < 2:
+        return [0j] * zeros
+    monic = [c / p[-1] for c in p[zeros:]]
+    start = _closed_form(monic) if len(monic) <= 5 else _newton_polygon_start(monic)
+    return [0j] * zeros + _conjugate_symmetric(_aberth(monic, start))
+
+
+def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Roots of a x^2 + b x + c for a != 0: the one of larger modulus
+    without cancellation (the square root's sign follows b), the other from
+    the product c / a."""
+    sq = cmath.sqrt(b * b - 4 * a * c)
+    if (b.conjugate() * sq).real < 0:
+        sq = -sq
+    q = -0.5 * (b + sq)
+    r1 = q / a
+    return r1, (c / q if q != 0 else -b / a - r1)
+
+
+def _cubic(a: complex, b: complex, c: complex) -> list[complex]:
+    """Roots of x^3 + a x^2 + b x + c by Cardano's formula."""
+    s = a / 3
+    p = b - a * s
+    q = c - b * s + 2 * s**3
+    d = cmath.sqrt(q * q / 4 + p**3 / 27)
+    u3 = max(-q / 2 + d, -q / 2 - d, key=abs)
+    if not u3:
+        return [complex(-s)] * 3  # p = q = 0: a triple root
+    u = u3 ** (1 / 3)
+    return [w * u - p / (3 * w * u) - s for w in (1, _OMEGA, _OMEGA.conjugate())]
+
+
+def _closed_form(a: list[float]) -> list[complex]:
+    """Roots of the monic polynomial with ascending coefficients a, of
+    degree 1 to 4: the quadratic formula, Cardano, and Ferrari's reduction
+    of the quartic to two quadratics through its resolvent cubic."""
+    n = len(a) - 1
+    if n == 1:
+        return [complex(-a[0])]
+    if n == 2:
+        return list(quadratic_roots(1.0, a[1], a[0]))
+    if n == 3:
+        return _cubic(a[2], a[1], a[0])
+    # x = y - s gives y^4 + p y^2 + q y + r
+    s = a[3] / 4
+    p = a[2] - 6 * s * s
+    q = a[1] - 2 * a[2] * s + 8 * s**3
+    r = a[0] - a[1] * s + a[2] * s * s - 3 * s**4
+    # y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (w y - q/(2w))^2, w^2 = 2m,
+    # for m a root of the resolvent; the largest one is the best conditioned
+    m = max(_cubic(p, p * p / 4 - r, -q * q / 8), key=abs)
+    if not m:
+        return [complex(-s)] * 4  # p = q = r = 0: a quadruple root
+    w = cmath.sqrt(2 * m)
+    base, shift = p / 2 + m, q / (2 * w)
+    ys = quadratic_roots(1.0, -w, base + shift) + quadratic_roots(1.0, w, base - shift)
+    return [y - s for y in ys]
+
+
+def _newton_polygon_start(a: list[float]) -> list[complex]:
+    """Bini's starting points: for each edge of the upper convex hull of
+    the points (k, log|a_k|), as many points as the edge is long, spread
+    over a circle of radius (|a_k0| / |a_k1|)^(1/(k1 - k0))."""
+    n = len(a) - 1
+    hull: list[tuple[int, float]] = []
+    for k, c in enumerate(a):
+        if not c:
+            continue
+        pt = (k, math.log(abs(c)))
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    start = []
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        m = k1 - k0
+        radius = math.exp((l0 - l1) / m)
+        start += [cmath.rect(radius, 2 * math.pi * (j / m + k0 / n) + 0.7) for j in range(m)]
+    return start
+
+
+def _aberth(a: list[float], z: list[complex]) -> list[complex]:
+    """Aberth-Ehrlich sweeps on the monic polynomial a from the start z,
+    each root seeing the others' newest values, until every root is left
+    alone (see _RESIDUAL_ULPS) or for _MAX_SWEEPS sweeps."""
+    n = len(a) - 1
+    desc = a[-2::-1]
+    mags = [abs(c) for c in desc]
+    tol = _RESIDUAL_ULPS * n * 2.0**-52
+    z = list(z)
+    live = range(n)
+    for _ in range(_MAX_SWEEPS):
+        still = []
+        for i in live:
+            x = z[i]
+            ax = abs(x)
+            pv, dv, bound = 1.0, 0.0, 1.0
+            for c, mag in zip(desc, mags):
+                dv = dv * x + pv
+                pv = pv * x + c
+                bound = bound * ax + mag
+            if abs(pv) <= tol * bound:
+                continue
+            pull, near = 0j, ax
+            for j, y in enumerate(z):
+                if j != i:
+                    d = x - y
+                    if d:
+                        pull += 1 / d
+                    d = abs(d)
+                    if d < near:
+                        near = d
+            den = dv - pv * pull
+            if not den:  # a stationary point: move off it and try again
+                z[i] = x + tol * (1 + ax) * _OMEGA
+                still.append(i)
+                continue
+            step = pv / den
+            z[i] = x - step
+            if abs(step) > _STEP_SCALE * near:
+                still.append(i)
+        if not still:
+            break
+        live = still
+    return z
+
+
+def _conjugate_symmetric(z: list[complex]) -> list[complex]:
+    """The roots of a real polynomial, made real or conjugate in pairs as
+    its roots are.  A root nearer its own conjugate than any other root is to
+    that conjugate is real; each other root above the real axis is paired
+    with the one below nearest its conjugate, and the two become the
+    conjugates of their mean."""
+    out = list(z)
+    below = []
+    for i, x in enumerate(z):
+        gap = 2 * abs(x.imag)
+        if gap and any(j != i and abs(y - x.conjugate()) <= gap for j, y in enumerate(z)):
+            if x.imag < 0:
+                below.append(i)
+        else:
+            out[i] = complex(x.real, 0.0)
+    for i, x in enumerate(z):
+        if out[i].imag > 0 and below:
+            j = min(below, key=lambda k: abs(z[k] - x.conjugate()))
+            below.remove(j)
+            mean = 0.5 * (x + z[j].conjugate())
+            out[i], out[j] = mean, mean.conjugate()
+    return out
+
+
 def isolate_positive_roots(p: Poly) -> list[Fraction]:
     """Centres of certified isolating brackets, one for every distinct
     positive real root of p, ascending; each bracket is BRACKET_WIDTH wide.
 
     The square-free part's Sturm chain counts the positive roots N exactly.
-    Float roots from numpy.roots seed the brackets; a bracket is certified
+    Float roots from roots() seed the brackets; a bracket is certified
     when the square-free part has opposite exact signs at its two rational
     endpoints.  N disjoint certified brackets in (0, bound] hold one root
     each and miss none; any other outcome raises RootFindingFailure.
@@ -203,7 +389,7 @@ def isolate_positive_roots(p: Poly) -> list[Fraction]:
     expected = count_roots(chain, Fraction(0), Fraction(bound))
     big = max(abs(c) for c in p)
     seeds = sorted({
-        r.real for r in np.roots([c / big for c in reversed(p)])
+        r.real for r in roots([c / big for c in p])
         if 0 < r.real < bound and abs(r.imag) <= 1e-7 * max(1.0, abs(r))
     })
     half = BRACKET_WIDTH / 2

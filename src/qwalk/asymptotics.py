@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import InsufficientData, ZeroSequence
 
@@ -116,19 +115,41 @@ def _extrapolate(values: list[float], ks: list[float], depth: int) -> tuple[floa
     over the tail window by least squares on Chebyshev-normalised nodes;
     pointwise Neville on the clustered tail nodes would amplify roundoff by
     (k/spacing)^depth, the windowed fit keeps the extrapolation stable.
+
+    One QR of the columns T_0..T_depth at the nodes serves all the nested
+    fits: modified Gram-Schmidt, applied twice, turns them into polynomials
+    q_0..q_depth orthonormal on the nodes, each carried along with its value
+    at the extrapolation point t0.  The degree-d fit is the projection
+    sum_{k<=d} <q_k, v> q_k, so its estimate at t0 is a running sum.
     """
     window = min(len(values), max(4 * (depth + 1), len(values) // 2))
-    v = np.asarray(values[-window:], dtype=float)
-    x = 1.0 / np.asarray(ks[-window:], dtype=float)
-    centre = float(x.mean())
-    half = float(x.max() - x.min()) / 2 or 1.0
-    t = (x - centre) / half
+    v = values[-window:]
+    x = [1.0 / k for k in ks[-window:]]
+    centre = math.fsum(x) / window
+    half = (max(x) - min(x)) / 2 or 1.0
+    t = [(xi - centre) / half for xi in x]
     t0 = (0.0 - centre) / half
+    # T_0 .. T_depth at the nodes and at t0, by the three-term recurrence
+    columns = [([1.0] * window, 1.0), (t, t0)]
+    while len(columns) <= depth:
+        (a, a0), (b, b0) = columns[-1], columns[-2]
+        columns.append(([2 * ti * ai - bi for ti, ai, bi in zip(t, a, b)], 2 * t0 * a0 - b0))
+    basis: list[tuple[list[float], float]] = []
     estimates = []
-    for deg in range(depth + 1):
-        design = np.polynomial.chebyshev.chebvander(t, deg)
-        coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-        estimates.append(float(np.polynomial.chebyshev.chebval(t0, coef)))
+    estimate = 0.0
+    for col, col0 in columns[: depth + 1]:
+        for _ in range(2):
+            for q, q0 in basis:
+                r = sum(map(mul, q, col))
+                col = [c - r * qi for c, qi in zip(col, q)]
+                col0 -= r * q0
+        norm = math.sqrt(sum(map(mul, col, col)))
+        q, q0 = [c / norm for c in col], col0 / norm
+        basis.append((q, q0))
+        r = sum(map(mul, q, v))
+        v = [c - r * qi for c, qi in zip(v, q)]
+        estimate += r * q0
+        estimates.append(estimate)
     residuals = tuple(abs(b - a) for a, b in zip(estimates, estimates[1:]))
     tail = residuals[-3:]
     floor = 1e-9 * (1 + abs(estimates[-1]))  # roundoff floor of the fit

@@ -40,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _ratpoly as rp
 from .errors import (
     CaseUndetermined,
     CGFUnavailable,
@@ -369,7 +370,7 @@ def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
                        quadrature_error_estimate=e0 / abs(r * c1))
 
     # roots of c(x) = c0 + c1 x + c2 x^2, all on the unit circle
-    roots = [complex(rt) for rt in np.roots([c2, c1, c0])]  # np.roots drops a zero c2
+    roots = rp.roots([c0, c1, c2])  # one root when c2 = 0
     roots.sort(key=lambda v: (round(v.real, 12), round(v.imag, 12)))
     outside: list[complex] = []
     flags: tuple[str, ...] = ()

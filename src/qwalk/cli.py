@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 on an analysis error (structured JSON on
 stderr), 2 on usage errors.  Exact integers are serialised as decimal
 strings; identical invocations produce byte-identical output.  Each
-subcommand imports the modules it uses, so `group`, `count` and `series`
-start without numpy.
+subcommand imports the modules it uses, so `group`, `count`, `series`,
+`classify`, `singularities`, `kernel branch-points` and `asymptotics` start
+without numpy (their roots come from _ratpoly.roots, their fits are pure
+Python); `kernel trace`, `bvp` and `check` load it for arrays.
 """
 
 from __future__ import annotations

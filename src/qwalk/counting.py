@@ -84,23 +84,44 @@ def _digit_bits(bound: int) -> int:
     return (bound.bit_length() + 7) // 8 * 8
 
 
-def _peak_bytes(card: int, n_max: int, dense_max: int, index: int) -> int:
-    """Estimate of count()'s peak memory in bytes: two rolling layers of
-    (n_max+1)^2 / index digits at the final width (index = p*q: only one cell
-    in p of a row, and one row in q, is on the coset), plus the Python ints
-    kept in the axis sections and in the dense layers up to dense_max.  Past
-    dense_max the layers are cut to the cells that can still reach an axis,
-    so there the estimate is an upper bound."""
+def _peak_bytes(card: int, n_max: int, dense_max: int, p: int, q: int, u: int) -> int:
+    """Estimate of count()'s peak memory in bytes for the coset (p, q, u)
+    of _coset, in closed forms: every sum over the layers is a sum of powers
+    of n, and a cell of layer n, below |S|^n, has at most n*log2|S| bits.
+
+    - Two rolling layers at their largest.  Past dense_max a layer is cut
+      to its L-shaped set for the horizon K = n_max - n; the layer built from
+      it, before its own cut, lies in the L-shape one wider, of
+      (n+1)^2 - (n-K-1)^2 cells at most, whose largest value over n is
+      (n_max+3)^2 / 3; a dense layer has (n+1)^2.  One cell in p*q is on
+      the coset, and a digit has at most n_max*log2|S| + 8 bits.
+    - The axis sections: a list slot for every cell and an int for each on
+      the coset, one in p of row 0 and one in q*p/gcd(u, p) of column 0;
+      q(0,0,n) and the layer total.
+    - The dense layers up to dense_max: a slot for every cell and an int
+      for each on the coset, and the copies made while the last one is
+      unpacked.
+
+    The bits of a digit and of an axis cell are bounded by those of the
+    largest cell |S|^n could be, so the estimate is an upper bound."""
     lg = math.log2(max(card, 2))
-
-    def ints(n: int) -> int:
-        # n + 1 ints below card**n: 4 bytes per 30 bits, header and list slot
-        return (n + 1) * (32 + 4 * math.ceil(n * lg / 30))
-
-    layers = 2 * (n_max + 1) ** 2 * _digit_bits(card**n_max) // 8 // index
-    axes = 2 * sum(ints(n) for n in range(n_max + 1))
-    dense = sum((n + 1) * ints(n) for n in range(dense_max + 1))
-    return layers + axes + dense
+    n, d = n_max, dense_max
+    # an int below |S|^m: 28 bytes and 4 per 30 bits, int_a + int_b * m
+    int_a, int_b = 32.0, 4 * lg / 30
+    cells = max((d + 1) ** 2, (n + 3) ** 2 / 3) / (p * q)
+    layers = 2 * (cells * (n * lg + 8) / 8 + (8 + int_a) * (n + 2))
+    # per layer m: slots 8 (2m + 3); on-coset ints (m/p + m/col + 4) (int_a + int_b m)
+    on_axes = 1 / p + math.gcd(u, p) / (p * q)
+    s0, s1, s2 = n + 1, n * (n + 1) / 2, n * (n + 1) * (2 * n + 1) / 6
+    axes = ((24 + 4 * int_a) * s0 + (16 + on_axes * int_a + 4 * int_b) * s1
+            + on_axes * int_b * s2)
+    # per dense layer m: m+1 row lists, (m+1)^2 slots and (m+1)^2 / (p*q) ints
+    # of int_a + int_b m; unpacking the last one holds about two more copies
+    t1, t2 = (d + 1) * (d + 2) / 2, (d + 1) * (d + 2) * (2 * d + 3) / 6
+    t3 = t1 * t1 - t2  # sums of m+1, (m+1)^2 and (m+1)^2 m
+    last = (d + 1) ** 2 * (8 + (int_a + int_b * d) / (p * q))
+    dense = 64 * t1 + 8 * t2 + (int_a * t2 + int_b * t3) / (p * q) + 2 * last
+    return int(layers + axes + dense)
 
 
 def _respace(buf: bytes, nb: int, new_nb: int) -> bytes | bytearray:
@@ -304,7 +325,7 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     card = len(s)
     steps = s.sorted_steps()
     p, q, u = _coset(steps)
-    peak = _peak_bytes(card, n_max, dense_max, p * q)
+    peak = _peak_bytes(card, n_max, dense_max, p, q, u)
     if peak > _MAX_BYTES:
         raise ResourceLimit(
             f"count(n_max={n_max}, dense_max={dense_max}) needs about "

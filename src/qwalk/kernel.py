@@ -14,6 +14,11 @@ ordered |x1| < x2 < 1 < x3 < |x4| <= inf, and likewise in y.  The roots
 Y0, Y1 of K(x, ., z) = 0 are separated by modulus, |Y0| <= |Y1|, away from
 the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
+
+Branch points need no arrays: numpy is imported only inside the functions
+that trace the curve (_edge_values, winding_number, trace_curve_M,
+contour_nodes, curve_preimage), so branch_points and disc_roots start
+without it.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _ratpoly as rp
 from .errors import (
@@ -74,24 +77,26 @@ def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
 
 
 def _newton_polish(coeffs: list[float], r: complex) -> complex:
+    """One Newton step from r, kept only if it is short and does not raise
+    |p|: at a double root found to roundoff, p and p' are both noise and
+    their ratio is no step at all."""
     p = poly_eval(coeffs, r)
     dp = poly_eval(rp.deriv(coeffs), r)
     if dp != 0:
         step = p / dp
-        if abs(step) < 0.5 * (1 + abs(r)):
+        if abs(step) < 0.5 * (1 + abs(r)) and abs(poly_eval(coeffs, r - step)) <= abs(p):
             return r - step
     return r
 
 
 def _poly_roots(coeffs: list[float]) -> list[complex]:
-    """All finite roots (companion-matrix eigenvalues, one Newton polish)."""
+    """All finite roots (_ratpoly.roots, one Newton polish)."""
     arr = list(coeffs)
     while arr and arr[-1] == 0:
         arr.pop()
     if len(arr) <= 1:
         return []
-    raw = np.roots(arr[::-1])
-    out = [_newton_polish(arr, complex(r)) for r in raw]
+    out = [_newton_polish(arr, r) for r in rp.roots(arr)]
     scale = max(abs(v) for v in arr)
     for r in out:
         if abs(poly_eval(arr, r)) > 1e-6 * scale * max(1.0, abs(r)) ** (len(arr) - 1):
@@ -173,14 +178,7 @@ def _quad_roots_stable(A: complex, B: complex, C: complex) -> tuple[complex, com
         if B == 0:
             raise DegenerateQuadratic("both leading coefficients vanish")
         return (-C / B, INF_ROOT)
-    disc = B * B - 4 * A * C
-    sq = cmath.sqrt(disc)
-    if (B.conjugate() * sq).real < 0:
-        sq = -sq
-    q = -0.5 * (B + sq)
-    r1 = q / A
-    r2 = C / q if q != 0 else -B / A - r1
-    return (r1, r2)
+    return rp.quadratic_roots(A, B, C)
 
 
 def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
@@ -285,6 +283,8 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
     as at(y) stays away from 0; at(y) = 0 on the slit would mean the curve
     passes through infinity, which the polyline trace cannot represent.
     """
+    import numpy as np
+
     kp = kernel_polys(s)
     at = poly_eval(kp.a_t, ys)
     bt = poly_eval(kp.b_t, ys)
@@ -307,6 +307,8 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
 
 def winding_number(points: np.ndarray, x: complex) -> int:
     """Winding of a closed polyline around x (sum of turning angles)."""
+    import numpy as np
+
     rel = points - x
     if np.any(np.abs(rel) == 0):
         raise CaseUndetermined(f"{x} lies on a polyline vertex")
@@ -323,6 +325,8 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     exact conjugate; the orientation comes from the sign
     of the closed polyline's signed area.
     """
+    import numpy as np
+
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
     if m < 16:
@@ -364,6 +368,8 @@ def contour_nodes(
     curve, so integrand densities need no branch selection.  The nodes are
     built once per trace and m; a repeat m returns the same read-only arrays.
     """
+    import numpy as np
+
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
     if m in trace._memo:
@@ -396,6 +402,8 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | Non
     a kernel y-root at x is real, inside [y1, y2], and the slit edge value
     at that y reproduces x.
     """
+    import numpy as np
+
     s, z = trace.steps, trace.z
     for yr in Y_branches(s, x, z):
         if not (cmath.isfinite(yr) and abs(yr.imag) <= _BAND

@@ -245,7 +245,7 @@ def test_bad_values_are_structured_errors(capsys):
     assert code == 1 and json.loads(err)["error"] == "GenusZeroRegime"
     code, out, err = run(capsys, "bvp", "--preset", "simple", "--z", "0", "--target", "q11")
     assert code == 1 and json.loads(err)["error"] == "OutOfRange"
-    # a non-finite z is refused before numpy.roots sees it
+    # a non-finite z is refused before any root finding sees it
     for argv in (("kernel", "branch-points", "--preset", "kreweras", "--z", "nan"),
                  ("kernel", "branch-points", "--preset", "kreweras", "--z", "inf"),
                  ("kernel", "trace", "--preset", "kreweras", "--z", "nan"),
@@ -278,18 +278,18 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    a = run(capsys, "singularities", "--preset", "gessel")
-    b = run(capsys, "singularities", "--preset", "gessel")
-    assert a == b
-    c = run(capsys, "group", "--preset", "gessel", "--seed", "7")
-    d = run(capsys, "group", "--preset", "gessel", "--seed", "7")
-    assert c == d
+    for argv in (("singularities", "--preset", "gessel"),
+                 ("group", "--preset", "gessel", "--seed", "7"),
+                 ("kernel", "branch-points", "--preset", "kreweras", "--z", "0.2"),
+                 ("asymptotics", "--preset", "simple", "--series", "q11", "--n", "160")):
+        assert run(capsys, *argv) == run(capsys, *argv), argv
 
 
 def test_exact_subcommands_start_without_numpy():
     # start-up guard: `import qwalk` loads no submodule, and the exact
-    # subcommands (series past its first widening of the digits) load
-    # neither numpy nor scipy
+    # subcommands (series past its first widening of the digits, the
+    # branch points and singularities through _ratpoly.roots, asymptotics
+    # through its pure-Python fit) load neither numpy nor scipy
     code = """
 import contextlib, io, json, sys
 import qwalk
@@ -300,10 +300,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["group", "--preset", "gessel"],
         ["count", "--preset", "simple", "--n", "8"],
         ["series", "--preset", "kreweras", "--series", "q00", "--n", "30"],
+        ["classify", "--preset", "gessel"],
+        ["singularities", "--preset", "kreweras"],
+        ["kernel", "branch-points", "--preset", "simple", "--z", "0.2"],
+        ["asymptotics", "--preset", "simple", "--series", "q11", "--n", "160"],
     )]
 loaded["numeric"] = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 print(json.dumps({"codes": codes, **loaded}))
 """
     proc = run_process("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "package": [], "numeric": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 7, "package": [], "numeric": []}

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -519,13 +520,29 @@ def test_memory_guard_counts_only_the_coset(monkeypatch):
     assert counting._coset(SIMPLE.sorted_steps())[:2] == (2, 1)
     assert counting._coset(full.sorted_steps())[:2] == (1, 1)
     n = 120
-    layers = 2 * (n + 1) ** 2 * counting._digit_bits(4**n) // 8
-    whole, half = (counting._peak_bytes(4, n, 0, index) for index in (1, 2))
-    assert whole - half == layers - layers // 2
+    half, whole = (counting._peak_bytes(4, n, 0, *counting._coset(s.sorted_steps()))
+                   for s in (SIMPLE, full))
+    assert half < 0.6 * whole
     monkeypatch.setattr(counting, "_MAX_BYTES", half)
     counting.count(SIMPLE, n, dense_max=0)
     with pytest.raises(ResourceLimit, match="GiB"):
         counting.count(full, n, dense_max=0)
+
+
+def test_peak_estimate_bounds_the_traced_peak():
+    # the guard's estimate is an upper bound on what count() allocates, and
+    # a near one: within 4x of the tracemalloc peak on the four presets
+    for n in (200, 600):
+        for name in sorted(steps.PRESETS):
+            s = steps.preset(name)
+            estimate = counting._peak_bytes(len(s), n, 0, *counting._coset(s.sorted_steps()))
+            tracemalloc.start()
+            try:
+                counting.count(s, n, dense_max=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= estimate <= 4 * peak, (name, n, estimate, peak)
 
 
 def test_eval_series_matches_direct_sum():

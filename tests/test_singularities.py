@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -45,6 +46,79 @@ def test_sturm_root_isolation_known_roots():
     assert len(mids) == 3
     for mid, expected in zip(mids, [Fraction(1, 3), 2, 5]):
         assert abs(float(mid) - float(expected)) < 1e-12
+
+
+def _reconstruction_gap(coeffs, roots):
+    """max_k |lead * e_k(roots) - coeffs[k]| / (|lead| * e_k(|roots|)): how
+    far the roots' product rebuilds the polynomial, against the size of the
+    terms that build each coefficient."""
+    lead = coeffs[-1]
+    prod, mags = [1 + 0j], [1.0]
+    for r in roots:
+        prod = [a - r * b for a, b in zip([0j] + prod, prod + [0j])]
+        mags = [a + abs(r) * b for a, b in zip([0.0] + mags, mags + [0.0])]
+    return max(abs(lead * a - c) / (abs(lead) * m or 1.0) for a, c, m in zip(prod, coeffs, mags))
+
+
+def test_roots_exact_zeros_and_degree_drop():
+    # each zero low-order coefficient is an exact 0j root; high-order zeros
+    # lower the degree
+    got = rp.roots([0, 0, -2, 1, 0, 0])
+    assert got.count(0j) == 2 and all(str(r) == "0j" for r in got if r == 0)
+    assert sorted(r.real for r in got) == [0.0, 0.0, 2.0]
+    assert sorted(r.real for r in rp.roots([6, 5, 1, 0])) == [-3.0, -2.0]
+    assert rp.roots([]) == rp.roots([0, 0]) == rp.roots([3]) == []
+    assert rp.roots([0, 0, 7]) == [0j, 0j]
+
+
+def test_roots_simple_walk_branch_points_closed_form():
+    # at z = 0.2 the cleared discriminant is (x^2-3x+1)(x^2-7x+1) / 25
+    coeffs = kernel._cleared_disc_at(kernel.cleared_disc_int(SIMPLE), 0.2)
+    got = sorted(rp.roots(coeffs), key=lambda r: r.real)
+    sq5 = 5**0.5
+    want = [(7 - 3 * sq5) / 2, (3 - sq5) / 2, (3 + sq5) / 2, (7 + 3 * sq5) / 2]
+    for r, w in zip(got, want):
+        assert r.imag == 0.0 and r.real == pytest.approx(w, rel=1e-14, abs=0)
+
+
+def test_roots_of_every_cleared_discriminant():
+    # all 255 step sets, both planes, at z down to 0.001 and up to 1/|S|,
+    # where x2 and x3 collide into a double root: every root within the
+    # residual bound of kernel._poly_roots, before its Newton polish, and
+    # the roots rebuild the polynomial (no root found twice, none missed;
+    # a double root is found to about the square root of roundoff)
+    cases = worst = 0
+    for s in steps.all_step_sets():
+        for plane in (s, s.mirrored()):
+            triples = kernel.cleared_disc_int(plane)
+            for z in (0.001, 0.1, 0.99 / len(s), 1 / len(s)):
+                coeffs = rp.norm(kernel._cleared_disc_at(triples, z))
+                got = rp.roots(coeffs)
+                assert len(got) == max(len(coeffs) - 1, 0)
+                if not got:  # D vanishes identically at z = 1/2 on 6 planes of two-step sets
+                    continue
+                scale = max(abs(c) for c in coeffs)
+                for r in got:
+                    bound = 1e-6 * scale * max(1.0, abs(r)) ** (len(coeffs) - 1)
+                    assert abs(kernel.poly_eval(coeffs, r)) <= bound, (s, z, r)
+                worst = max(worst, _reconstruction_gap(coeffs, got))
+                cases += 1
+    assert cases == 2034 and worst < 1e-7, worst
+
+
+def test_roots_above_degree_four():
+    # Bini's Newton-polygon start: spread moduli, a unit-circle cluster and
+    # conjugate pairs, each against its exact roots
+    for want in ([1e-3, 1.0, 1e3, 1j, -1j, 2.0, -5.0],
+                 [complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)],
+                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]):
+        coeffs = [1 + 0j]
+        for r in want:
+            coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
+        got = rp.roots([c.real for c in coeffs])
+        assert len(got) == len(want)
+        for w in want:
+            assert min(abs(r - w) for r in got) <= 1e-9 * max(1.0, abs(w)), (want, w)
 
 
 def test_sylvester_resultant_shared_root():
