@@ -63,6 +63,8 @@ from .steps import StepSet, drift, kernel_polys, poly_eval
 
 _MAX_NODES = 2**14
 _GLUING_TOL = 1e-9
+_TOL = 1e-9  # contour sums of q00/q10/q01_general
+_Q11_TOL = 1e-12  # the parts of q11_general, whose relation divides by |S| - 1/z
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ def q11_from_relation(
             f"z = 1/|S| = {1.0/card}: evaluate at a small offset and take the limit"
         )
     kp = kernel_polys(s)
-    rhs = sum(kp.c) * q10 + sum(kp.c_t) * q01 - s.delta(-1, -1) * q00 - 1.0 / z
+    rhs = sum(kp.c) * q10 + sum(kp.c_t) * q01 - kp.c[0] * q00 - 1.0 / z
     return GFValue(value=rhs / denom, z=z, method="relation",
                    quadrature_error_estimate=0.0)
 
@@ -339,12 +341,7 @@ def _glued_curve(s: StepSet, z: float, cgf: CGF) -> CurveTrace:
     return trace
 
 
-def q00_general(
-    s: StepSet,
-    z: float,
-    cgf: CGF,
-    tol: float = 1e-9,
-) -> GFValue:
+def q00_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
     """Q(0,0,z) for any model the supplied CGF glues.
 
     Case dispatch on c: (a) c(0) = 0: pole-cancellation limit at x -> 0;
@@ -352,7 +349,7 @@ def q00_general(
     circle, which must not lie outside the domain.  A constant c and
     c(x) = x^2 raise CGFUnavailable before tracing.
     """
-    return _q00(cgf, _glued_curve(s, z, cgf), tol)
+    return _q00(cgf, _glued_curve(s, z, cgf), _TOL)
 
 
 def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
@@ -391,12 +388,7 @@ def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
     )
 
 
-def q10_general(
-    s: StepSet,
-    z: float,
-    cgf: CGF,
-    tol: float = 1e-9,
-) -> GFValue:
+def q10_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
     """Q(1,0,z) via the gluing route.
 
     If 1 is inside the domain (or on the curve: inside-limit, flagged), the
@@ -405,7 +397,7 @@ def q10_general(
     to x* = X0(Y0(1,z),z), which does lie inside.
     """
     trace = _glued_curve(s, z, cgf)
-    return _q10(cgf, trace, _q00(cgf, trace, tol).value, tol)
+    return _q10(cgf, trace, _q00(cgf, trace, _TOL).value, _TOL)
 
 
 def _q10(cgf: CGF, trace: CurveTrace, q00: float, tol: float) -> GFValue:
@@ -439,31 +431,42 @@ def _q10(cgf: CGF, trace: CurveTrace, q00: float, tol: float) -> GFValue:
                    flags=("outside-transport",))
 
 
-def q01_general(
-    s: StepSet,
-    z: float,
-    cgf_y: CGF,
-    tol: float = 1e-9,
-) -> GFValue:
+def q01_general(s: StepSet, z: float, cgf_y: CGF) -> GFValue:
     """Q(0,1,z): the diagonal mirror of q10_general."""
-    return q10_general(s.mirrored(), z, cgf_y, tol)
+    return q10_general(s.mirrored(), z, cgf_y)
 
 
-def q11_general(
-    s: StepSet,
-    z: float,
-    cgf: CGF | None = None,
-    evaluator: Callable[[float], tuple[float, float, float]] | None = None,
+def q11_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
+    """Q(1,1,z) via the gluing route: the kernel relation at (1,1) on
+    Q(0,0,z), Q(1,0,z) and Q(0,1,z), each summed to tolerance 1e-12.
+
+    Both planes are checked glueable before either is traced; Q(0,0,z), the
+    same on both planes, is computed once, on the x plane.  The removable
+    point z = 1/|S| and its zero-drift refusal are _q11_relation's.
+    """
+    planes = (s, s.mirrored())
+
+    def parts(zv: float) -> tuple[float, float, float]:
+        for plane in planes:
+            _require_glueable(plane)  # before tracing either plane
+        x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in planes)
+        q00 = _q00(cgf, x_plane, _Q11_TOL).value
+        return (q00, *(_q10(cgf, p, q00, _Q11_TOL).value for p in (x_plane, y_plane)))
+
+    return _q11_relation(s, z, parts)
+
+
+def _q11_relation(
+    s: StepSet, z: float, parts: Callable[[float], tuple[float, float, float]]
 ) -> GFValue:
-    """Q(1,1,z) from the kernel relation at (1,1).
+    """Q(1,1,z) from the kernel relation at (1,1), with parts(z) ->
+    (q00, q10, q01).
 
-    evaluator(z) -> (q00, q10, q01) defaults to the gluing route at tolerance
-    1e-12; Q(0,0,z), the same on both planes, is computed once, on the x
-    plane.  At the
-    removable point z = 1/|S| the relation degenerates to 0 = 0; the value
-    is then recovered by Richardson extrapolation of symmetric offsets.
+    At the removable point z = 1/|S| the relation degenerates to 0 = 0; the
+    value is then recovered by Richardson extrapolation of symmetric offsets.
     Zero-drift models have z_g = 1/|S|, so the offset above it would cross
-    the genus transition: there z = 1/|S| raises OutOfRange.
+    the genus transition: there z = 1/|S| raises OutOfRange.  Both checks
+    come before the first call of parts.
     """
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
@@ -474,19 +477,8 @@ def q11_general(
         raise OutOfRange(f"z={z} is 1/|S| = z_g of a zero-drift model; "
                          "the offset limit would cross the genus transition")
 
-    if evaluator is None:
-        if cgf is None:
-            raise CGFUnavailable("q11_general needs a CGF or an explicit evaluator")
-        for plane in (s, s.mirrored()):
-            _require_glueable(plane)  # before tracing either plane
-
-        def evaluator(zv: float) -> tuple[float, float, float]:
-            x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in (s, s.mirrored()))
-            q00 = _q00(cgf, x_plane, 1e-12).value
-            return (q00, *(_q10(cgf, p, q00, 1e-12).value for p in (x_plane, y_plane)))
-
     def assemble(zv: float) -> GFValue:
-        q00, q10, q01 = evaluator(zv)
+        q00, q10, q01 = parts(zv)
         return q11_from_relation(s, zv, q10, q01, q00)
 
     if removable:

@@ -53,7 +53,7 @@ from itertools import accumulate, chain, repeat
 from typing import Literal
 
 from .errors import OutOfRange, ResourceLimit
-from .steps import StepSet
+from .steps import StepSet, kernel_polys
 
 SeriesLabel = Literal["q00", "q10", "q01", "q11"]
 
@@ -332,9 +332,8 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
             f"{peak / 2**30:.3g} GiB, over the {_MAX_BYTES / 2**30:.3g} GiB limit"
         )
 
-    lost_x = sum(1 for _, b in steps if b == -1)  # c(1)
-    lost_y = sum(1 for a, _ in steps if a == -1)  # ct(1)
-    corner = s.delta(-1, -1)
+    kp = kernel_polys(s)
+    lost_x, lost_y, corner = sum(kp.c), sum(kp.c_t), kp.c[0]  # c(1), ct(1), c(0)
     a0, b0 = steps[0]
     stride = p * q
     moves = _moves(steps, p)
@@ -473,7 +472,7 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     if n_degree < 1:
         raise OutOfRange(f"n_degree must be >= 1, got {n_degree}")
     table = count(s, n_degree, dense_max=n_degree)
-    d11 = s.delta(-1, -1)
+    kp = kernel_polys(s)
     layers = table._dense[: n_degree + 1]
     read = [*chain.from_iterable(layers), *table.row0[:n_degree], *table.col0[:n_degree],
             table.q00[:n_degree]]
@@ -501,13 +500,13 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
                 moved = (r, r << bits, r << 2 * bits)
                 for p, q in s.steps:
                     lhs[j + q + 1] += moved[p + 1]
-            for d in (-1, 0, 1):
-                if s.delta(d, -1):
-                    rhs[0] += row0[n - 1] << bits * (d + 1)
-                if s.delta(-1, d):
-                    for j, v in enumerate(table.col0[n - 1], d + 1):
+            for k in range(3):  # the x^k term of c(x) Q(x,0), the y^k one of ct(y) Q(0,y)
+                if kp.c[k]:
+                    rhs[0] += row0[n - 1] << bits * k
+                if kp.c_t[k]:
+                    for j, v in enumerate(table.col0[n - 1], k):
                         rhs[j] += v
-            rhs[0] -= d11 * table.q00[n - 1]
+            rhs[0] -= kp.c[0] * table.q00[n - 1]
         else:
             rhs[1] = -1 << bits
         for j, r in enumerate(dense[n], 1):
@@ -524,7 +523,7 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     return FunctionalEquationReport(
         holds=first_mismatch is None,
         max_degree=n_degree,
-        has_q00_term=bool(d11),
+        has_q00_term=bool(kp.c[0]),
         first_mismatch=first_mismatch,
     )
 

@@ -122,8 +122,12 @@ class BranchPoints:
 
 def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
     """The cleared x-discriminant's coefficients at z and its finite roots,
-    with imaginary parts at roundoff level set to exactly 0."""
+    with imaginary parts at roundoff level set to exactly 0.  Where the
+    discriminant vanishes identically (every x a branch point, as for
+    {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange."""
     coeffs = _cleared_disc_at(cleared_disc_int(s), z)
+    if not any(coeffs):
+        raise OutOfRange(f"the discriminant vanishes identically at z={z}")
     roots = _poly_roots(coeffs)
     scale = max((abs(r) for r in roots), default=1.0)
     return coeffs, [

@@ -41,10 +41,6 @@ class StepSet:
         """Indicator of the step (i, j): 1 if allowed, else 0."""
         return 1 if (i, j) in self.steps else 0
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.steps)
-
     def sorted_steps(self) -> tuple[Step, ...]:
         return tuple(sorted(self.steps))
 
@@ -54,12 +50,6 @@ class StepSet:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __iter__(self) -> Iterator[Step]:
-        return iter(self.sorted_steps())
-
-    def __contains__(self, step: object) -> bool:
-        return step in self.steps
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({i},{j})" for i, j in self.sorted_steps())

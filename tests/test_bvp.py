@@ -105,11 +105,14 @@ def test_general_route_reports_unconverged_contour():
 
 
 def test_q10_pole_node_is_unconverged_not_a_warning():
-    # at z = 0.0625 and the tight tolerance a boundary-integral node lands on
-    # the Cauchy pole; the non-finite sum must end in the typed error, and a
-    # RuntimeWarning on the way would fail the test (the suite raises them)
+    # at z = 0.0625 and q11_general's tight tolerance a boundary-integral
+    # node lands on the Cauchy pole; the non-finite sum must end in the typed
+    # error, and a RuntimeWarning on the way would fail the test (the suite
+    # raises them).  q11_general itself stops earlier, at the mirror plane
+    cgf = bvp.circle_cgf()
+    trace = bvp._glued_curve(UNGLUED_MIRROR, 0.0625, cgf)
     with pytest.raises(QuadratureNotConverged):
-        bvp.q10_general(UNGLUED_MIRROR, 0.0625, bvp.circle_cgf(), tol=1e-12)
+        bvp._q10(cgf, trace, bvp._q00(cgf, trace, bvp._Q11_TOL).value, bvp._Q11_TOL)
 
 
 def test_q11_from_relation(simple_table):
@@ -152,7 +155,7 @@ def test_non_finite_z_is_out_of_range():
             lambda: bvp.q01_general(SIMPLE, z, cgf),
             lambda: bvp.q11_general(SIMPLE, z, cgf),
             lambda: bvp.q11_from_relation(SIMPLE, z, 1.0, 1.0, 1.0),
-            lambda: bvp.q11_general(SIMPLE, z, evaluator=lambda zv: (1.0, 1.0, 1.0)),
+            lambda: bvp._q11_relation(SIMPLE, z, lambda zv: (1.0, 1.0, 1.0)),
         ):
             with pytest.raises(OutOfRange, match="z must be positive and finite"):
                 call()
@@ -483,7 +486,7 @@ def test_q11_general_removable_point_dp_backed():
         )
 
     z = 1.0 / len(s)
-    got = bvp.q11_general(s, z, evaluator=ev)
+    got = bvp._q11_relation(s, z, ev)
     assert "removable-singularity" in got.flags
     oracle = counting.eval_series(q11c, z)
     assert got.value == pytest.approx(oracle, abs=1e-7)
@@ -492,7 +495,7 @@ def test_q11_general_removable_point_dp_backed():
 def test_q11_general_plain_point_via_cgf(lrs_table):
     z = 0.15
     # LRS: q01 needs the y-plane curve, which passes through infinity; the
-    # evaluator route with series-backed q01 exercises the assembly instead
+    # relation on series-backed q01 exercises the assembly instead
     q01 = series_value(lrs_table, "q01", z)
 
     def ev(zv):
@@ -502,7 +505,7 @@ def test_q11_general_plain_point_via_cgf(lrs_table):
             series_value(lrs_table, "q01", zv),
         )
 
-    got = bvp.q11_general(LRS, z, evaluator=ev)
+    got = bvp._q11_relation(LRS, z, ev)
     oracle = series_value(lrs_table, "q11", z)
     assert got.value == pytest.approx(oracle, abs=1e-8)
 
@@ -578,7 +581,7 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
 
 
 def test_q11_general_computes_q00_once(monkeypatch):
-    # Q(0,0,z) is the same on both planes: one _q00 per evaluator call
+    # Q(0,0,z) is the same on both planes: one _q00 per call of the parts
     calls = []
     q00 = bvp._q00
 
@@ -595,7 +598,8 @@ def test_q11_general_computes_q00_once(monkeypatch):
 
 def test_q11_general_equals_the_relation_on_its_parts():
     # the five genuine models symmetric in both axes: the circle glues both
-    # planes, and reusing the x-plane trace leaves every number unchanged
+    # planes.  The parts are taken as q11_general takes them, with the
+    # x plane's Q(0,0,z) on both planes; the y plane's agrees within 4 ulps
     cgf = bvp.circle_cgf()
     both_axes = []
     for s in steps.all_step_sets():
@@ -607,9 +611,12 @@ def test_q11_general_equals_the_relation_on_its_parts():
     for s in both_axes:
         for f in (0.25, 0.5, 0.85):
             z = f / len(s)
-            parts = [fn(s, z, cgf, tol=1e-12).value
-                     for fn in (bvp.q10_general, bvp.q01_general, bvp.q00_general)]
-            want = bvp.q11_from_relation(s, z, *parts).value
+            x_plane, y_plane = (bvp._glued_curve(p, z, cgf) for p in (s, s.mirrored()))
+            q00 = bvp._q00(cgf, x_plane, bvp._Q11_TOL).value
+            q00_y = bvp._q00(cgf, y_plane, bvp._Q11_TOL).value
+            assert abs(q00_y - q00) <= 4 * math.ulp(q00), (s, f)
+            q10, q01 = (bvp._q10(cgf, p, q00, bvp._Q11_TOL).value for p in (x_plane, y_plane))
+            want = bvp.q11_from_relation(s, z, q10, q01, q00).value
             assert bvp.q11_general(s, z, cgf).value == want, (s, f)
 
 
@@ -698,4 +705,4 @@ def test_q11_general_zero_drift_at_inverse_cardinality_out_of_range():
     with pytest.raises(OutOfRange):
         bvp.q11_general(SIMPLE, 0.25, bvp.circle_cgf())
     with pytest.raises(OutOfRange):
-        bvp.q11_general(SIMPLE, 0.25, evaluator=lambda zv: (1.0, 1.0, 1.0))
+        bvp._q11_relation(SIMPLE, 0.25, lambda zv: (1.0, 1.0, 1.0))

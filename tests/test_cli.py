@@ -47,6 +47,18 @@ def test_series_csv(capsys):
     assert out.strip().splitlines()[1:] == ["0,1", "1,0", "2,2", "3,0", "4,10", "5,0", "6,70"]
 
 
+def test_series_json(capsys):
+    # Kreweras excursions: 2 of length 3, 16 of length 6, 192 of length 9
+    code, out, _ = run(capsys, "series", "--preset", "kreweras", "--series", "q00",
+                       "--n", "9")
+    assert code == 0
+    assert json.loads(out) == {
+        "config": {"n": 9, "preset": "kreweras", "series": "q00", "steps": None},
+        "label": "Q(0,0,z)",
+        "coefficients": ["1", "0", "0", "2", "0", "0", "16", "0", "0", "192"],
+    }
+
+
 def test_group_json(capsys):
     code, out, _ = run(capsys, "group", "--preset", "kreweras")
     assert code == 0
@@ -65,6 +77,17 @@ def test_kernel_branch_points(capsys):
     data = json.loads(out)
     assert data["ordering_asserted"] is True
     assert data["x_roots"][1]["re"] == pytest.approx(0.3819660112501051, rel=1e-9)
+
+
+def test_branch_points_of_a_vanishing_discriminant_are_an_error(capsys):
+    # at z = 1/2 every x is a branch point of these two-step sets (the
+    # discriminant is 0): no "infinity" roots on stdout, one structured error
+    for pts in ("[[0,-1],[0,1]]", "[[-1,0],[1,0]]", "[[-1,1],[1,-1]]", "[[-1,-1],[1,1]]"):
+        code, out, err = run(capsys, "kernel", "branch-points", "--steps",
+                             f'{{"steps": {pts}}}', "--z", "0.5")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "OutOfRange", "message": "the discriminant vanishes identically at z=0.5"}
 
 
 def test_kernel_trace_csv(capsys):
@@ -111,6 +134,25 @@ def test_bvp_value(capsys):
     data = json.loads(out)
     assert data["value"] == pytest.approx(1.1029733226675287, rel=1e-10)
     assert data["method"] == "circle-closed-form"
+
+
+def test_bvp_gluing_route_on_step_input(capsys):
+    # {(-1,-1), (1,-1), (0,1)}: the circle glues the x-plane curve, so q10 goes
+    # through the gluing route (x = 1 lies on the curve); the y plane has a
+    # constant ct, its curve passes through infinity, and q01 is refused
+    lrs = '{"steps": [[-1,-1],[1,-1],[0,1]]}'
+    code, out, _ = run(capsys, "bvp", "--steps", lrs, "--z", "0.15", "--target", "q10")
+    data = json.loads(out)
+    assert code == 0 and data["method"] == "cgf-integral" and data["flags"] == ["boundary"]
+    table = qwalk.counting.count(qwalk.from_json(lrs), 200, dense_max=0)
+    want = qwalk.counting.eval_series(qwalk.counting.series(table, "q10").coeffs, 0.15)
+    assert data["value"] == pytest.approx(want, abs=1e-8)
+    code, out, err = run(capsys, "bvp", "--steps", lrs, "--z", "0.15", "--target", "q01")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CGFUnavailable",
+        "message": "c is constant: the curve passes through infinity and no CGF glues it",
+    }
 
 
 def test_bvp_error_is_structured(capsys):
@@ -175,6 +217,21 @@ def test_check_lists_skipped_checks(capsys):
     assert skipped["cauchy-integral-vs-series"].startswith("SlitDegenerate")
     assert "growth-vs-first-singularity" in skipped
     assert not skipped.keys() & {r["name"] for r in data["results"]}
+
+
+def test_check_skips_the_analytic_checks_off_the_genuine_sets(capsys):
+    # a singular walk and one with every step in a closed half-plane: only the
+    # functional equation runs, and each analytic check is skipped with the reason
+    analytic = ["z_g-method-agreement", "singularity-sandwich", "branch-ordering",
+                "growth-vs-first-singularity", "cauchy-integral-vs-series"]
+    for source in ('{"steps": [[1,0],[0,1],[1,1]]}', '{"steps": [[1,1],[1,-1],[1,0],[0,-1]]}'):
+        code, out, _ = run(capsys, "check", "--steps", source, "--n", "30")
+        data = json.loads(out)
+        assert code == 0 and data["ok"]
+        assert [r["name"] for r in data["results"]] == ["functional-equation"]
+        assert data["skipped"] == [
+            {"name": name, "reason": "singular walk or origin outside the hull interior"}
+            for name in analytic]
 
 
 def test_check_runs_its_gluing_check_once(capsys, monkeypatch):

@@ -206,6 +206,30 @@ def test_branch_points_residual_and_degree_drop():
             assert abs(kernel.poly_eval(coeffs, r)) <= 1e-9 * scale * max(1.0, abs(r)) ** 4
 
 
+def test_identically_vanishing_discriminant_is_out_of_range():
+    # at z = 1/2, D = (1 - 4 z^2) x^2 vanishes identically on six planes of
+    # two-step sets, where every x is a branch point: a typed error, never
+    # four roots at infinity.  A plane (s, "y") is the x plane of s.mirrored()
+    message = "the discriminant vanishes identically at z=0.5"
+    found = []
+    for s in steps.all_step_sets():
+        for axis, plane in (("x", s), ("y", s.mirrored())):
+            try:
+                kernel.disc_roots(plane, 0.5)
+            except OutOfRange as exc:
+                assert str(exc) == message
+                found.append((s.sorted_steps(), axis))
+    assert sorted(found) == [
+        (((-1, -1), (1, 1)), "x"), (((-1, -1), (1, 1)), "y"),
+        (((-1, 0), (1, 0)), "y"),
+        (((-1, 1), (1, -1)), "x"), (((-1, 1), (1, -1)), "y"),
+        (((0, -1), (0, 1)), "x"),
+    ]
+    for pts in ({(0, -1), (0, 1)}, {(-1, 0), (1, 0)}, {(-1, 1), (1, -1)}, {(-1, -1), (1, 1)}):
+        with pytest.raises(OutOfRange, match=message):
+            kernel.branch_points(steps.parse_step_set(pts), 0.5)
+
+
 def test_y_branches_eq_y0_formula_on_circle():
     # Y0(e^{i theta}, z) = (1 - 2 z cos(theta) - sqrt((1-2z cos)^2 - 4z^2))/(2z)
     z = 0.2

@@ -48,6 +48,46 @@ def test_every_public_definition_is_reached_outside_the_tests():
     assert unreached == []
 
 
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a default that no call in the library, the demos or the benchmark
+    # overrides is a knob that only the tests turn.  A call passes a
+    # parameter by its keyword, by position, or through *args or **kwargs
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    calls: dict[str, list[ast.Call]] = {}
+    for p in callers:
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+
+    def passes(call: ast.Call, name: str, position: int | None) -> bool:
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        return position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unpassed = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(p.read_text()).body:
+            if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+                continue
+            a = stmt.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(arg.arg, k) for k, arg in enumerate(positional) if k >= first]
+            defaulted += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            unpassed += [f"{p.stem}.{stmt.name}({name})" for name, k in defaulted
+                         if not any(passes(c, name, k) for c in calls.get(stmt.name, []))]
+    # the console-script entry point reads sys.argv when argv is not given
+    assert unpassed == ["cli.main(argv)"]
+
+
 def test_a_trace_is_the_only_handle_on_its_model_and_z():
     # a CurveTrace carries its step set and z; a function that takes the
     # trace reads them from it instead of taking them again, unchecked

@@ -204,6 +204,13 @@ def test_critical_point_satisfies_system():
         assert cp.alpha > 0 and cp.beta > 0
 
 
+def test_critical_point_full_newton_steps_converge_on_every_genuine_set():
+    # critical_point takes every Newton step whole; on all 131 genuine sets
+    # that reaches a residual below 1e-13
+    residuals = [sg.critical_point(s).residual for s in genuine_models()]
+    assert len(residuals) == 131 and max(residuals) < 1e-13
+
+
 def test_critical_point_rejections():
     with pytest.raises(SingularWalk):
         sg.critical_point(steps.parse_step_set([(1, 0), (0, 1), (1, 1)]))
@@ -251,6 +258,30 @@ def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
     monkeypatch.setattr(kernel, "_poly_roots", fail)
     with pytest.raises(ValidationMismatch, match="large residual"):
         sg.z_g_via_resultant(SIMPLE)
+
+
+def test_resultant_route_is_the_smallest_certified_root_on_every_genuine_set():
+    # D has no double root on (0, z_g): on all 131 genuine sets the smallest
+    # certified positive root of the resultant is the inner collision, and
+    # the 14 sets with a second candidate never need it
+    seen = second = 0
+    for s in genuine_models():
+        roots = rp.isolate_positive_roots(sg._resultant_in_z(s))
+        assert sg.z_g_via_resultant(s) == float(roots[0]), s
+        seen += 1
+        second += len(roots) > 1
+    assert (seen, second) == (131, 14)
+
+
+def test_resultant_route_names_why_its_root_was_rejected(monkeypatch):
+    # at z = 1/4 the simple walk's x2 and x3 meet at x = 1, a local maximum
+    # of D; one root alone has no cluster, and -D touches zero from below
+    coeffs, roots = kernel.disc_roots(SIMPLE, 0.25)
+    for fake, reason in (((coeffs, roots[:1]), "no clustered double root"),
+                         (([-c for c in coeffs], roots), "outer-type collision")):
+        monkeypatch.setattr(sg, "disc_roots", lambda s, z, fake=fake: fake)
+        with pytest.raises(ValidationMismatch, match=reason):
+            sg.z_g_via_resultant(SIMPLE)
 
 
 def test_branch_collision_at_resultant_z_g():

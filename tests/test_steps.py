@@ -9,15 +9,15 @@ from qwalk.errors import EmptyStepSet, InvalidStep, OutOfRange
 
 def test_parse_simple_walk():
     s = steps.parse_step_set([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    assert s.cardinality == 4
+    assert len(s) == 4
     assert s.delta(1, 0) == 1
     assert s.delta(1, 1) == 0
 
 
 def test_parse_singleton_and_duplicates():
     s = steps.parse_step_set([(1, 0)])
-    assert s.cardinality == 1
-    assert steps.parse_step_set([(1, 0), (1, 0)]).cardinality == 1
+    assert len(s) == 1
+    assert len(steps.parse_step_set([(1, 0), (1, 0)])) == 1
 
 
 def test_parse_rejects_origin_step():
