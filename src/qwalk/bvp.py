@@ -56,8 +56,8 @@ from .kernel import (
     Y_branches,
     contour_nodes,
     curve_preimage,
+    point_in_G_M,
     trace_curve_M,
-    winding_number,
 )
 from .steps import StepSet, drift, kernel_polys, poly_eval
 
@@ -214,29 +214,14 @@ def q11_from_relation(
 # contour machinery
 # --------------------------------------------------------------------------
 
-def _converge(eval_at, tol: float) -> tuple[complex, float]:
-    """Double midpoint nodes from 256 until successive values differ by
-    < tol; raise QuadratureNotConverged at the node cap."""
-    m, diff = 256, math.inf
-    prev = eval_at(m)
-    while m < _MAX_NODES:
-        m *= 2
-        cur = eval_at(m)
-        diff = abs(cur - prev)
-        if diff < tol:
-            return cur, diff
-        prev = cur
-    raise QuadratureNotConverged(
-        f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
-    )
-
-
 def _contour_integral(
     trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
 ) -> tuple[complex, float]:
     """(1/(2 pi i z)) (oint integrand dtau + plemelj), CCW: integrand(tau, ys,
-    t, dt) is summed over the midpoint nodes, doubled until converged.  A
-    node on a pole makes a non-finite round, which _converge passes over."""
+    t, dt) is summed over the midpoint nodes, doubled from 256 until two
+    successive sums differ by < tol; QuadratureNotConverged at the node cap.
+    A node on a pole makes a non-finite round, which the doubling passes
+    over."""
     orient, z = (1.0 if trace.ccw else -1.0), trace.z
 
     def at_m(m: int) -> complex:
@@ -244,35 +229,39 @@ def _contour_integral(
             f = integrand(*contour_nodes(trace, m=m))
             return complex(np.sum(f)) * (2 * math.pi / m)
 
-    total, err = _converge(at_m, tol)
-    return (orient * total + plemelj) / (2j * math.pi * z), err / (2 * math.pi * abs(z))
+    m, diff = 256, math.inf
+    prev = at_m(m)
+    while m < _MAX_NODES:
+        m *= 2
+        cur = at_m(m)
+        diff = abs(cur - prev)
+        if diff < tol:
+            return (orient * cur + plemelj) / (2j * math.pi * z), diff / (2 * math.pi * abs(z))
+        prev = cur
+    raise QuadratureNotConverged(
+        f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
+    )
 
 
 def _boundary_pole_data(
-    trace: CurveTrace, x: complex, ys: float, t_up: complex
+    x: complex, ys: float, tau: float, edge: int
 ) -> list[tuple[float, complex, int]]:
-    """Poles of the Cauchy kernel for x on the curve at slit ordinate ys with
-    upper-edge value t_up (see curve_preimage), as (tau_j, residue_j, side)
-    with side +1 for the pole at x itself, -1 for its mirror, and 0 for a
-    fold point (merged interior/exterior pair, no net half-residue).
+    """Poles of the Cauchy kernel for x on the curve, placed by
+    curve_preimage at slit ordinate ys, upper-edge parameter tau and edge,
+    as (tau_j, residue_j, side) with side +1 for the pole at x itself, -1
+    for its mirror, and 0 for a fold point (merged interior/exterior pair,
+    no net half-residue).
 
     The residue of w'(t)/(w(t) - w(x)) at a simple preimage of w(x) is 1, so
     each tau-pole of the full integrand carries residue t*Y0(t) = x*y; at a
     fold the parameterisation's double zero of w(t(tau)) - w(x) against the
     simple zero of w' leaves a simple pole with twice that density.
     """
-    mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     density = x * ys
-
-    cosv = (mid - ys) / half
-    if abs(x.imag) < 1e-9 and abs(cosv) > 1 - 1e-9:
-        # curve-and-real-axis crossings are the two fold points tau = 0, pi
-        # tau = 0 lies over y1 (cosv = 1), tau = pi over y2 (cosv = -1)
-        return [(0.0 if cosv > 0 else math.pi, 2.0 * density, 0)]
-    tau_up = math.acos(min(1.0, max(-1.0, cosv)))
-    if abs(t_up - x) <= abs(t_up.conjugate() - x):
-        return [(tau_up, density, +1), (2 * math.pi - tau_up, density.conjugate(), -1)]
-    return [(2 * math.pi - tau_up, density, +1), (tau_up, density.conjugate(), -1)]
+    if edge == 0:
+        return [(tau, 2.0 * density, 0)]
+    tau_x, tau_mirror = (tau, 2 * math.pi - tau) if edge > 0 else (2 * math.pi - tau, tau)
+    return [(tau_x, density, +1), (tau_mirror, density.conjugate(), -1)]
 
 
 def cauchy_value(
@@ -285,14 +274,14 @@ def cauchy_value(
     the spectrally convergent midpoint rule.  For x on the curve it is the
     inside limit: the integrand's poles are subtracted as cot-kernels on the
     staggered grid (principal value) and their Sokhotski-Plemelj
-    half-residues added back.  Points outside the domain raise
-    PointOutsideDomain.
+    half-residues added back.  The position is point_in_G_M's, and points
+    outside the domain raise PointOutsideDomain.
     """
     _require_gluing(cgf, trace)
-    on_curve = curve_preimage(trace, x)
-    if on_curve is None and winding_number(trace.points, x) == 0:
+    position = point_in_G_M(trace, x)
+    if position == "outside":
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
-    poles = [] if on_curve is None else _boundary_pole_data(trace, x, *on_curve)
+    poles = [] if position == "inside" else _boundary_pole_data(x, *curve_preimage(trace, x))
     wx = cgf.w(complex(x))
 
     def cauchy(tau, ys, t, dt):
@@ -303,7 +292,7 @@ def cauchy_value(
 
     plemelj = sum(1j * math.pi * res_j * side for (_tau, res_j, side) in poles)
     value, err = _contour_integral(trace, cauchy, tol, plemelj)
-    return value, err, "inside" if on_curve is None else "boundary"
+    return value, err, position
 
 
 # --------------------------------------------------------------------------

@@ -528,6 +528,14 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     )
 
 
+def _log_term(c: int, n: int, z: complex) -> complex:
+    """c z^n through logarithms, for an int c of 1000 bits or more: c
+    overflows float64, the term does not (|z| < 1/|S|); 0 at z = 0."""
+    if not z:
+        return 0.0
+    return (z / abs(z)) ** n * math.exp(math.log(c) + n * math.log(abs(z)))
+
+
 def eval_q_x0(table: CountTable, x: complex, z: complex) -> complex:
     """Truncated bivariate series sum_{n,i} q(i,0,n) x^i z^n."""
     total = 0j
@@ -535,7 +543,9 @@ def eval_q_x0(table: CountTable, x: complex, z: complex) -> complex:
         acc = 0j
         xp = 1 + 0j
         for v in row:
-            if v:
+            if v.bit_length() >= 1000:
+                total += _log_term(v, n, z) * xp
+            elif v:
                 acc += v * xp
             xp *= x
         total += acc * z**n
@@ -551,11 +561,6 @@ def eval_series(coeffs, z: float) -> float:
     zp = 1.0
     for n, c in enumerate(coeffs):
         if c:
-            if c.bit_length() < 1000:
-                total += float(c) * zp
-            else:
-                # c overflows float64; the term c*z^n does not (z < 1/|S|).
-                sign = 1.0 if z >= 0 or n % 2 == 0 else -1.0
-                total += sign * math.exp(math.log(c) + n * math.log(abs(z)))
+            total += float(c) * zp if c.bit_length() < 1000 else _log_term(c, n, z)
         zp *= z
     return total

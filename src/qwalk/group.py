@@ -14,7 +14,8 @@ generic exact panel cannot collide, so "all panel points fixed" is decisive.
 Orbits of infinite-order compositions blow up in height (digit count grows
 geometrically), so candidate orders are first screened by running the orbit
 in a few prime fields; non-return modulo a prime of good reduction already
-proves non-return over Q, and only screened candidates are re-run exactly.
+proves non-return over Q, so the first such prime decides, and only
+screened candidates are re-run exactly.
 The screening orbit runs on projective pairs (n : d), so it needs no
 modular inversion; a prime at which a denominator or a pole factor vanishes
 yields no flags (None), and the exact panel is what certifies.
@@ -30,6 +31,9 @@ from .errors import DegenerateGenerators, OutOfRange, PoleEncountered, TestPoint
 from .steps import KernelPolys, StepSet, kernel_polys, poly_eval
 
 _SCREEN_PRIMES = (2**61 - 1, 10**18 + 9, 10**18 + 3)
+
+#: Cap on max_half_order (one flag per step and panel point); finite m are <= 4.
+_MAX_HALF_ORDER = 1024
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,8 @@ def group_order(s: StepSet, max_half_order: int = 16, seed: int = 0) -> GroupOrd
     _check_defined(kernel_polys(s))
     if max_half_order < 2:
         raise OutOfRange("max_half_order must be >= 2 (psi and phi are never equal)")
+    if max_half_order > _MAX_HALF_ORDER:
+        raise OutOfRange(f"max_half_order must be <= {_MAX_HALF_ORDER}")
     rng = random.Random(seed)
 
     panel: list[RationalPoint] = []
@@ -162,15 +168,11 @@ def group_order(s: StepSet, max_half_order: int = 16, seed: int = 0) -> GroupOrd
         if attempts > 20 * 5:
             raise TestPointExhaustion("could not sample a panel with pole-free orbits")
         p = _random_point(rng)
-        flags: list[bool] | None = None
-        usable = 0
         for prime in _SCREEN_PRIMES:
-            f = _orbit_mod_p(s, p, prime, max_half_order)
-            if f is None:
-                continue  # bad reduction (or exact pole) modulo this prime
-            usable += 1
-            flags = f if flags is None else [a and b for a, b in zip(flags, f)]
-        if usable == 0:
+            flags = _orbit_mod_p(s, p, prime, max_half_order)
+            if flags is not None:
+                break  # the first prime of good reduction decides
+        else:
             continue  # every prime failed: the exact orbit hits a pole; resample
         panel.append(p)
         point_flags.append(flags)

@@ -16,9 +16,9 @@ the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
 
 Branch points need no arrays: numpy is imported only inside the functions
-that trace the curve (_edge_values, winding_number, trace_curve_M,
-contour_nodes, curve_preimage), so branch_points and disc_roots start
-without it.
+that trace the curve (_edge_values, trace_curve_M, contour_nodes,
+curve_preimage), so branch_points and disc_roots start without it, and
+point_in_G_M reads it only through curve_preimage.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from . import _ratpoly as rp
 from .errors import (
-    CaseUndetermined,
     DegenerateQuadratic,
     GenusZeroRegime,
     OutOfRange,
@@ -43,6 +42,10 @@ INF_ROOT = complex(math.inf, 0.0)
 
 #: Width of the band around the traced curve that counts as on the curve.
 _BAND = 1e-7
+
+#: Largest polyline m that trace_curve_M accepts (arrays of m + 1 points);
+#: the contour sums stop at 2^14 nodes.
+_MAX_TRACE_POINTS = 2**16
 
 
 def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
@@ -175,16 +178,6 @@ def branch_points(s: StepSet, z: float) -> BranchPoints:
     )
 
 
-def _quad_roots_stable(A: complex, B: complex, C: complex) -> tuple[complex, complex]:
-    """Roots of A t^2 + B t + C with sign-stable sqrt; second root may be
-    INF_ROOT when A = 0."""
-    if A == 0:
-        if B == 0:
-            raise DegenerateQuadratic("both leading coefficients vanish")
-        return (-C / B, INF_ROOT)
-    return rp.quadratic_roots(A, B, C)
-
-
 def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
     """Both kernel roots in y at x, with |Y0| <= |Y1|; Y1 = INF_ROOT when
     a(x) = 0.  Branch separation by modulus is valid off the x-plane slits."""
@@ -194,10 +187,12 @@ def Y_branches(s: StepSet, x: complex, z: float) -> tuple[complex, complex]:
     A = complex(poly_eval(kp.a, x))
     B = complex(poly_eval(kp.b, x)) - x / z
     C = complex(poly_eval(kp.c, x))
-    scale = 1.0 + abs(x) ** 2
-    if abs(A) < 1e-15 * scale:
-        A = 0j
-    r1, r2 = _quad_roots_stable(A, B, C)
+    if abs(A) < 1e-15 * (1.0 + abs(x) ** 2):
+        if B == 0:
+            raise DegenerateQuadratic("both leading coefficients vanish")
+        r1, r2 = -C / B, INF_ROOT
+    else:
+        r1, r2 = rp.quadratic_roots(A, B, C)  # sign-stable square root
     return (r1, r2) if abs(r1) <= abs(r2) else (r2, r1)
 
 
@@ -215,8 +210,9 @@ class CurveTrace:
     points has m+1 entries for an even m; points[0] = points[m] is the image
     of y1, and points[k] lies over y = mid - half*cos(2 pi k/m).  The first
     half (k <= m/2) is the upper edge (_edge_values), the second half its
-    exact conjugate.  ccw records whether the traversal is positive,
-    from the sign of the polyline's signed area.
+    exact conjugate.  ccw records whether the traversal is positive, from
+    the sign of the polyline's signed area.  The points serve ccw, the
+    gluing check and the printed trace; point_in_G_M does not read them.
 
     _memo holds the per-curve work done once and dropped with the trace: the
     contour_nodes result for each m (its arrays read-only) and, keyed by
@@ -309,18 +305,6 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
     return ((-bt + ys / z) + k_x) / (2 * at), k_x
 
 
-def winding_number(points: np.ndarray, x: complex) -> int:
-    """Winding of a closed polyline around x (sum of turning angles)."""
-    import numpy as np
-
-    rel = points - x
-    if np.any(np.abs(rel) == 0):
-        raise CaseUndetermined(f"{x} lies on a polyline vertex")
-    ratios = rel[1:] / rel[:-1]
-    total = float(np.sum(np.angle(ratios)))
-    return round(total / (2 * math.pi))
-
-
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
     and back along the lower edge.  Requires the genus-1 regime.
@@ -335,6 +319,8 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         raise OutOfRange("z must be positive and finite")
     if m < 16:
         raise OutOfRange("m must be >= 16")
+    if m > _MAX_TRACE_POINTS:
+        raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
     mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
@@ -397,14 +383,15 @@ def contour_nodes(
     return nodes
 
 
-def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | None:
-    """Where x lies on the traced curve: the slit ordinate y, clamped onto
-    [y1, y2], and the upper-edge value X0(y + i0), which equals x or its
-    conjugate within _BAND; None when x is off the curve.
+def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float, int] | None:
+    """Where x lies on the curve's traversal: (y, tau, edge), or None off it.
 
-    The test is analytic rather than polyline-based: x lies on the curve iff
-    a kernel y-root at x is real, inside [y1, y2], and the slit edge value
-    at that y reproduces x.
+    y is the slit ordinate, clamped onto [y1, y2], at y = mid - half*cos(tau)
+    with tau in [0, pi]; edge is +1 when x is the upper-edge value X0(y + i0)
+    (at tau) within _BAND, -1 for its conjugate (at 2*pi - tau), and 0 at a
+    fold, a real x over y1 (tau = 0) or y2 (tau = pi).  The test is analytic:
+    x is on the curve iff a kernel y-root at x is real, inside [y1, y2], and
+    the slit edge value at that y reproduces x.
     """
     import numpy as np
 
@@ -415,15 +402,23 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, complex] | Non
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
         up = complex(_edge_values(s, np.array([yv]), z)[0][0])
-        if min(abs(up - x), abs(up.conjugate() - x)) <= _BAND:
-            return yv, up
+        if min(abs(up - x), abs(up.conjugate() - x)) > _BAND:
+            continue
+        cosv = (0.5 * (trace.y1 + trace.y2) - yv) / (0.5 * (trace.y2 - trace.y1))
+        if abs(x.imag) < 1e-9 and abs(cosv) > 1 - 1e-9:
+            return yv, (0.0 if cosv > 0 else math.pi), 0
+        edge = 1 if abs(up - x) <= abs(up.conjugate() - x) else -1
+        return yv, math.acos(min(1.0, max(-1.0, cosv))), edge
     return None
 
 
 def point_in_G_M(trace: CurveTrace, x: complex) -> str:
-    """Classify x against the domain bounded by the curve: "inside",
-    "outside" or "boundary" (band of width 1e-7 around the curve, see
-    curve_preimage)."""
+    """Classify x against the domain bounded by the curve: "boundary" when
+    curve_preimage places it on the curve, else "inside" iff the kernel's
+    branches lead back to it, |X0(Y0(x)) - x| <= _BAND (outside, x is
+    X1(Y0(x)) instead); this test reads neither the polyline nor numpy."""
     if curve_preimage(trace, x) is not None:
         return "boundary"
-    return "inside" if winding_number(trace.points, x) != 0 else "outside"
+    s, z = trace.steps, trace.z
+    back = X_branches(s, Y_branches(s, x, z)[0], z)[0]
+    return "inside" if abs(back - x) <= _BAND else "outside"

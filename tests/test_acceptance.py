@@ -47,6 +47,13 @@ def disc_is_even(s):
     return not any(any(trip) for trip in kernel.cleared_disc_int(s)[1::2])
 
 
+def polyline_winding(points, x):
+    """Winding of a closed polyline around x (sum of turning angles)."""
+    rel = np.asarray(points) - x
+    assert np.all(rel != 0), f"{x} lies on a polyline vertex"
+    return round(float(np.sum(np.angle(rel[1:] / rel[:-1]))) / (2 * math.pi))
+
+
 def genuine_census(min_cardinality=1):
     out = []
     for s in steps.all_step_sets():
@@ -247,8 +254,8 @@ def test_criterion_10_simple_curve():
         bp = kernel.branch_points(SIMPLE, z)
         assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
         assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
-        assert kernel.winding_number(tr.points, bp.x_roots[0]) in (-1, 1)
-        assert kernel.winding_number(tr.points, bp.x_roots[2]) == 0
+        assert polyline_winding(tr.points, bp.x_roots[0]) in (-1, 1)
+        assert polyline_winding(tr.points, bp.x_roots[2]) == 0
     ok("criterion 10 (unit-circle trace)", "z in {0.1, 0.2}")
 
 

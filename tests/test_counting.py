@@ -611,3 +611,17 @@ def test_eval_q_x0_matches_direct_sum():
         for i, v in enumerate(t.row0[n])
     )
     assert counting.eval_q_x0(t, x, z) == pytest.approx(direct, rel=1e-14)
+
+
+def test_eval_q_x0_takes_huge_counts_through_logarithms():
+    # counts of 1000 bits or more overflow a float, as q(i,0,n) does for the
+    # simple walk from n = 560; their terms q z^n do not
+    t = counting.CountTable(steps=SIMPLE, n_max=3, dense_max=0, row0=[
+        [1], [0, 3], [5, 0, 2**1100], [0, 7 * 2**1200 + 1, 0, 3 * 2**1150]])
+    x = 0.5 + 0.25j
+    for z in (2.0**-560, -(2.0**-560), 0.0):
+        want = sum(float(Fraction(v) * Fraction(z) ** n) * x**i
+                   for n, row in enumerate(t.row0) for i, v in enumerate(row))
+        got = counting.eval_q_x0(t, x, z)
+        assert isinstance(got, complex)
+        assert got == pytest.approx(want, rel=1e-12), z

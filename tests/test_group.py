@@ -217,6 +217,36 @@ def test_half_order_bound_below_two_is_out_of_range():
         group.group_order(steps.preset("kreweras"), max_half_order=1)
 
 
+def test_half_order_bound_above_the_cap_is_out_of_range(monkeypatch):
+    # refused before any orbit is run; the cap itself is accepted
+    monkeypatch.setattr(group, "_orbit_mod_p", None)
+    with pytest.raises(OutOfRange, match="max_half_order must be <= 1024"):
+        group.group_order(steps.preset("gessel"), max_half_order=group._MAX_HALF_ORDER + 1)
+    monkeypatch.undo()
+    res = group.group_order(steps.preset("simple"), max_half_order=group._MAX_HALF_ORDER)
+    assert res.order == 4
+
+
+def test_the_first_prime_of_good_reduction_decides(monkeypatch):
+    # one screening orbit per panel point when the first prime reduces well,
+    # two when it does not (the screen's own bad-reduction example)
+    primes = []
+    orbit = group._orbit_mod_p
+
+    def counted(s, p, prime, max_m):
+        primes.append(prime)
+        return orbit(s, p, prime, max_m)
+
+    monkeypatch.setattr(group, "_orbit_mod_p", counted)
+    assert group.group_order(steps.preset("kreweras")).order == 6
+    assert primes == [group._SCREEN_PRIMES[0]] * 5
+    monkeypatch.setattr(group, "_random_point",
+                        lambda rng: RationalPoint(F(3, 2**61 - 1), F(5, 7)))
+    primes.clear()
+    assert group.group_order(steps.preset("kreweras")).order == 6
+    assert primes == list(group._SCREEN_PRIMES[:2]) * 5
+
+
 def test_group_order_deterministic_in_seed():
     s = steps.preset("kreweras")
     a = group.group_order(s, seed=5)

@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qwalk import kernel, steps
-from qwalk.errors import CaseUndetermined, GenusZeroRegime, OutOfRange, QwalkError
+from qwalk.errors import DegenerateQuadratic, GenusZeroRegime, OutOfRange, QwalkError
 
 SIMPLE = steps.preset("simple")
 SQ5 = math.sqrt(5.0)
@@ -28,6 +29,25 @@ def literal_disc(s, x, z):
 def cleared_disc(s, x, z):
     """D(x, z) = z^2 d(x, z), evaluated from the integer triples of cleared_disc_int."""
     return kernel.poly_eval(kernel._cleared_disc_at(kernel.cleared_disc_int(s), z), x)
+
+
+def polyline_winding(points, x):
+    """Winding of a closed polyline around x (sum of turning angles): the
+    reference point_in_G_M is compared with."""
+    rel = np.asarray(points) - x
+    assert np.all(rel != 0), f"{x} lies on a polyline vertex"
+    return round(float(np.sum(np.angle(rel[1:] / rel[:-1]))) / (2 * math.pi))
+
+
+def accurate_curve(tr, n=4000):
+    """The curve traced without the polyline's noise clamp: X0 at y + 1e-13i
+    from X_branches over n + 1 cosine-spaced slit nodes, then the conjugate
+    lower edge.  Next to a fold on a narrow slit the offset moves it by up to
+    1e-4, so probes compared with it keep 1e-3 away."""
+    mid, half = 0.5 * (tr.y1 + tr.y2), 0.5 * (tr.y2 - tr.y1)
+    ys = mid - half * np.cos(np.linspace(0.0, math.pi, n + 1))
+    up = np.array([kernel.X_branches(tr.steps, complex(y, 1e-13), tr.z)[0] for y in ys])
+    return np.concatenate([up, np.conj(up[-2::-1])])
 
 
 def random_nonsingular_models(rng, count, require_quartic=True):
@@ -287,8 +307,8 @@ def test_trace_simple_walk_is_unit_circle():
 def test_trace_winding_classifications():
     tr = kernel.trace_curve_M(SIMPLE, 0.2, m=256)
     x1, _, x3, _ = kernel.branch_points(SIMPLE, 0.2).x_roots
-    w1 = kernel.winding_number(tr.points, x1)
-    w3 = kernel.winding_number(tr.points, x3)
+    w1 = polyline_winding(tr.points, x1)
+    w3 = polyline_winding(tr.points, x3)
     assert w1 in (-1, 1)
     assert w3 == 0
 
@@ -325,10 +345,7 @@ def test_trace_orientation_and_edge_match_the_former_rules():
     count = 0
     for s, z, tr in genuine_traces():
         count += 1
-        try:
-            w1 = kernel.winding_number(tr.points, kernel.branch_points(s, z).x_roots[0])
-        except CaseUndetermined:
-            w1 = 0
+        w1 = polyline_winding(tr.points, kernel.branch_points(s, z).x_roots[0])
         assert tr.ccw == (w1 == 1), (s, z)
         m = len(tr.points) - 1
         ys_up = 0.5 * (tr.y1 + tr.y2) - 0.5 * (tr.y2 - tr.y1) * np.cos(
@@ -390,6 +407,8 @@ def test_bad_z_and_node_counts_are_out_of_range():
         (lambda: kernel.kernel_eval(SIMPLE, 0.5, 0.5, 0.0), "undefined at z = 0"),
         (lambda: kernel.trace_curve_M(SIMPLE, 0.0), "z must be positive"),
         (lambda: kernel.trace_curve_M(SIMPLE, 0.2, m=8), "m must be >= 16"),
+        (lambda: kernel.trace_curve_M(SIMPLE, 0.2, m=kernel._MAX_TRACE_POINTS + 1),
+         "m must be <= 65536"),
         (lambda: kernel.contour_nodes(trace, m=63), "m must be even"),
         (lambda: kernel.contour_nodes(trace, m=0), "m must be even"),
         (lambda: kernel.contour_nodes(trace, m=-2), "m must be even"),
@@ -409,17 +428,82 @@ def test_point_classification_simple():
     assert kernel.point_in_G_M(tr, 2.0 + 0j) == "outside"
 
 
-def test_point_on_a_polyline_vertex_is_a_typed_failure():
-    # curve_preimage misses these points of the curve, which hugs the real
-    # axis near x = -1 at small z, so the winding test meets a vertex
+def test_membership_agrees_with_the_polyline_winding_away_from_it():
+    # off the curve, the test |X0(Y0(x)) - x| <= _BAND classifies every
+    # probe as the winding of the traced polyline does, wherever the probe
+    # is too far from the polyline for a chord to pass between it and the
+    # curve; x = 0 with a(0) = b(0) = 0 has no finite y-root and is the one
+    # probe that raises (DegenerateQuadratic, from Y_branches)
+    seen, raised = Counter(), Counter()
+    for s, z, tr in genuine_traces():
+        pts = tr.points
+        margin = 2 * np.abs(np.diff(pts)).max()
+        x1, x2, x3, _ = kernel.branch_points(s, z).x_roots
+        rng = random.Random(f"{s.sorted_steps()} {z}")
+        lo, hi, h = pts.real.min() - 0.5, pts.real.max() + 0.5, np.abs(pts.imag).max() + 0.5
+        probes = [0j, x1, x3, 0.5 * (x1 + x2)] + [k * p for p in pts[:-1:32] for k in (0.9, 1.1)]
+        probes += [complex(rng.uniform(lo, hi), rng.uniform(-h, h)) for _ in range(40)]
+        for x in map(complex, probes):
+            try:
+                got = kernel.point_in_G_M(tr, x)
+            except QwalkError as exc:
+                kp = kernel.kernel_polys(s)
+                assert isinstance(exc, DegenerateQuadratic) and x == 0, (s, z, x)
+                assert kp.a[0] == kp.b[0] == 0, (s, z)
+                raised[s] += 1
+                continue
+            if np.abs(pts - x).min() > margin:
+                want = "inside" if polyline_winding(pts, x) else "outside"
+                assert got == want, (s, z, x)
+                seen[got] += 1
+    assert seen["inside"] > 5000 and seen["outside"] > 15000
+    # x = 0 and x1 = 0 at each z, on the 11 such genuine sets
+    assert len(raised) == 11 and set(raised.values()) == {6}
+
+
+@pytest.mark.parametrize("pts", [
+    [(-1, 1), (0, -1), (1, 1)],
+    [(-1, 1), (0, -1), (0, 1), (1, 1)],
+    [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, 1)],
+    [(-1, 1), (0, -1), (0, 1), (1, 0), (1, 1)],
+])
+def test_membership_at_small_z_agrees_with_the_accurate_curve(pts):
+    # at 0.02/|S| the slit is narrow and the traced polyline leaves the curve
+    # (the noise clamp of _edge_values), so it misreads points the curve
+    # encloses, x = 0 on the first two sets among them; the analytic test
+    # agrees with the accurately traced curve on every probe kept clear of it
+    s = steps.parse_step_set(pts)
+    tr = kernel.trace_curve_M(s, 0.02 / len(s))
+    ref = accurate_curve(tr)
+    rng = random.Random(str(pts))
+    probes = [0j, 1e-9 + 0j, -1e-9 + 0j] + [k * p for p in tr.points[:-1:16] for k in (0.97, 1.03)]
+    probes += [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(60)]
+    polyline_misses = 0
+    for x in map(complex, probes):
+        if np.abs(ref - x).min() <= 1e-3:
+            continue
+        want = "inside" if polyline_winding(ref, x) else "outside"
+        assert kernel.point_in_G_M(tr, x) == want, x
+        polyline_misses += want != ("inside" if polyline_winding(tr.points, x) else "outside")
+    assert polyline_misses > 0
+    if len(pts) <= 4:
+        assert kernel.point_in_G_M(tr, 0j) == "inside"
+        assert polyline_winding(tr.points, 0j) == 0
+
+
+def test_points_the_polyline_misplaces_are_classified_off_the_curve():
+    # these vertices of the traced polyline hug the real axis near x = -1 at
+    # small z, 3.5e-3 away from the true curve: curve_preimage rightly finds
+    # them off it, and they lie inside, as the accurately traced curve says
     for pts in ([(-1, 1), (0, -1), (1, 1)], [(-1, 1), (0, -1), (0, 1), (1, 1)]):
         s = steps.parse_step_set(pts)
-        z = 0.05 / len(s)
-        tr = kernel.trace_curve_M(s, z)
+        tr = kernel.trace_curve_M(s, 0.05 / len(s))
+        ref = accurate_curve(tr)
         x = complex(tr.points[7])
+        assert np.abs(ref - x).min() > 3e-3
         assert kernel.curve_preimage(tr, x) is None
-        with pytest.raises(CaseUndetermined, match="polyline vertex"):
-            kernel.point_in_G_M(tr, x)
+        assert kernel.point_in_G_M(tr, x) == "inside"
+        assert polyline_winding(ref, x) == (1 if tr.ccw else -1)
 
 
 def test_trace_nontrivial_model():
