@@ -3,8 +3,9 @@
 For z in (0, 1/|S|) the x-discriminant has four roots ordered
 |x1| < x2 < 1 < x3 < |x4| <= infinity.  The two-valued function X(y, z)
 traced over the slit [y1, y2] draws a closed curve in the x-plane; for the
-simple walk it is the unit circle.  Winding numbers classify points against
-the domain it bounds.
+simple walk it is the unit circle.  The trace samples it at m staggered
+contour nodes.  A point lies inside the domain the curve bounds exactly when
+the kernel's branches lead back to it, X0(Y0(x)) = x.
 """
 
 import numpy as np

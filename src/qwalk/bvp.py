@@ -105,9 +105,12 @@ def circle_cgf() -> CGF:
 
 
 def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
-    """max |w(t) - w(conj t)| over the traced curve (inf when w blows up on
-    it, e.g. a curve through the CGF's pole)."""
-    pts = trace.points[:-1]
+    """max |w(t) - w(conj t)| over the traced curve's nodes; inf when w
+    blows up on them, or when the curve passes through t = 0, the pole of
+    every CGF (a fold there, which no node reaches)."""
+    if curve_preimage(trace, 0j) is not None:
+        return math.inf
+    pts = trace.points
     with np.errstate(divide="ignore", invalid="ignore"):
         defect = np.abs(cgf.w(pts) - cgf.w(np.conj(pts)))
     if not np.all(np.isfinite(defect)):

@@ -139,7 +139,7 @@ def _cmd_kernel(s: steps.StepSet, args) -> int:
         return 0
     trace = kernel.trace_curve_M(s, args.z, m=args.points)
     sys.stdout.write("re,im\n")
-    for t in trace.points:
+    for t in (*trace.points, trace.points[0]):  # the closed node polygon
         sys.stdout.write(f"{float(t.real)!r},{float(t.imag)!r}\n")
     return 0
 
@@ -243,9 +243,12 @@ def _cmd_check(s: steps.StepSet, args) -> int:
         inv = rep.inv_cardinality
         ok = inv - 1e-10 <= rep.z_Y <= rep.z_g + 1e-10 and inv - 1e-10 <= rep.z_X <= rep.z_g + 1e-10
         record("singularity-sandwich", ok)
-        zs = [f * inv for f in (0.3, 0.6, 0.9)]
-        ok = all(kernel.branch_points(s, z).ordering_asserted for z in zs)
-        record("branch-ordering", ok)
+        if any(not any(map(any, kernel.cleared_disc_int(p)[1::2])) for p in (s, s.mirrored())):
+            skip("branch-ordering", "even discriminant: x1 = -x2, the ordering ties")
+        else:
+            zs = [f * inv for f in (0.3, 0.6, 0.9)]
+            ok = all(kernel.branch_points(s, z).ordering_asserted for z in zs)
+            record("branch-ordering", ok)
         if args.n >= 80:
             try:
                 an = asymptotics.growth_estimate(counting.series(table, "q11").coeffs)
@@ -308,7 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_source(p)
     p.add_argument("action", choices=("branch-points", "trace"))
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--points", type=int, default=512)
+    p.add_argument("--points", type=int, default=512,
+                   help="contour nodes m (16 to 65536); prints m + 1 rows, "
+                        "the first node repeated to close the polygon")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("singularities", help="z_g, z_X, z_Y, 1/|S| and the classification")

@@ -16,9 +16,9 @@ the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
 
 Branch points need no arrays: numpy is imported only inside the functions
-that trace the curve (_edge_values, trace_curve_M, contour_nodes,
-curve_preimage), so branch_points and disc_roots start without it, and
-point_in_G_M reads it only through curve_preimage.
+that trace the curve (_edge_values, _nodes, trace_curve_M, curve_preimage),
+so branch_points and disc_roots start without it, and point_in_G_M reads it
+only through curve_preimage.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ INF_ROOT = complex(math.inf, 0.0)
 #: Width of the band around the traced curve that counts as on the curve.
 _BAND = 1e-7
 
-#: Largest polyline m that trace_curve_M accepts (arrays of m + 1 points);
+#: Largest node count m that trace_curve_M accepts (arrays of m points);
 #: the contour sums stop at 2^14 nodes.
 _MAX_TRACE_POINTS = 2**16
 
@@ -203,16 +203,16 @@ def X_branches(s: StepSet, y: complex, z: float) -> tuple[complex, complex]:
 
 @dataclass(frozen=True)
 class CurveTrace:
-    """Polyline approximation of the x-plane curve of the step set `steps` at
-    `z`, the one handle on both: X0 traced over the slit [y1, y2] (upper edge
-    out, lower edge back, per the contour convention).
+    """The x-plane curve of the step set `steps` at `z`, the one handle on
+    both: X0 traced over the slit [y1, y2] (upper edge out, lower edge back,
+    per the contour convention).
 
-    points has m+1 entries for an even m; points[0] = points[m] is the image
-    of y1, and points[k] lies over y = mid - half*cos(2 pi k/m).  The first
-    half (k <= m/2) is the upper edge (_edge_values), the second half its
-    exact conjugate.  ccw records whether the traversal is positive, from
-    the sign of the polyline's signed area.  The points serve ccw, the
-    gluing check and the printed trace; point_in_G_M does not read them.
+    points is t of contour_nodes at the trace's even m, read-only: points[k]
+    lies over y = mid - half*cos(2 pi (k+1/2)/m), the first half on the upper
+    edge (_edge_values), the second its exact mirror; none is a fold.  ccw is
+    whether the traversal is positive: the sign of the closed node polygon's
+    signed area.  The points serve ccw, the gluing check and the printed
+    trace; point_in_G_M does not read them.
 
     _memo holds the per-curve work done once and dropped with the trace: the
     contour_nodes result for each m (its arrays read-only) and, keyed by
@@ -265,6 +265,11 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     y1, y2 = neg[0]
     if y2 - y1 < 1e-10 * max(1.0, abs(y1)):
         raise SlitDegenerate(f"slit [{y1}, {y2}] has zero length")
+    # at(y) = 0 makes dt(y) = (bt(y) - y/z)^2 >= 0, so on the slit it can
+    # vanish only at an end, which no contour node reaches
+    a_t = kernel_polys(s).a_t
+    if any(abs(poly_eval(a_t, y)) < 1e-12 * (1.0 + y * y) for y in (y1, y2)):
+        raise SlitDegenerate("at(y) vanishes on the slit: the curve passes through infinity")
     return y1, y2
 
 
@@ -280,19 +285,13 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
-    as at(y) stays away from 0; at(y) = 0 on the slit would mean the curve
-    passes through infinity, which the polyline trace cannot represent.
+    as at(y) stays away from 0, which _slit_endpoints checks.
     """
     import numpy as np
 
     kp = kernel_polys(s)
     at = poly_eval(kp.a_t, ys)
     bt = poly_eval(kp.b_t, ys)
-    scale = 1.0 + np.abs(ys) ** 2
-    if np.any(np.abs(at) < 1e-12 * scale):
-        raise SlitDegenerate(
-            "at(y) vanishes on the slit: the curve passes through infinity"
-        )
     # dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from its unfactored coefficients
     shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
     sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
@@ -305,13 +304,35 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
     return ((-bt + ys / z) + k_x) / (2 * at), k_x
 
 
+def _nodes(s: StepSet, z: float, y1: float, y2: float, m: int) -> tuple:
+    """The read-only (tau, ys, t, dt_dtau) of contour_nodes, over [y1, y2]."""
+    import numpy as np
+
+    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
+    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
+    up = tau[: m // 2]
+    ys = mid - half * np.cos(up)
+    t, k_x = _edge_values(s, ys, z)
+
+    kp = kernel_polys(s)
+    d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
+    k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
+    with np.errstate(divide="ignore", invalid="ignore"):  # k_x = 0 on a collapsed trace
+        dt_dtau = -k_y / k_x * (half * np.sin(up))
+    nodes = (tau, np.concatenate([ys, ys[::-1]]),
+             np.concatenate([t, np.conj(t[::-1])]),
+             np.concatenate([dt_dtau, -np.conj(dt_dtau[::-1])]))
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
-    and back along the lower edge.  Requires the genus-1 regime.
+    and back along the lower edge, at the m contour nodes (m rounded up to
+    even), which are kept for the integrals.  Requires the genus-1 regime.
 
-    The first half is the upper edge (_edge_values) and the lower edge is its
-    exact conjugate; the orientation comes from the sign
-    of the closed polyline's signed area.
+    The orientation is the sign of the closed node polygon's signed area.
     """
     import numpy as np
 
@@ -323,24 +344,12 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
-    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
-
-    tau = np.linspace(0.0, 2 * math.pi, m + 1)
-    ys_up = mid - half * np.cos(tau[: m // 2 + 1])  # y1 -> y2
-    upper = _edge_values(s, ys_up, z)[0]
-    lower = np.conj(upper[-2::-1])  # y2 -> y1, lower edge
-    lower.imag[lower.imag == 0] = 0.0  # +0.0, as the edge formula gives
-    points = np.concatenate([upper, lower])
+    nodes = _nodes(s, z, y1, y2, m)
     # twice the signed (shoelace) area: Im(conj(p_k) p_{k+1}) summed over the edges
-    area2 = float(np.sum((np.conj(points[:-1]) * points[1:]).imag))
-    return CurveTrace(
-        steps=s,
-        z=z,
-        y1=y1,
-        y2=y2,
-        points=points,
-        ccw=area2 > 0,
-    )
+    area2 = float(np.sum((np.conj(nodes[2]) * np.roll(nodes[2], -1)).imag))
+    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=nodes[2], ccw=area2 > 0)
+    trace._memo[m] = nodes
+    return trace
 
 
 def contour_nodes(
@@ -358,29 +367,11 @@ def contour_nodes(
     curve, so integrand densities need no branch selection.  The nodes are
     built once per trace and m; a repeat m returns the same read-only arrays.
     """
-    import numpy as np
-
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
-    if m in trace._memo:
-        return trace._memo[m]
-    s, z = trace.steps, trace.z
-    mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
-    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
-    up = tau[: m // 2]
-    ys = mid - half * np.cos(up)
-    t, k_x = _edge_values(s, ys, z)
-
-    kp = kernel_polys(s)
-    d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
-    k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
-    dt_dtau = -k_y / k_x * (half * np.sin(up))
-    nodes = trace._memo[m] = (tau, np.concatenate([ys, ys[::-1]]),
-                              np.concatenate([t, np.conj(t[::-1])]),
-                              np.concatenate([dt_dtau, -np.conj(dt_dtau[::-1])]))
-    for arr in nodes:
-        arr.flags.writeable = False
-    return nodes
+    if m not in trace._memo:
+        trace._memo[m] = _nodes(trace.steps, trace.z, trace.y1, trace.y2, m)
+    return trace._memo[m]
 
 
 def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float, int] | None:
@@ -396,7 +387,11 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float, int] | 
     import numpy as np
 
     s, z = trace.steps, trace.z
-    for yr in Y_branches(s, x, z):
+    try:
+        y_roots = Y_branches(s, x, z)
+    except DegenerateQuadratic:  # K(x, .) has no finite root, so no slit ordinate
+        return None
+    for yr in y_roots:
         if not (cmath.isfinite(yr) and abs(yr.imag) <= _BAND
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
@@ -416,9 +411,15 @@ def point_in_G_M(trace: CurveTrace, x: complex) -> str:
     """Classify x against the domain bounded by the curve: "boundary" when
     curve_preimage places it on the curve, else "inside" iff the kernel's
     branches lead back to it, |X0(Y0(x)) - x| <= _BAND (outside, x is
-    X1(Y0(x)) instead); this test reads neither the polyline nor numpy."""
+    X1(Y0(x)) instead); this test reads neither the nodes nor numpy."""
     if curve_preimage(trace, x) is not None:
         return "boundary"
     s, z = trace.steps, trace.z
-    back = X_branches(s, Y_branches(s, x, z)[0], z)[0]
+    try:
+        y0 = Y_branches(s, x, z)[0]
+    except DegenerateQuadratic:
+        # a(x) = b(x) - x/z = 0: Y0(x) = inf, and X0(inf) is the smaller root of a
+        back = min(rp.roots(kernel_polys(s).a), key=abs)
+    else:
+        back = X_branches(s, y0, z)[0]
     return "inside" if abs(back - x) <= _BAND else "outside"

@@ -29,6 +29,8 @@ from qwalk.errors import NoPositiveSolution
 from qwalk.group import RationalPoint
 from fractions import Fraction
 
+from helpers import disc_is_even, winding
+
 SIMPLE = steps.preset("simple")
 
 
@@ -39,19 +41,6 @@ def ok(criterion: str, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def simple600():
     return counting.count(SIMPLE, 600, dense_max=0)
-
-
-def disc_is_even(s):
-    """The cleared x-discriminant has no odd-degree terms (the y-plane one:
-    pass s.mirrored())."""
-    return not any(any(trip) for trip in kernel.cleared_disc_int(s)[1::2])
-
-
-def polyline_winding(points, x):
-    """Winding of a closed polyline around x (sum of turning angles)."""
-    rel = np.asarray(points) - x
-    assert np.all(rel != 0), f"{x} lies on a polyline vertex"
-    return round(float(np.sum(np.angle(rel[1:] / rel[:-1]))) / (2 * math.pi))
 
 
 def genuine_census(min_cardinality=1):
@@ -254,8 +243,8 @@ def test_criterion_10_simple_curve():
         bp = kernel.branch_points(SIMPLE, z)
         assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
         assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
-        assert polyline_winding(tr.points, bp.x_roots[0]) in (-1, 1)
-        assert polyline_winding(tr.points, bp.x_roots[2]) == 0
+        assert winding(tr.points, bp.x_roots[0]) in (-1, 1)
+        assert winding(tr.points, bp.x_roots[2]) == 0
     ok("criterion 10 (unit-circle trace)", "z in {0.1, 0.2}")
 
 

@@ -244,11 +244,11 @@ def test_qx0_outside_raises():
 
 
 def test_boundary_node_on_the_pole_is_skipped_without_a_warning(lrs_table):
-    # at m = 256 a staggered node lands on the pole at x = points[7]; the
-    # non-finite round is passed over, and a RuntimeWarning on the way would
-    # fail the test (the suite raises them)
+    # traced at m = 256, the first contour sum's node points[7] is the pole
+    # at x; the non-finite round is passed over, and a RuntimeWarning on the
+    # way would fail the test (the suite raises them)
     z = 0.1 / len(LRS)
-    tr = kernel.trace_curve_M(LRS, z)
+    tr = kernel.trace_curve_M(LRS, z, m=256)
     x = complex(tr.points[7])
     got, _err, position = bvp.cauchy_value(tr, x, bvp.circle_cgf())
     cx = kernel.poly_eval(kernel.kernel_polys(LRS).c, x)
@@ -389,7 +389,8 @@ def test_x_squared_c_is_unavailable_before_tracing(monkeypatch):
 
 def test_x_squared_c_curves_pass_through_the_pole():
     # on the 13 genuine sets with c(x) = x^2, y = 0 is the slit end y1 and
-    # X0(0) = 0, so the traced curve holds the point 0 and w blows up on it
+    # X0(0) = 0, so the curve passes through 0 at a fold, which no node
+    # reaches, and w blows up on it
     genuine = [
         s for s in steps.all_step_sets()
         if x_squared_c(s) and not steps.is_singular(s) and steps.origin_in_hull_interior(s)
@@ -398,7 +399,8 @@ def test_x_squared_c_curves_pass_through_the_pole():
     for s in genuine:
         for f in (0.25, 0.5, 0.85):
             tr = kernel.trace_curve_M(s, f / len(s))
-            assert tr.y1 == 0.0 and np.min(np.abs(tr.points)) == 0.0
+            assert tr.y1 == 0.0 and kernel.curve_preimage(tr, 0j) == (0.0, 0.0, 0)
+            assert np.min(np.abs(tr.points)) > 0.0
             assert bvp.gluing_defect(bvp.circle_cgf(), tr) == math.inf
 
 
@@ -535,9 +537,9 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
 
 
 def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
-    # several integrals on one trace share its node arrays and its gluing
-    # check; _edge_values sees the m/2 upper-edge nodes, an even count, only
-    # when nodes are built
+    # several integrals on one trace share its node arrays, those the trace
+    # built among them, and its gluing check; _edge_values sees more than one
+    # ordinate, the m/2 upper-edge nodes, only when nodes are built
     traced, glued, built, asked = [], [], [], []
     trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
     edge_values, contour_nodes = kernel._edge_values, bvp.contour_nodes
@@ -551,7 +553,7 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         return gluing_defect(cgf, trace)
 
     def counting_edges(s, ys, z):
-        if len(ys) % 2 == 0:
+        if len(ys) > 1:
             built.append(2 * len(ys))
         return edge_values(s, ys, z)
 
@@ -572,6 +574,8 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         assert len(traced) == n_traces and len(glued) == n_traces, fn.__name__
         assert sorted(built) == sorted(m for _, m in set(asked)), fn.__name__
         assert len(asked) > len(set(asked)), fn.__name__
+        for tr in traced:
+            assert tr.points is kernel.contour_nodes(tr, m=len(tr.points))[2]
 
     nodes = kernel.contour_nodes(traced[0], m=256)
     assert kernel.contour_nodes(traced[0], m=256) is nodes

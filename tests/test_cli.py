@@ -95,7 +95,8 @@ def test_kernel_trace_csv(capsys):
                        "--points", "64")
     rows = out.strip().splitlines()
     assert rows[0] == "re,im"
-    assert len(rows) == 66  # 64 points, closed polyline has m+1 vertices
+    # the 64 contour nodes, then the first again to close the polygon
+    assert len(rows) == 66 and rows[-1] == rows[1]
     re, im = map(float, rows[1].split(","))
     assert re * re + im * im == pytest.approx(1.0, abs=1e-8)
 
@@ -217,6 +218,18 @@ def test_check_lists_skipped_checks(capsys):
     assert skipped["cauchy-integral-vs-series"].startswith("SlitDegenerate")
     assert "growth-vs-first-singularity" in skipped
     assert not skipped.keys() & {r["name"] for r in data["results"]}
+
+
+def test_check_skips_the_branch_ordering_of_an_even_discriminant(capsys):
+    # the all-diagonal model's discriminants are even, so x1 = -x2 exactly
+    # and the strict ordering ties: skipped with the reason, not failed
+    code, out, _ = run(capsys, "check", "--steps",
+                       '{"steps": [[-1,-1],[-1,1],[1,-1],[1,1]]}', "--n", "40")
+    data = json.loads(out)
+    assert code == 0 and data["ok"]
+    skipped = {r["name"]: r["reason"] for r in data["skipped"]}
+    assert skipped["branch-ordering"].startswith("even discriminant")
+    assert "branch-ordering" not in {r["name"] for r in data["results"]}
 
 
 def test_check_skips_the_analytic_checks_off_the_genuine_sets(capsys):

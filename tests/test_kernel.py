@@ -7,16 +7,12 @@ import numpy as np
 import pytest
 
 from qwalk import kernel, steps
-from qwalk.errors import DegenerateQuadratic, GenusZeroRegime, OutOfRange, QwalkError
+from qwalk.errors import GenusZeroRegime, OutOfRange, QwalkError, SlitDegenerate
+
+from helpers import disc_is_even, winding
 
 SIMPLE = steps.preset("simple")
 SQ5 = math.sqrt(5.0)
-
-
-def disc_is_even(s):
-    """The cleared x-discriminant has no odd-degree terms (the y-plane one:
-    pass s.mirrored())."""
-    return not any(any(trip) for trip in kernel.cleared_disc_int(s)[1::2])
 
 
 def literal_disc(s, x, z):
@@ -31,23 +27,16 @@ def cleared_disc(s, x, z):
     return kernel.poly_eval(kernel._cleared_disc_at(kernel.cleared_disc_int(s), z), x)
 
 
-def polyline_winding(points, x):
-    """Winding of a closed polyline around x (sum of turning angles): the
-    reference point_in_G_M is compared with."""
-    rel = np.asarray(points) - x
-    assert np.all(rel != 0), f"{x} lies on a polyline vertex"
-    return round(float(np.sum(np.angle(rel[1:] / rel[:-1]))) / (2 * math.pi))
-
-
 def accurate_curve(tr, n=4000):
-    """The curve traced without the polyline's noise clamp: X0 at y + 1e-13i
-    from X_branches over n + 1 cosine-spaced slit nodes, then the conjugate
-    lower edge.  Next to a fold on a narrow slit the offset moves it by up to
-    1e-4, so probes compared with it keep 1e-3 away."""
+    """The curve traced without the noise clamp of _edge_values: X0 at
+    y + 1e-13i from X_branches over n + 1 cosine-spaced slit points, then the
+    conjugate lower edge, as an open polygon (winding closes it).  Next to a
+    fold on a narrow slit the offset moves it by up to 1e-4, so probes
+    compared with it keep 1e-3 away."""
     mid, half = 0.5 * (tr.y1 + tr.y2), 0.5 * (tr.y2 - tr.y1)
     ys = mid - half * np.cos(np.linspace(0.0, math.pi, n + 1))
     up = np.array([kernel.X_branches(tr.steps, complex(y, 1e-13), tr.z)[0] for y in ys])
-    return np.concatenate([up, np.conj(up[-2::-1])])
+    return np.concatenate([up, np.conj(up[-2:0:-1])])
 
 
 def random_nonsingular_models(rng, count, require_quartic=True):
@@ -297,18 +286,19 @@ def test_branch_vieta_and_kernel_residual():
 
 
 def test_trace_simple_walk_is_unit_circle():
+    # the points are the trace's own m contour nodes, mirror-symmetric
     for z in (0.1, 0.2):
         tr = kernel.trace_curve_M(SIMPLE, z, m=256)
+        assert tr.points is kernel.contour_nodes(tr, m=256)[2] and len(tr.points) == 256
         assert np.max(np.abs(np.abs(tr.points) - 1.0)) < 1e-8
         assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
-        assert abs(tr.points[0] - tr.points[-1]) < 1e-10
 
 
 def test_trace_winding_classifications():
     tr = kernel.trace_curve_M(SIMPLE, 0.2, m=256)
     x1, _, x3, _ = kernel.branch_points(SIMPLE, 0.2).x_roots
-    w1 = polyline_winding(tr.points, x1)
-    w3 = polyline_winding(tr.points, x3)
+    w1 = winding(tr.points, x1)
+    w3 = winding(tr.points, x3)
     assert w1 in (-1, 1)
     assert w3 == 0
 
@@ -341,19 +331,59 @@ def old_upper_edge_sign(s, z, y1, y2):
 
 def test_trace_orientation_and_edge_match_the_former_rules():
     # ccw from the signed area agrees with the winding around x1, and the
-    # first half of the trace is the edge the midpoint probe picked
+    # first half of the nodes is the edge the midpoint probe picked
     count = 0
     for s, z, tr in genuine_traces():
         count += 1
-        w1 = polyline_winding(tr.points, kernel.branch_points(s, z).x_roots[0])
+        w1 = winding(tr.points, kernel.branch_points(s, z).x_roots[0])
         assert tr.ccw == (w1 == 1), (s, z)
-        m = len(tr.points) - 1
+        m = len(tr.points)
         ys_up = 0.5 * (tr.y1 + tr.y2) - 0.5 * (tr.y2 - tr.y1) * np.cos(
-            np.linspace(0.0, 2 * math.pi, m + 1)[: m // 2 + 1])
+            (np.arange(m // 2) + 0.5) * (2 * math.pi / m))
         assert old_upper_edge_sign(s, z, tr.y1, tr.y2) == kernel._UPPER_SIGN, (s, z)
-        assert np.array_equal(tr.points[: m // 2 + 1],
+        assert np.array_equal(tr.points[: m // 2],
                               kernel._edge_values(s, ys_up, z)[0]), (s, z)
     assert count > 300
+
+
+def kernel_y_roots(s, t, z):
+    """Both kernel roots in y at the points t, as a (2, len(t)) array, by
+    the quadratic formula: nan where a(t) = 0 degenerates it, as at a fold
+    through x = 0 when a(0) = 0."""
+    kp = kernel.kernel_polys(s)
+    a, c = kernel.poly_eval(kp.a, t), kernel.poly_eval(kp.c, t)
+    b = kernel.poly_eval(kp.b, t) - t / z
+    sq = np.sqrt(b * b - 4 * a * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([(-b + sq) / (2 * a), (-b - sq) / (2 * a)])
+
+
+def test_trace_census_over_every_step_set():
+    # every step set at z = f/|S| from below the slit's collapse to past the
+    # genus transition: which traces exist, their orientation, and that each
+    # node of a traced curve has a real kernel y-root on the slit [y1, y2]
+    errors, messages, ccw = Counter(), Counter(), Counter()
+    for s in steps.all_step_sets():
+        for f in (0.02, 0.1, 0.25, 0.5, 0.85, 0.99, 1.0, 1.3):
+            z = f / len(s)
+            try:
+                tr = kernel.trace_curve_M(s, z)
+            except QwalkError as exc:
+                errors[type(exc).__name__] += 1
+                messages[str(exc)] += isinstance(exc, SlitDegenerate)
+                continue
+            ccw[tr.ccw] += 1
+            if not tr.ccw:
+                # collapsed by the noise clamp of _edge_values: every node real
+                assert f == 0.02 and np.all(tr.points.imag == 0), (s, f)
+                continue
+            ys = kernel_y_roots(s, tr.points, z)
+            off = (np.abs(ys.imag) + np.clip(tr.y1 - ys.real, 0, None)
+                   + np.clip(ys.real - tr.y2, 0, None))
+            assert off.min(axis=0).max() <= 1e-6, (s, f)
+    assert errors == {"GenusZeroRegime": 1124, "SlitDegenerate": 91, "OutOfRange": 3}
+    assert messages["at(y) vanishes on the slit: the curve passes through infinity"] == 91
+    assert ccw == {True: 820, False: 2}
 
 
 def test_contour_nodes_mirror_the_upper_edge():
@@ -430,35 +460,41 @@ def test_point_classification_simple():
 
 def test_membership_agrees_with_the_polyline_winding_away_from_it():
     # off the curve, the test |X0(Y0(x)) - x| <= _BAND classifies every
-    # probe as the winding of the traced polyline does, wherever the probe
-    # is too far from the polyline for a chord to pass between it and the
-    # curve; x = 0 with a(0) = b(0) = 0 has no finite y-root and is the one
-    # probe that raises (DegenerateQuadratic, from Y_branches)
-    seen, raised = Counter(), Counter()
+    # probe as the winding of the closed node polygon does, wherever the
+    # probe is too far from the polygon for a chord to pass between it and
+    # the curve
+    seen = Counter()
     for s, z, tr in genuine_traces():
         pts = tr.points
-        margin = 2 * np.abs(np.diff(pts)).max()
+        margin = 2 * np.abs(np.roll(pts, -1) - pts).max()
         x1, x2, x3, _ = kernel.branch_points(s, z).x_roots
         rng = random.Random(f"{s.sorted_steps()} {z}")
         lo, hi, h = pts.real.min() - 0.5, pts.real.max() + 0.5, np.abs(pts.imag).max() + 0.5
-        probes = [0j, x1, x3, 0.5 * (x1 + x2)] + [k * p for p in pts[:-1:32] for k in (0.9, 1.1)]
+        probes = [0j, x1, x3, 0.5 * (x1 + x2)] + [k * p for p in pts[::32] for k in (0.9, 1.1)]
         probes += [complex(rng.uniform(lo, hi), rng.uniform(-h, h)) for _ in range(40)]
         for x in map(complex, probes):
-            try:
-                got = kernel.point_in_G_M(tr, x)
-            except QwalkError as exc:
-                kp = kernel.kernel_polys(s)
-                assert isinstance(exc, DegenerateQuadratic) and x == 0, (s, z, x)
-                assert kp.a[0] == kp.b[0] == 0, (s, z)
-                raised[s] += 1
-                continue
+            got = kernel.point_in_G_M(tr, x)
             if np.abs(pts - x).min() > margin:
-                want = "inside" if polyline_winding(pts, x) else "outside"
+                want = "inside" if winding(pts, x) else "outside"
                 assert got == want, (s, z, x)
                 seen[got] += 1
     assert seen["inside"] > 5000 and seen["outside"] > 15000
-    # x = 0 and x1 = 0 at each z, on the 11 such genuine sets
-    assert len(raised) == 11 and set(raised.values()) == {6}
+
+
+def test_origin_with_no_finite_y_root_is_inside():
+    # without the steps (-1,0) and (-1,1), a(0) = b(0) = 0: K(0, .) = c(0)
+    # has no finite root, Y0(0) = inf, and X0(inf) = 0 is the smaller root
+    # of a; x = 0 lies inside, as the accurately traced curve says
+    sets, probes = set(), 0
+    for s, z, tr in genuine_traces((0.1, 0.5, 0.9)):
+        if {(-1, 0), (-1, 1)} & set(s.steps):
+            continue
+        sets.add(s)
+        probes += 1
+        assert kernel.curve_preimage(tr, 0j) is None
+        assert kernel.point_in_G_M(tr, 0j) == "inside", (s, z)
+        assert winding(accurate_curve(tr, n=500), 0j) == 1, (s, z)
+    assert (len(sets), probes) == (11, 33)
 
 
 @pytest.mark.parametrize("pts", [
@@ -468,33 +504,34 @@ def test_membership_agrees_with_the_polyline_winding_away_from_it():
     [(-1, 1), (0, -1), (0, 1), (1, 0), (1, 1)],
 ])
 def test_membership_at_small_z_agrees_with_the_accurate_curve(pts):
-    # at 0.02/|S| the slit is narrow and the traced polyline leaves the curve
-    # (the noise clamp of _edge_values), so it misreads points the curve
-    # encloses, x = 0 on the first two sets among them; the analytic test
-    # agrees with the accurately traced curve on every probe kept clear of it
+    # at 0.02/|S| the slit is narrow and the traced nodes leave the curve
+    # (the noise clamp of _edge_values), so their polygon misreads points the
+    # curve encloses; on the first two sets it collapses onto the real axis
+    # and encloses nothing, not even x = 0.  The analytic test agrees with
+    # the accurately traced curve on every probe kept clear of it
     s = steps.parse_step_set(pts)
     tr = kernel.trace_curve_M(s, 0.02 / len(s))
     ref = accurate_curve(tr)
     rng = random.Random(str(pts))
-    probes = [0j, 1e-9 + 0j, -1e-9 + 0j] + [k * p for p in tr.points[:-1:16] for k in (0.97, 1.03)]
+    probes = [0j, 1e-9 + 0j, -1e-9 + 0j] + [k * p for p in tr.points[::16] for k in (0.97, 1.03)]
     probes += [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(60)]
     polyline_misses = 0
     for x in map(complex, probes):
         if np.abs(ref - x).min() <= 1e-3:
             continue
-        want = "inside" if polyline_winding(ref, x) else "outside"
+        want = "inside" if winding(ref, x) else "outside"
         assert kernel.point_in_G_M(tr, x) == want, x
-        polyline_misses += want != ("inside" if polyline_winding(tr.points, x) else "outside")
+        polyline_misses += want != ("inside" if winding(tr.points, x) else "outside")
     assert polyline_misses > 0
     if len(pts) <= 4:
         assert kernel.point_in_G_M(tr, 0j) == "inside"
-        assert polyline_winding(tr.points, 0j) == 0
+        assert not tr.ccw and np.all(tr.points.imag == 0)
 
 
 def test_points_the_polyline_misplaces_are_classified_off_the_curve():
-    # these vertices of the traced polyline hug the real axis near x = -1 at
-    # small z, 3.5e-3 away from the true curve: curve_preimage rightly finds
-    # them off it, and they lie inside, as the accurately traced curve says
+    # these nodes of the trace hug the real axis near x = -1 at small z,
+    # 3e-3 away from the true curve: curve_preimage rightly finds them off
+    # it, and they lie inside, as the accurately traced curve says
     for pts in ([(-1, 1), (0, -1), (1, 1)], [(-1, 1), (0, -1), (0, 1), (1, 1)]):
         s = steps.parse_step_set(pts)
         tr = kernel.trace_curve_M(s, 0.05 / len(s))
@@ -503,7 +540,7 @@ def test_points_the_polyline_misplaces_are_classified_off_the_curve():
         assert np.abs(ref - x).min() > 3e-3
         assert kernel.curve_preimage(tr, x) is None
         assert kernel.point_in_G_M(tr, x) == "inside"
-        assert polyline_winding(ref, x) == (1 if tr.ccw else -1)
+        assert winding(ref, x) == (1 if tr.ccw else -1)
 
 
 def test_trace_nontrivial_model():
@@ -519,8 +556,8 @@ def test_trace_kreweras_curve_properties():
     s = steps.preset("kreweras")
     z = 0.2
     tr = kernel.trace_curve_M(s, z, m=512)
+    assert len(tr.points) == 512
     assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
-    assert abs(tr.points[0] - tr.points[-1]) < 1e-10
     bp = kernel.branch_points(s, z)
     assert kernel.point_in_G_M(tr, bp.x_roots[0]) == "inside"
     assert kernel.point_in_G_M(tr, bp.x_roots[2]) == "outside"
