@@ -3,12 +3,13 @@
 Ascending coefficient lists of Python ints, normalised (no trailing zeros).
 Used for the resultant route to the genus-transition point: the resultant
 in z is a fraction-free (Bareiss) determinant of a Sylvester matrix whose
-entries are integer polynomials in z, and its positive real roots are
-float roots certified by exact signs at rational bracket endpoints and an
-exact Sturm count.
+entries are integer polynomials in z, and its smallest positive root is
+bracketed by exact bisection at dyadic points num / 2^k, on the Sturm
+chain's sign changes and then on the sign of the polynomial.  No float
+touches that route.
 
-roots() is the package's one float root finder (kernel discriminants, the
-resultant's bracket seeds, the roots of c(x) in bvp), in pure Python so
+roots() is the package's one float root finder, for degree at most 4 (the
+kernel discriminants, c(x) in bvp, a(x) in point_in_G_M), in pure Python so
 that the subcommands built on it start without numpy.
 """
 
@@ -19,12 +20,13 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from .errors import InexactDivision, RootFindingFailure
+from .errors import InexactDivision, OutOfRange
 
 Poly = list[int]
 
-# Certified brackets are this wide (about 5.7e-14).
-BRACKET_WIDTH = Fraction(1, 2**44)
+# smallest_positive_root halves its bracket to 2^-BRACKET_BITS (about
+# 8.7e-19): above 1/8 its centre rounds to within one ulp of the root.
+BRACKET_BITS = 60
 
 
 def norm(p) -> Poly:
@@ -162,25 +164,18 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return [c for c in chain if c]
 
 
-def sign_at(p: Poly, v: Fraction) -> int:
-    """Exact sign of p(v) for rational v, in integer arithmetic."""
-    num, den = v.numerator, v.denominator
-    acc, scale = 0, 1
-    for c in reversed(p):
-        acc = acc * num + c * scale
-        scale *= den
-    # acc = den^deg(p) * p(v), and den > 0
+def sign_at(p: Poly, num: int, k: int) -> int:
+    """Exact sign of p(num / 2^k), in integer arithmetic."""
+    acc = 0
+    for i, c in enumerate(reversed(p)):
+        acc = acc * num + (c << (k * i))
+    # acc = 2^(k deg(p)) * p(num / 2^k)
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[Poly], v: Fraction) -> int:
-    signs = [s for s in (sign_at(p, v) for p in chain) if s]
+def _sign_changes(chain: list[Poly], num: int, k: int) -> int:
+    signs = [s for s in (sign_at(p, num, k) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi] for a square-free chain."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 def cauchy_bound(p: Poly) -> int:
@@ -203,28 +198,28 @@ _OMEGA = complex(-0.5, math.sqrt(3.0) / 2)  # primitive cube root of unity
 
 def roots(coeffs) -> list[complex]:
     """All complex roots, with multiplicity, of the polynomial with the
-    ascending real coefficients `coeffs`.
+    ascending real coefficients `coeffs`, of degree at most 4 (a higher
+    degree raises OutOfRange).
 
     Trailing zeros (a degree drop) are dropped, and each zero low-order
-    coefficient gives an exact 0j root.  The other roots come from
-    Aberth-Ehrlich iteration, which moves every root by its Newton step
-    corrected for the pull of the others.  It starts from the closed-form
-    roots up to degree 4, so that one or two sweeps suffice, and above that
-    from circles whose radii follow the Newton polygon of the coefficients
-    (Bini's start).  Like the roots, the result is real or conjugate in
-    pairs (_conjugate_symmetric).
+    coefficient gives an exact 0j root.  The other roots start from the
+    closed forms and are refined by Aberth-Ehrlich iteration, which moves
+    every root by its Newton step corrected for the pull of the others; one
+    or two sweeps suffice.  Like the roots, the result is real or conjugate
+    in pairs (_conjugate_symmetric).
     """
     p = [float(c) for c in coeffs]
     while p and p[-1] == 0:
         p.pop()
+    if len(p) > 5:
+        raise OutOfRange(f"roots() takes degree at most 4, not {len(p) - 1}")
     zeros = 0
     while zeros < len(p) and p[zeros] == 0:
         zeros += 1
     if len(p) - zeros < 2:
         return [0j] * zeros
     monic = [c / p[-1] for c in p[zeros:]]
-    start = _closed_form(monic) if len(monic) <= 5 else _newton_polygon_start(monic)
-    return [0j] * zeros + _conjugate_symmetric(_aberth(monic, start))
+    return [0j] * zeros + _conjugate_symmetric(_aberth(monic, _closed_form(monic)))
 
 
 def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -277,28 +272,6 @@ def _closed_form(a: list[float]) -> list[complex]:
     base, shift = p / 2 + m, q / (2 * w)
     ys = quadratic_roots(1.0, -w, base + shift) + quadratic_roots(1.0, w, base - shift)
     return [y - s for y in ys]
-
-
-def _newton_polygon_start(a: list[float]) -> list[complex]:
-    """Bini's starting points: for each edge of the upper convex hull of
-    the points (k, log|a_k|), as many points as the edge is long, spread
-    over a circle of radius (|a_k0| / |a_k1|)^(1/(k1 - k0))."""
-    n = len(a) - 1
-    hull: list[tuple[int, float]] = []
-    for k, c in enumerate(a):
-        if not c:
-            continue
-        pt = (k, math.log(abs(c)))
-        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
-                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
-            hull.pop()
-        hull.append(pt)
-    start = []
-    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
-        m = k1 - k0
-        radius = math.exp((l0 - l1) / m)
-        start += [cmath.rect(radius, 2 * math.pi * (j / m + k0 / n) + 0.7) for j in range(m)]
-    return start
 
 
 def _aberth(a: list[float], z: list[complex]) -> list[complex]:
@@ -371,38 +344,42 @@ def _conjugate_symmetric(z: list[complex]) -> list[complex]:
     return out
 
 
-def isolate_positive_roots(p: Poly) -> list[Fraction]:
-    """Centres of certified isolating brackets, one for every distinct
-    positive real root of p, ascending; each bracket is BRACKET_WIDTH wide.
+def smallest_positive_root(p: Poly) -> Fraction | None:
+    """The smallest positive real root of p, or None if p has none: exact
+    when bisection lands on it, else the centre of a bracket at most
+    2^-BRACKET_BITS wide that holds it.
 
-    The square-free part's Sturm chain counts the positive roots N exactly.
-    Float roots from roots() seed the brackets; a bracket is certified
-    when the square-free part has opposite exact signs at its two rational
-    endpoints.  N disjoint certified brackets in (0, bound] hold one root
-    each and miss none; any other outcome raises RootFindingFailure.
+    On the square-free part, (0, 2^e] with 2^e above cauchy_bound is halved
+    on the Sturm chain's sign changes, keeping the lower half whenever it
+    holds a root, until one root is left in (lo, hi]; then by the sign of p
+    against its sign at hi (p may vanish at lo = 0, which the Sturm count
+    excludes).  Every point is a dyadic num / 2^k, evaluated in integers.
     """
     p = square_free(p)
     if degree(p) < 1:
-        return []
+        return None
     chain = sturm_chain(p)
-    bound = cauchy_bound(p)
-    expected = count_roots(chain, Fraction(0), Fraction(bound))
-    big = max(abs(c) for c in p)
-    seeds = sorted({
-        r.real for r in roots([c / big for c in p])
-        if 0 < r.real < bound and abs(r.imag) <= 1e-7 * max(1.0, abs(r))
-    })
-    half = BRACKET_WIDTH / 2
-    centres: list[Fraction] = []
-    for r in seeds:
-        c = Fraction(r)
-        lo, hi = c - half, c + half
-        if lo > 0 and sign_at(p, lo) * sign_at(p, hi) < 0:
-            if centres and lo <= centres[-1] + half:
-                raise RootFindingFailure(f"certified brackets overlap near {r}")
-            centres.append(c)
-    if len(centres) != expected:
-        raise RootFindingFailure(
-            f"certified {len(centres)} of {expected} positive roots (Sturm count)"
-        )
-    return centres
+    lo, hi, k = 0, 1 << cauchy_bound(p).bit_length(), 0
+    v_lo, v_hi = _sign_changes(chain, lo, k), _sign_changes(chain, hi, k)
+    if v_lo == v_hi:
+        return None
+    while v_lo - v_hi > 1:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) >> 1
+        v_mid = _sign_changes(chain, mid, k)
+        if v_mid < v_lo:
+            hi, v_hi = mid, v_mid
+        else:
+            lo, v_lo = mid, v_mid
+    s_hi = sign_at(p, hi, k)
+    while s_hi and (hi - lo) << BRACKET_BITS > 1 << k:
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) >> 1
+        s_mid = sign_at(p, mid, k)
+        if s_mid == -s_hi:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    if not s_hi:
+        return Fraction(hi, 1 << k)
+    return Fraction(lo + hi, 1 << (k + 1))

@@ -433,32 +433,12 @@ def q11_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
     Q(0,0,z), Q(1,0,z) and Q(0,1,z), each summed to tolerance 1e-12.
 
     Both planes are checked glueable before either is traced; Q(0,0,z), the
-    same on both planes, is computed once, on the x plane.  The removable
-    point z = 1/|S| and its zero-drift refusal are _q11_relation's.
-    """
-    planes = (s, s.mirrored())
-
-    def parts(zv: float) -> tuple[float, float, float]:
-        for plane in planes:
-            _require_glueable(plane)  # before tracing either plane
-        x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in planes)
-        q00 = _q00(cgf, x_plane, _Q11_TOL).value
-        return (q00, *(_q10(cgf, p, q00, _Q11_TOL).value for p in (x_plane, y_plane)))
-
-    return _q11_relation(s, z, parts)
-
-
-def _q11_relation(
-    s: StepSet, z: float, parts: Callable[[float], tuple[float, float, float]]
-) -> GFValue:
-    """Q(1,1,z) from the kernel relation at (1,1), with parts(z) ->
-    (q00, q10, q01).
-
-    At the removable point z = 1/|S| the relation degenerates to 0 = 0; the
-    value is then recovered by Richardson extrapolation of symmetric offsets.
-    Zero-drift models have z_g = 1/|S|, so the offset above it would cross
-    the genus transition: there z = 1/|S| raises OutOfRange.  Both checks
-    come before the first call of parts.
+    same on both planes, is computed once, on the x plane.  At the removable
+    point z = 1/|S| the relation degenerates to 0 = 0; the value is then
+    recovered by Richardson extrapolation of symmetric offsets.  Zero-drift
+    models have z_g = 1/|S|, so the offset above it would cross the genus
+    transition: there z = 1/|S| raises OutOfRange.  Both checks come before
+    any plane is traced.
     """
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
@@ -468,9 +448,14 @@ def _q11_relation(
     if removable and d.m_x == d.m_y == 0:
         raise OutOfRange(f"z={z} is 1/|S| = z_g of a zero-drift model; "
                          "the offset limit would cross the genus transition")
+    planes = (s, s.mirrored())
 
     def assemble(zv: float) -> GFValue:
-        q00, q10, q01 = parts(zv)
+        for plane in planes:
+            _require_glueable(plane)  # before tracing either plane
+        x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in planes)
+        q00 = _q00(cgf, x_plane, _Q11_TOL).value
+        q10, q01 = (_q10(cgf, p, q00, _Q11_TOL).value for p in (x_plane, y_plane))
         return q11_from_relation(s, zv, q10, q01, q00)
 
     if removable:

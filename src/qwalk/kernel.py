@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import _ratpoly as rp
@@ -127,8 +128,14 @@ def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
     """The cleared x-discriminant's coefficients at z and its finite roots,
     with imaginary parts at roundoff level set to exactly 0.  Where the
     discriminant vanishes identically (every x a branch point, as for
-    {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange."""
+    {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange, and likewise where
+    z^2 over- or underflows a normal float or a coefficient is not finite,
+    since the roots of such coefficients are not those of D."""
+    if not sys.float_info.min <= z * z < math.inf:
+        raise OutOfRange(f"z^2 is not a normal float at z={z}")
     coeffs = _cleared_disc_at(cleared_disc_int(s), z)
+    if not all(map(math.isfinite, coeffs)):
+        raise OutOfRange(f"the discriminant's coefficients overflow at z={z}")
     if not any(coeffs):
         raise OutOfRange(f"the discriminant vanishes identically at z={z}")
     roots = _poly_roots(coeffs)

@@ -6,9 +6,9 @@ The genus-transition point z_g is computed by two independent routes:
   (0, inf)^2 killing both first moments, with z_g the reciprocal of the
   step polynomial there (Newton in log coordinates);
 * the smallest positive root of a fraction-free integer resultant in z,
-  certified by exact signs at rational bracket endpoints and an exact Sturm
-  count, then validated numerically as the inner collision: the
-  x-discriminant has a real positive double root there, a local maximum.
+  bracketed to 2^-60 by exact bisection on its Sturm chain, then validated
+  numerically as the inner collision: the x-discriminant has a real
+  positive double root there, a local maximum.
 
 z_Y and z_X have closed forms; 1/|S| is elementary.  The drift/covariance
 table then names the first positive singularity of Q(1,0,z), Q(0,1,z) and
@@ -116,7 +116,8 @@ def _resultant_in_z(s: StepSet) -> rp.Poly:
 
 def z_g_via_resultant(s: StepSet) -> float:
     """z_g as the smallest positive root of the integer z-resultant of
-    (D, D_x), certified by an exact bracket and validated numerically as
+    (D, D_x), within one ulp (_ratpoly.smallest_positive_root, exact
+    integer bisection, no float root finder), and validated numerically as
     the inner collision: d(., z) has a clustered double root there that is
     real, positive and a local maximum of d in x (the two colliding roots
     are the real pair surrounding the shrinking positivity interval, not a
@@ -128,10 +129,10 @@ def z_g_via_resultant(s: StepSet) -> float:
     reason, a RootFindingFailure of the discriminant's roots included.
     """
     _require_genuine(s)
-    candidates = rp.isolate_positive_roots(_resultant_in_z(s))
-    if not candidates:
+    root = rp.smallest_positive_root(_resultant_in_z(s))
+    if root is None:
         raise RootFindingFailure("the resultant has no positive real roots")
-    z = float(candidates[0])
+    z = float(root)
     try:
         coeffs, roots = disc_roots(s, z)
     except RootFindingFailure as exc:

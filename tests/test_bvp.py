@@ -155,7 +155,6 @@ def test_non_finite_z_is_out_of_range():
             lambda: bvp.q01_general(SIMPLE, z, cgf),
             lambda: bvp.q11_general(SIMPLE, z, cgf),
             lambda: bvp.q11_from_relation(SIMPLE, z, 1.0, 1.0, 1.0),
-            lambda: bvp._q11_relation(SIMPLE, z, lambda zv: (1.0, 1.0, 1.0)),
         ):
             with pytest.raises(OutOfRange, match="z must be positive and finite"):
                 call()
@@ -470,9 +469,22 @@ def test_transport_relation_dp_backed():
         assert abs(lhs - rhs) < 1e-8
 
 
-def test_q11_general_removable_point_dp_backed():
+def _read_parts(monkeypatch, x_plane, parts):
+    """Make q11_general take its parts from parts(z) -> (q00, q10, q01)
+    instead of tracing the two planes and summing on them."""
+    monkeypatch.setattr(bvp, "_require_glueable", lambda plane: None)
+    monkeypatch.setattr(bvp, "_glued_curve", lambda plane, zv, cgf: (plane is x_plane, zv))
+    monkeypatch.setattr(bvp, "_q00", lambda cgf, trace, tol: bvp.GFValue(
+        value=parts(trace[1])[0], z=trace[1], method="parts", quadrature_error_estimate=0.0))
+    monkeypatch.setattr(bvp, "_q10", lambda cgf, trace, q00, tol: bvp.GFValue(
+        value=parts(trace[1])[1 if trace[0] else 2], z=trace[1], method="parts",
+        quadrature_error_estimate=0.0))
+
+
+def test_q11_general_removable_point_dp_backed(monkeypatch):
     # model whose first singularity (~0.183) sits well above 1/|S| = 1/6:
     # the relation degenerates at z = 1/|S| and the offset limit recovers it
+    # from series-backed parts
     s = steps.parse_step_set([(1, 0), (-1, 0), (0, -1), (1, -1), (-1, -1), (0, 1)])
     table = counting.count(s, 300, dense_max=0)
     q00c = counting.series(table, "q00").coeffs
@@ -488,26 +500,24 @@ def test_q11_general_removable_point_dp_backed():
         )
 
     z = 1.0 / len(s)
-    got = bvp._q11_relation(s, z, ev)
+    _read_parts(monkeypatch, s, ev)
+    got = bvp.q11_general(s, z, bvp.circle_cgf())
     assert "removable-singularity" in got.flags
     oracle = counting.eval_series(q11c, z)
     assert got.value == pytest.approx(oracle, abs=1e-7)
 
 
-def test_q11_general_plain_point_via_cgf(lrs_table):
+def test_q11_general_plain_point_via_cgf(lrs_table, monkeypatch):
     z = 0.15
     # LRS: q01 needs the y-plane curve, which passes through infinity; the
     # relation on series-backed q01 exercises the assembly instead
-    q01 = series_value(lrs_table, "q01", z)
-
-    def ev(zv):
-        return (
-            bvp.q00_general(LRS, zv, bvp.circle_cgf()).value,
-            bvp.q10_general(LRS, zv, bvp.circle_cgf()).value,
-            series_value(lrs_table, "q01", zv),
-        )
-
-    got = bvp._q11_relation(LRS, z, ev)
+    parts = (
+        bvp.q00_general(LRS, z, bvp.circle_cgf()).value,
+        bvp.q10_general(LRS, z, bvp.circle_cgf()).value,
+        series_value(lrs_table, "q01", z),
+    )
+    _read_parts(monkeypatch, LRS, lambda zv: parts)
+    got = bvp.q11_general(LRS, z, bvp.circle_cgf())
     oracle = series_value(lrs_table, "q11", z)
     assert got.value == pytest.approx(oracle, abs=1e-8)
 
@@ -708,5 +718,3 @@ def test_q11_general_zero_drift_at_inverse_cardinality_out_of_range():
     # above the genus transition, so the call is refused up front
     with pytest.raises(OutOfRange):
         bvp.q11_general(SIMPLE, 0.25, bvp.circle_cgf())
-    with pytest.raises(OutOfRange):
-        bvp._q11_relation(SIMPLE, 0.25, lambda zv: (1.0, 1.0, 1.0))

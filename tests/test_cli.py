@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import qwalk
-from qwalk import cli
+from qwalk import cli, steps
 
 
 def run(capsys, *argv):
@@ -109,6 +109,23 @@ def test_singularities_simple(capsys):
     assert data["z_Y"] == pytest.approx(0.25)
     assert data["inv_cardinality"] == pytest.approx(0.25)
     assert data["fs_q10"]["label"] == "1/|S|"
+
+
+def test_singularities_on_every_step_set(capsys):
+    # the 131 genuine sets print a report; every other set is one typed
+    # error line on stderr and exit code 1
+    errors = []
+    for s in steps.all_step_sets():
+        code, out, err = run(capsys, "singularities", "--steps", steps.to_json(s))
+        if code == 0:
+            assert err == "" and json.loads(out)["z_g"] > 0, s
+            continue
+        lines = err.splitlines()
+        assert (code, out, len(lines)) == (1, "", 1), s
+        errors.append(json.loads(lines[0])["error"])
+    assert len(errors) == 124
+    assert sorted(set(errors)) == ["NoPositiveSolution", "SingularWalk"]
+    assert errors.count("NoPositiveSolution") == 93
 
 
 def test_classify(capsys):
@@ -325,6 +342,30 @@ def test_bad_values_are_structured_errors(capsys):
         assert code == 1 and out == "" and json.loads(err)["error"] == "OutOfRange", argv
 
 
+def test_extreme_z_is_out_of_range_not_wrong_branch_points(capsys):
+    # z^2 overflows at 1e160 and underflows at 1e-200, where the cleared
+    # discriminant's coefficients no longer have its roots: a typed error,
+    # not four "infinity" branch points or a genus-zero verdict
+    for z in ("1e160", "1e-200"):
+        for argv in (("kernel", "branch-points", "--preset", "simple", "--z", z),
+                     ("kernel", "trace", "--preset", "kreweras", "--z", z),
+                     ("bvp", "--preset", "kreweras", "--z", z, "--target", "q00")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert json.loads(err) == {
+                "error": "OutOfRange",
+                "message": f"z^2 is not a normal float at z={float(z)}"}, argv
+    # at 1.3e154 z^2 is finite but the coefficient -2 z^2 of x^2 is not
+    code, out, err = run(capsys, "kernel", "branch-points", "--preset", "simple", "--z", "1.3e154")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "OutOfRange", "message": "the discriminant's coefficients overflow at z=1.3e+154"}
+    # at 1e150 z^2 is still a normal float: the true double roots -1 and 1
+    code, out, _ = run(capsys, "kernel", "branch-points", "--preset", "simple", "--z", "1e150")
+    assert code == 0
+    assert sorted(r["re"] for r in json.loads(out)["x_roots"]) == [-1.0, -1.0, 1.0, 1.0]
+
+
 def test_out_of_range_lengths_are_typed_errors(capsys):
     for argv in (("check", "--preset", "simple", "--n", "0"),
                  ("count", "--preset", "simple", "--n", "-1")):
@@ -364,7 +405,7 @@ def test_exact_subcommands_start_without_numpy():
 import contextlib, io, json, sys
 import qwalk
 loaded = {"package": sorted(m for m in sys.modules if m.startswith("qwalk."))}
-from qwalk import cli
+from qwalk import cli, steps
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
         ["group", "--preset", "gessel"],

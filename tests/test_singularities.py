@@ -40,12 +40,22 @@ def test_ratpoly_divmod_and_gcd():
 
 
 def test_sturm_root_isolation_known_roots():
-    # roots 1/3, 2, 5: p = (3x-1)(x-2)(x-5)
-    p = rp.norm([-10, 37, -22, 3])
-    mids = rp.isolate_positive_roots(p)
-    assert len(mids) == 3
-    for mid, expected in zip(mids, [Fraction(1, 3), 2, 5]):
-        assert abs(float(mid) - float(expected)) < 1e-12
+    # roots 1/3, 2, 5: p = (3x-1)(x-2)(x-5); the smallest within the bracket
+    got = rp.smallest_positive_root(rp.norm([-10, 37, -22, 3]))
+    assert abs(got - Fraction(1, 3)) <= Fraction(1, 2**(rp.BRACKET_BITS + 1))
+    # a dyadic root that the bisection lands on is returned exactly
+    assert rp.smallest_positive_root(rp.norm([3, -7, 2])) == Fraction(1, 2)
+    # no positive root: x^2 + 1, (x+1)(x+2), a constant, x
+    for p in ([1, 0, 1], [2, 3, 1], [5], [0, 1]):
+        assert rp.smallest_positive_root(p) is None, p
+    # the square-free resultant 64z - 4096z^5 of {(-1,-1),(0,1),(1,-1)}
+    # vanishes at z = 0, outside the Sturm count on (0, hi]: the root
+    # returned is 2^(-3/2), not one next to 0
+    res = sg._resultant_in_z(steps.parse_step_set([(-1, -1), (0, 1), (1, -1)]))
+    assert rp.square_free(res) == [0, 64, 0, 0, 0, -4096]
+    got = rp.smallest_positive_root(res)
+    half = Fraction(1, 2**(rp.BRACKET_BITS + 1))
+    assert (got - half) ** 2 < Fraction(1, 8) < (got + half) ** 2
 
 
 def _reconstruction_gap(coeffs, roots):
@@ -106,19 +116,10 @@ def test_roots_of_every_cleared_discriminant():
     assert cases == 2034 and worst < 1e-7, worst
 
 
-def test_roots_above_degree_four():
-    # Bini's Newton-polygon start: spread moduli, a unit-circle cluster and
-    # conjugate pairs, each against its exact roots
-    for want in ([1e-3, 1.0, 1e3, 1j, -1j, 2.0, -5.0],
-                 [complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)) for k in range(8)],
-                 [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]):
-        coeffs = [1 + 0j]
-        for r in want:
-            coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
-        got = rp.roots([c.real for c in coeffs])
-        assert len(got) == len(want)
-        for w in want:
-            assert min(abs(r - w) for r in got) <= 1e-9 * max(1.0, abs(w)), (want, w)
+def test_roots_above_degree_four_are_out_of_range():
+    # only the closed forms start the iteration: degree 5 is refused
+    with pytest.raises(OutOfRange, match="degree at most 4"):
+        rp.roots([1, 0, 0, 0, 0, 1])
 
 
 def test_sylvester_resultant_shared_root():
@@ -157,7 +158,8 @@ def _fraction_sylvester_det(p, q):
 
 def test_resultant_matches_fraction_sylvester_determinant():
     # the Z[z] resultant against sampled rational determinants, at deg R + 1
-    # integer z, and every positive root of it certified (Sturm count)
+    # integer z, and its smallest positive root bracketed: no Sturm root in
+    # (0, lo], and the square-free part changes sign across (lo, hi)
     for s in genuine_models():
         res = sg._resultant_in_z(s)
         assert res, s
@@ -169,10 +171,17 @@ def test_resultant_matches_fraction_sylvester_determinant():
             q = [k * p[k] for k in range(1, len(p))]
             want = _fraction_sylvester_det(p, q)
             assert sum(c * z**k for k, c in enumerate(res)) == want, (s, z)
+        root = rp.smallest_positive_root(res)
+        assert root is not None, s
         sqf = rp.square_free(res)
         chain = rp.sturm_chain(sqf)
-        n_pos = rp.count_roots(chain, Fraction(0), Fraction(rp.cauchy_bound(sqf)))
-        assert len(rp.isolate_positive_roots(res)) == n_pos >= 1, s
+        # the bracket (lo / 2^k, hi / 2^k) centred on the root, 2^-60 wide
+        k = rp.BRACKET_BITS + 1
+        lo, hi = root * 2**k - 1, root * 2**k + 1
+        assert lo.denominator == 1, s
+        lo, hi = int(lo), int(hi)
+        assert rp._sign_changes(chain, 0, 0) == rp._sign_changes(chain, lo, k), s
+        assert rp.sign_at(sqf, lo, k) * rp.sign_at(sqf, hi, k) < 0, s
 
 
 # ----------------------------------------------------------- critical point
@@ -262,15 +271,22 @@ def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
 
 def test_resultant_route_is_the_smallest_certified_root_on_every_genuine_set():
     # D has no double root on (0, z_g): on all 131 genuine sets the smallest
-    # certified positive root of the resultant is the inner collision, and
-    # the 14 sets with a second candidate never need it
-    seen = second = 0
+    # positive root of the resultant is the inner collision
+    seen = 0
     for s in genuine_models():
-        roots = rp.isolate_positive_roots(sg._resultant_in_z(s))
-        assert sg.z_g_via_resultant(s) == float(roots[0]), s
+        root = rp.smallest_positive_root(sg._resultant_in_z(s))
+        assert sg.z_g_via_resultant(s) == float(root), s
         seen += 1
-        second += len(roots) > 1
-    assert (seen, second) == (131, 14)
+    assert seen == 131
+
+
+def test_the_two_routes_meet_within_two_ulps_on_every_genuine_set():
+    # the resultant's root is bracketed to 2^-60, so the routes differ by
+    # the critical point's own rounding only
+    gaps = [sg.classify_first_singularities(s) for s in genuine_models()]
+    assert len(gaps) == 131
+    for r in gaps:
+        assert r.method_gap <= 2 * math.ulp(r.z_g), r
 
 
 def test_resultant_route_names_why_its_root_was_rejected(monkeypatch):
