@@ -102,8 +102,8 @@ def _poly_roots(coeffs: list[float]) -> list[complex]:
         return []
     out = [_newton_polish(arr, r) for r in rp.roots(arr)]
     scale = max(abs(v) for v in arr)
-    for r in out:
-        if abs(poly_eval(arr, r)) > 1e-6 * scale * max(1.0, abs(r)) ** (len(arr) - 1):
+    for r in out:  # written so that a nan residual fails too
+        if not abs(poly_eval(arr, r)) <= 1e-6 * scale * max(1.0, abs(r)) ** (len(arr) - 1):
             raise RootFindingFailure(f"polished root {r} has large residual")
     return out
 
@@ -129,8 +129,8 @@ def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
     with imaginary parts at roundoff level set to exactly 0.  Where the
     discriminant vanishes identically (every x a branch point, as for
     {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange, and likewise where
-    z^2 over- or underflows a normal float or a coefficient is not finite,
-    since the roots of such coefficients are not those of D."""
+    z^2 over- or underflows a normal float, a coefficient is not finite or
+    the closed-form roots overflow, since such roots are not those of D."""
     if not sys.float_info.min <= z * z < math.inf:
         raise OutOfRange(f"z^2 is not a normal float at z={z}")
     coeffs = _cleared_disc_at(cleared_disc_int(s), z)
@@ -138,7 +138,10 @@ def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
         raise OutOfRange(f"the discriminant's coefficients overflow at z={z}")
     if not any(coeffs):
         raise OutOfRange(f"the discriminant vanishes identically at z={z}")
-    roots = _poly_roots(coeffs)
+    try:
+        roots = _poly_roots(coeffs)
+    except OverflowError:
+        raise OutOfRange(f"the discriminant's roots overflow at z={z}") from None
     scale = max((abs(r) for r in roots), default=1.0)
     return coeffs, [
         complex(r.real, 0.0) if abs(r.imag) <= 1e-9 * max(1.0, abs(r), scale) else r
@@ -215,11 +218,12 @@ class CurveTrace:
     per the contour convention).
 
     points is t of contour_nodes at the trace's even m, read-only: points[k]
-    lies over y = mid - half*cos(2 pi (k+1/2)/m), the first half on the upper
-    edge (_edge_values), the second its exact mirror; none is a fold.  ccw is
-    whether the traversal is positive: the sign of the closed node polygon's
-    signed area.  The points serve ccw, the gluing check and the printed
-    trace; point_in_G_M does not read them.
+    lies at tau = 2 pi (k+1/2)/m, curve_preimage's parameter, the first half
+    on the upper edge (_edge_values), the second its exact mirror; none at a
+    fold, tau = 0 or pi, where the edges meet.  ccw is whether the traversal
+    is positive: the sign of the closed node polygon's signed area.  The
+    points serve ccw, the gluing check and the printed trace; point_in_G_M
+    does not read them.
 
     _memo holds the per-curve work done once and dropped with the trace: the
     contour_nodes result for each m (its arrays read-only) and, keyed by
@@ -381,15 +385,15 @@ def contour_nodes(
     return trace._memo[m]
 
 
-def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float, int] | None:
-    """Where x lies on the curve's traversal: (y, tau, edge), or None off it.
+def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
+    """Where x lies on the curve's traversal: (y, tau), or None off it.
 
-    y is the slit ordinate, clamped onto [y1, y2], at y = mid - half*cos(tau)
-    with tau in [0, pi]; edge is +1 when x is the upper-edge value X0(y + i0)
-    (at tau) within _BAND, -1 for its conjugate (at 2*pi - tau), and 0 at a
-    fold, a real x over y1 (tau = 0) or y2 (tau = pi).  The test is analytic:
-    x is on the curve iff a kernel y-root at x is real, inside [y1, y2], and
-    the slit edge value at that y reproduces x.
+    y is the slit ordinate, clamped onto [y1, y2], at y = mid - half*cos(tau);
+    tau in [0, 2 pi) is x's own parameter: acos of that cosine when x is the
+    upper-edge value X0(y + i0) within _BAND, 2 pi minus it for the lower
+    edge's conjugate value.  The test is analytic: x is on the curve iff a
+    kernel y-root at x is real, inside [y1, y2], and the slit edge value at
+    that y reproduces x.
     """
     import numpy as np
 
@@ -407,10 +411,8 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float, int] | 
         if min(abs(up - x), abs(up.conjugate() - x)) > _BAND:
             continue
         cosv = (0.5 * (trace.y1 + trace.y2) - yv) / (0.5 * (trace.y2 - trace.y1))
-        if abs(x.imag) < 1e-9 and abs(cosv) > 1 - 1e-9:
-            return yv, (0.0 if cosv > 0 else math.pi), 0
-        edge = 1 if abs(up - x) <= abs(up.conjugate() - x) else -1
-        return yv, math.acos(min(1.0, max(-1.0, cosv))), edge
+        tau = math.acos(min(1.0, max(-1.0, cosv)))
+        return yv, (tau if abs(up - x) <= abs(up.conjugate() - x) else 2 * math.pi - tau)
     return None
 
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import subprocess
@@ -6,7 +7,18 @@ import sys
 import pytest
 
 import qwalk
-from qwalk import cli, steps
+import qwalk.errors
+from qwalk import cli, kernel, steps
+
+
+QWALK_ERRORS = {name for name, obj in vars(qwalk.errors).items()
+                if isinstance(obj, type) and issubclass(obj, qwalk.errors.QwalkError)}
+
+
+def is_qwalk_error_line(err):
+    """err is exactly one JSON line naming a QwalkError."""
+    lines = err.splitlines()
+    return len(lines) == 1 and json.loads(lines[0])["error"] in QWALK_ERRORS
 
 
 def run(capsys, *argv):
@@ -126,6 +138,22 @@ def test_singularities_on_every_step_set(capsys):
     assert len(errors) == 124
     assert sorted(set(errors)) == ["NoPositiveSolution", "SingularWalk"]
     assert errors.count("NoPositiveSolution") == 93
+
+
+# every subcommand but count, series and singularities (swept above), at
+# small z and n; 2550 in-process calls
+SWEEP = (("group",), ("classify",), ("kernel", "branch-points", "--z", "0.1"),
+         ("kernel", "trace", "--z", "0.1", "--points", "16"),
+         *(("bvp", "--z", "0.1", "--target", t) for t in ("q00", "q10", "q01", "q11")),
+         ("asymptotics", "--series", "q11", "--n", "60"), ("check", "--n", "40"))
+
+
+def test_every_subcommand_on_every_step_set(capsys):
+    # each call succeeds, or exits 1 with one JSON line naming a QwalkError
+    for s in steps.all_step_sets():
+        for argv in SWEEP:
+            code, out, err = run(capsys, *argv, "--steps", steps.to_json(s))
+            assert code == 0 or (code, out) == (1, "") and is_qwalk_error_line(err), (argv, s)
 
 
 def test_classify(capsys):
@@ -337,7 +365,9 @@ def test_bad_values_are_structured_errors(capsys):
                  ("kernel", "branch-points", "--preset", "kreweras", "--z", "inf"),
                  ("kernel", "trace", "--preset", "kreweras", "--z", "nan"),
                  ("bvp", "--preset", "kreweras", "--z", "nan", "--target", "q00"),
-                 ("bvp", "--preset", "simple", "--z", "inf", "--target", "q11")):
+                 ("bvp", "--preset", "simple", "--z", "inf", "--target", "q11"),
+                 *(("bvp", "--preset", "simple", "--z", "nan", "--target", t)
+                   for t in ("q00", "q10", "q01"))):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and json.loads(err)["error"] == "OutOfRange", argv
 
@@ -364,6 +394,17 @@ def test_extreme_z_is_out_of_range_not_wrong_branch_points(capsys):
     code, out, _ = run(capsys, "kernel", "branch-points", "--preset", "simple", "--z", "1e150")
     assert code == 0
     assert sorted(r["re"] for r in json.loads(out)["x_roots"]) == [-1.0, -1.0, 1.0, 1.0]
+    # at tiny z the closed-form roots overflow, or come out nan: a typed
+    # error, never a traceback or a genus-zero verdict drawn from nan roots
+    for z in ("1e-26", "1e-60", "1e-100"):
+        for preset in sorted(qwalk.PRESETS):
+            for argv in (("kernel", "branch-points"), ("kernel", "trace"), ("bvp", "--target", "q10")):
+                argv += ("--preset", preset, "--z", z)
+                code, out, err = run(capsys, *argv)
+                assert code == 0 or (code, out) == (1, "") and is_qwalk_error_line(err), argv
+                if code and json.loads(err)["error"] == "GenusZeroRegime":
+                    roots = kernel.disc_roots(steps.preset(preset).mirrored(), float(z))[1]
+                    assert all(map(cmath.isfinite, roots)), argv
 
 
 def test_out_of_range_lengths_are_typed_errors(capsys):
@@ -405,7 +446,8 @@ def test_exact_subcommands_start_without_numpy():
 import contextlib, io, json, sys
 import qwalk
 loaded = {"package": sorted(m for m in sys.modules if m.startswith("qwalk."))}
-from qwalk import cli, steps
+import qwalk.errors
+from qwalk import cli, kernel, steps
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in (
         ["group", "--preset", "gessel"],
