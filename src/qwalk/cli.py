@@ -34,7 +34,7 @@ def _resolve_steps(args) -> steps.StepSet:
         try:
             with open(args.steps_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StepFileUnreadable(f"cannot read the steps file: {exc}") from None
         return steps.from_json(text)
     return steps.from_json(args.steps)
@@ -63,24 +63,16 @@ def _cmd_count(s: steps.StepSet, args) -> int:
     from . import counting
 
     table = counting.count(s, args.n, dense_max=args.n)
+    cells = ((n, i, j, q) for n in range(args.n + 1)  # one layer at a time
+             for j, row in enumerate(table.layer(n)) for i, q in enumerate(row) if q)
     if args.format == "csv":
         sys.stdout.write("n,i,j,q\n")
-        for n in range(args.n + 1):
-            layer = table.layer(n)
-            for j in range(n + 1):
-                for i in range(n + 1):
-                    if layer[j][i]:
-                        sys.stdout.write(f"{n},{i},{j},{layer[j][i]}\n")
+        for n, i, j, q in cells:
+            sys.stdout.write(f"{n},{i},{j},{q}\n")
         return 0
-    layers = {}
-    for n in range(args.n + 1):
-        layer = table.layer(n)
-        layers[str(n)] = {
-            f"{i},{j}": str(layer[j][i])
-            for j in range(n + 1)
-            for i in range(n + 1)
-            if layer[j][i]
-        }
+    layers: dict[str, dict[str, str]] = {str(n): {} for n in range(args.n + 1)}
+    for n, i, j, q in cells:
+        layers[str(n)][f"{i},{j}"] = str(q)
     _emit({"config": _config_echo(s, args, ["n"]), "layers": layers})
     return 0
 
@@ -106,12 +98,12 @@ def _cmd_series(s: steps.StepSet, args) -> int:
 def _cmd_group(s: steps.StepSet, args) -> int:
     from . import group
 
-    res = group.group_order(s, max_half_order=args.max_half_order, seed=args.seed)
+    res = group.group_order(s, max_half_order=args.max_half_order)
     if res.finite:
         payload = {"order": res.order}
     else:
         payload = {"order": "exceeds", "bound": 2 * res.half_order_bound}
-    payload["config"] = _config_echo(s, args, ["max-half-order", "seed"])
+    payload["config"] = _config_echo(s, args, ["max-half-order"])
     _emit(payload)
     return 0
 
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="order of the walk group")
     _add_step_source(p)
     p.add_argument("--max-half-order", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("kernel", help="branch points or the traced curve")
@@ -350,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(_resolve_steps(args), args)
-    except (QwalkError, ValueError, ZeroDivisionError) as exc:
+    except QwalkError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True
         ) + "\n")

@@ -26,7 +26,7 @@ class DegenerateGenerators(QwalkError, ValueError):
 
 
 class TestPointExhaustion(QwalkError, RuntimeError):
-    """Every sampled test point hit a pole; the random panel could not be built."""
+    """An orbit of the fixed test-point panel reduces badly modulo the screening prime."""
 
 
 class ResourceLimit(QwalkError, RuntimeError):

@@ -7,30 +7,30 @@ The two generators act on points of C^2 by
 where a, c (and the tilde pair) are the boundary polynomials of the kernel;
 both leave sum(delta_{ij} x^i y^j) invariant and square to the identity.
 The group they generate is dihedral; its order is 2m where m is the order of
-psi o phi.  Order decisions are certified with exact rational arithmetic on a
-small panel of random points: for distinct bounded-degree birational maps a
-generic exact panel cannot collide, so "all panel points fixed" is decisive.
+psi o phi.  The order depends on the step set alone, so it is certified with
+exact rational arithmetic on one fixed panel of five small-height points: for
+distinct bounded-degree birational maps a generic exact panel cannot collide,
+so "all panel points fixed" is decisive.
 
 Orbits of infinite-order compositions blow up in height (digit count grows
-geometrically), so candidate orders are first screened by running the orbit
-in a few prime fields; non-return modulo a prime of good reduction already
-proves non-return over Q, so the first such prime decides, and only
-screened candidates are re-run exactly.
-The screening orbit runs on projective pairs (n : d), so it needs no
-modular inversion; a prime at which a denominator or a pole factor vanishes
-yields no flags (None), and the exact panel is what certifies.
+geometrically), so candidate orders are first screened by running each
+panel orbit modulo one prime; non-return modulo a prime of good reduction
+already proves non-return over Q, and only screened candidates are re-run
+exactly.  The screening orbit runs on projective pairs (n : d), so it needs
+no modular inversion.  A pole on the exact orbit makes a projective factor
+vanish modulo the prime too, so a panel orbit that screens proves the exact
+orbit pole-free; one that does not is a bad-reduction panel point.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateGenerators, OutOfRange, PoleEncountered, TestPointExhaustion
 from .steps import KernelPolys, StepSet, kernel_polys, poly_eval
 
-_SCREEN_PRIMES = (2**61 - 1, 10**18 + 9, 10**18 + 3)
+_PRIME = 2**61 - 1
 
 #: Cap on max_half_order (one flag per step and panel point); finite m are <= 4.
 _MAX_HALF_ORDER = 1024
@@ -40,6 +40,13 @@ _MAX_HALF_ORDER = 1024
 class RationalPoint:
     x: Fraction
     y: Fraction
+
+
+#: The certification panel.  Every orbit of it screens well modulo _PRIME on
+#: the 161 step sets whose generators are defined, up to _MAX_HALF_ORDER.
+_PANEL = tuple(RationalPoint(Fraction(*x), Fraction(*y)) for x, y in (
+    ((25, 49), (9, 1)), ((17, 33), (63, 52)), ((39, 62), (46, 75)),
+    ((28, 65), (18, 37)), ((18, 97), (13, 80))))
 
 
 @dataclass(frozen=True)
@@ -94,13 +101,6 @@ def invariant_check(s: StepSet, p: RationalPoint) -> bool:
     return v == step_symbol(s, psi(s, p)) == step_symbol(s, phi(s, p))
 
 
-def _random_point(rng: random.Random) -> RationalPoint:
-    def frac() -> Fraction:
-        return Fraction(rng.randint(1, 100), rng.randint(1, 100))
-
-    return RationalPoint(frac(), frac())
-
-
 def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[bool] | None:
     """Return-per-m flags of the psi o phi orbit over F_prime, or None when a
     denominator or a pole factor vanishes mod prime (bad reduction, or an
@@ -143,46 +143,32 @@ def _orbit_exact_returns_at(s: StepSet, p0: RationalPoint, m: int) -> bool:
     return p == p0
 
 
-def group_order(s: StepSet, max_half_order: int = 16, seed: int = 0) -> GroupOrderResult:
+def group_order(s: StepSet, max_half_order: int = 16) -> GroupOrderResult:
     """Decide whether (psi o phi) has order m <= max_half_order.
 
     Returns Finite with group order 2m for the smallest certified m, else an
     ExceedsBound result (honestly "not finite up to the bound", never
     "infinite").  Certification is exact (Fraction arithmetic, no rounding)
-    on a panel of 5 random small-height points; prime-field screening only
-    prunes candidate values of m.  A pole along a point's orbit triggers
-    resampling of that point, up to 20 retries.
+    on the fixed panel _PANEL; screening each panel orbit modulo _PRIME only
+    prunes candidate values of m.  A panel orbit that reduces badly modulo
+    _PRIME raises TestPointExhaustion.
     """
     _check_defined(kernel_polys(s))
     if max_half_order < 2:
         raise OutOfRange("max_half_order must be >= 2 (psi and phi are never equal)")
     if max_half_order > _MAX_HALF_ORDER:
         raise OutOfRange(f"max_half_order must be <= {_MAX_HALF_ORDER}")
-    rng = random.Random(seed)
-
-    panel: list[RationalPoint] = []
-    point_flags: list[list[bool]] = []  # per point: returns-at-m flags, m=1..bound
-    attempts = 0
-    while len(panel) < 5:
-        attempts += 1
-        if attempts > 20 * 5:
-            raise TestPointExhaustion("could not sample a panel with pole-free orbits")
-        p = _random_point(rng)
-        for prime in _SCREEN_PRIMES:
-            flags = _orbit_mod_p(s, p, prime, max_half_order)
-            if flags is not None:
-                break  # the first prime of good reduction decides
-        else:
-            continue  # every prime failed: the exact orbit hits a pole; resample
-        panel.append(p)
+    point_flags = []  # per point: returns-at-m flags, m=1..bound
+    for p in _PANEL:
+        flags = _orbit_mod_p(s, p, _PRIME, max_half_order)
+        if flags is None:
+            raise TestPointExhaustion(f"the panel orbit of {p} reduces badly modulo {_PRIME}")
         point_flags.append(flags)
 
+    # screened orbits have no exact pole: at(y), x, a(x) or y = 0 vanishes mod _PRIME too
     for m in range(2, max_half_order + 1):
-        if not all(flags[m - 1] for flags in point_flags):
-            continue
-        try:
-            if all(_orbit_exact_returns_at(s, p, m) for p in panel):
-                return GroupOrderResult(finite=True, order=2 * m)
-        except PoleEncountered:
-            continue
+        if all(flags[m - 1] for flags in point_flags) and all(
+            _orbit_exact_returns_at(s, p, m) for p in _PANEL
+        ):
+            return GroupOrderResult(finite=True, order=2 * m)
     return GroupOrderResult(finite=False, half_order_bound=max_half_order)

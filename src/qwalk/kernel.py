@@ -270,8 +270,6 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
             f"{n_components} negative-discriminant component(s) at z={z}; "
             "the genus-1 two-cut structure is absent"
         )
-    if not neg:
-        raise SlitDegenerate(f"no bounded slit at z={z}")
     neg.sort(key=lambda ab: max(abs(ab[0]), abs(ab[1])))
     y1, y2 = neg[0]
     if y2 - y1 < 1e-10 * max(1.0, abs(y1)):

@@ -111,7 +111,7 @@ def from_json(text: str) -> StepSet:
     """Parse the JSON wire format {"steps": [[i, j], ...]}."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, int digit limit
         raise InvalidStep(f"the step set is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or "steps" not in data:
         raise InvalidStep('expected a JSON object of the form {"steps": [[i,j], ...]}')

@@ -335,6 +335,7 @@ def test_steps_file_is_read_once(capsys, tmp_path, monkeypatch):
 
 
 def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
     for source, error in (
         (("--steps", "nope"), "InvalidStep"),
         (("--steps", '{"steps": 5}'), "InvalidStep"),
@@ -343,11 +344,26 @@ def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
         (("--steps", '{"steps": [[true, false], [false, true], [-1, -1]]}'), "InvalidStep"),
         (("--steps-file", str(tmp_path / "missing.json")), "StepFileUnreadable"),
         (("--steps-file", str(tmp_path)), "StepFileUnreadable"),
+        (("--steps-file", str(tmp_path / "latin1.json")), "StepFileUnreadable"),
+        # past the JSON parser's recursion limit, and past its digit limit
+        (("--steps", "[" * 100000), "InvalidStep"),
+        (("--steps", '{"steps": [[' + "1" * 5000 + ", 0]]}"), "InvalidStep"),
     ):
         code, out, err = run(capsys, "group", *source)
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+
+
+def test_an_untyped_error_propagates(capsys, monkeypatch):
+    # only QwalkErrors are analysis errors; anything else is a bug, not exit 1
+    def broken(s, args):
+        raise ValueError("not an analysis error")
+
+    monkeypatch.setattr(cli, "_cmd_group", broken)
+    with pytest.raises(ValueError, match="not an analysis error"):
+        cli.main(["group", "--preset", "simple"])
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_values_are_structured_errors(capsys):
@@ -427,11 +443,14 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["count", "--preset", "simple"])  # missing --n
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["group", "--preset", "simple", "--seed", "1"])  # the panel is fixed
+    assert exc.value.code == 2
 
 
 def test_byte_identical_reruns(capsys):
     for argv in (("singularities", "--preset", "gessel"),
-                 ("group", "--preset", "gessel", "--seed", "7"),
+                 ("group", "--preset", "gessel"),
                  ("kernel", "branch-points", "--preset", "kreweras", "--z", "0.2"),
                  ("asymptotics", "--preset", "simple", "--series", "q11", "--n", "160")):
         assert run(capsys, *argv) == run(capsys, *argv), argv

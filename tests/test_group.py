@@ -60,25 +60,35 @@ def orbit_by_inverses(s, p0, prime, max_m):
 
 
 def test_screen_matches_the_inverse_based_orbit():
-    points = [group._random_point(random.Random(k)) for k in range(5)]
     for s in genuine_models():
-        for p in points:
-            for prime in group._SCREEN_PRIMES:
+        for p in group._PANEL:
+            for prime in (group._PRIME, 10**18 + 9):
                 assert group._orbit_mod_p(s, p, prime, 16) == orbit_by_inverses(s, p, prime, 16)
 
 
 def test_screen_bad_reduction_and_exact_pole():
     s = steps.preset("kreweras")
-    p = RationalPoint(F(3, 2**61 - 1), F(5, 7))
-    flags = [group._orbit_mod_p(s, p, prime, 16) for prime in group._SCREEN_PRIMES]
-    assert flags[0] is None and all(isinstance(f, list) and len(f) == 16 for f in flags[1:])
+    assert group._orbit_mod_p(s, RationalPoint(F(3, 2**61 - 1), F(5, 7)), group._PRIME, 16) is None
     # Gessel: at(y) = y + y^2 vanishes at y = -1, an exact pole of phi
     gessel = steps.preset("gessel")
     pole = RationalPoint(F(2, 3), F(-1))
     with pytest.raises(PoleEncountered):
         group.phi(gessel, pole)
-    assert all(group._orbit_mod_p(gessel, pole, prime, 16) is None
-               for prime in group._SCREEN_PRIMES)
+    assert group._orbit_mod_p(gessel, pole, group._PRIME, 16) is None
+
+
+def test_the_panel_screens_every_step_set():
+    # no panel orbit meets a pole or a bad reduction, so group_order raises no
+    # TestPointExhaustion on a step set whose generators are defined
+    for s in generator_models():
+        for p in group._PANEL:
+            assert group._orbit_mod_p(s, p, group._PRIME, 64) is not None, (s, p)
+
+
+def test_a_badly_reducing_panel_point_is_exhaustion(monkeypatch):
+    monkeypatch.setattr(group, "_PANEL", (RationalPoint(F(3, 2**61 - 1), F(5, 7)),))
+    with pytest.raises(group.TestPointExhaustion, match="reduces badly"):
+        group.group_order(steps.preset("kreweras"))
 
 
 def test_psi_simple_walk_inverts_y():
@@ -151,7 +161,7 @@ def test_invariant_preserved_random_points_all_presets():
     [("simple", 4), ("kreweras", 6), ("gessel", 8), ("gouyou-beauchamps", 8)],
 )
 def test_group_orders_of_presets(name, expected):
-    res = group.group_order(steps.preset(name), max_half_order=8, seed=1)
+    res = group.group_order(steps.preset(name), max_half_order=8)
     assert res.finite and res.order == expected
 
 
@@ -182,7 +192,7 @@ def test_reported_orders_are_even_and_at_least_four():
     pool = list(steps.all_step_sets())
     for s in rng.sample(pool, 40):
         try:
-            res = group.group_order(s, max_half_order=6, seed=2)
+            res = group.group_order(s, max_half_order=6)
         except DegenerateGenerators:
             continue
         if res.finite:
@@ -192,7 +202,7 @@ def test_reported_orders_are_even_and_at_least_four():
 def test_non_closing_model_exceeds_bound():
     # this composition does not return on any test point up to the bound
     s = steps.parse_step_set([(-1, 1), (0, -1), (1, -1), (1, 1)])
-    res = group.group_order(s, max_half_order=16, seed=3)
+    res = group.group_order(s, max_half_order=16)
     assert not res.finite
     assert res.half_order_bound == 16
 
@@ -203,7 +213,7 @@ def test_king_walk_generators_collapse_to_order_four():
     s = steps.parse_step_set(
         [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
     )
-    res = group.group_order(s, seed=3)
+    res = group.group_order(s)
     assert res.finite and res.order == 4
 
 
@@ -225,33 +235,6 @@ def test_half_order_bound_above_the_cap_is_out_of_range(monkeypatch):
     monkeypatch.undo()
     res = group.group_order(steps.preset("simple"), max_half_order=group._MAX_HALF_ORDER)
     assert res.order == 4
-
-
-def test_the_first_prime_of_good_reduction_decides(monkeypatch):
-    # one screening orbit per panel point when the first prime reduces well,
-    # two when it does not (the screen's own bad-reduction example)
-    primes = []
-    orbit = group._orbit_mod_p
-
-    def counted(s, p, prime, max_m):
-        primes.append(prime)
-        return orbit(s, p, prime, max_m)
-
-    monkeypatch.setattr(group, "_orbit_mod_p", counted)
-    assert group.group_order(steps.preset("kreweras")).order == 6
-    assert primes == [group._SCREEN_PRIMES[0]] * 5
-    monkeypatch.setattr(group, "_random_point",
-                        lambda rng: RationalPoint(F(3, 2**61 - 1), F(5, 7)))
-    primes.clear()
-    assert group.group_order(steps.preset("kreweras")).order == 6
-    assert primes == list(group._SCREEN_PRIMES[:2]) * 5
-
-
-def test_group_order_deterministic_in_seed():
-    s = steps.preset("kreweras")
-    a = group.group_order(s, seed=5)
-    b = group.group_order(s, seed=5)
-    assert a == b
 
 
 def test_group_census_of_nonsingular_classes():
