@@ -2,11 +2,11 @@
 
 Ascending coefficient lists of Python ints, normalised (no trailing zeros).
 Used for the resultant route to the genus-transition point: the resultant
-in z is a fraction-free (Bareiss) determinant of a Sylvester matrix whose
-entries are integer polynomials in z, and its smallest positive root is
-bracketed by exact bisection at dyadic points num / 2^k, on the Sturm
-chain's sign changes and then on the sign of the polynomial.  No float
-touches that route.
+in z is the closed form +-a_d disc(D) over Z[z], built from mul, sub and
+exact_div here (singularities._resultant_in_z), and its smallest positive
+root is bracketed by exact bisection at dyadic points num / 2^k, on the
+Sturm chain's sign changes and then on the sign of the polynomial.  No
+float touches that route.
 
 roots() is the package's one float root finder, for degree at most 4 (the
 kernel discriminants, c(x) in bvp, a(x) in point_in_G_M), in pure Python so
@@ -119,37 +119,6 @@ def square_free(p: Poly) -> Poly:
     if degree(p) <= 1:
         return p
     return exact_div(p, polygcd(p, deriv(p)))
-
-
-def sylvester_resultant(p: list[Poly], q: list[Poly]) -> Poly:
-    """Res_x(p, q) at the formal (list) x-degrees, where p and q are lists
-    of x-coefficients, each an integer polynomial in z.
-
-    Fraction-free Bareiss elimination of the Sylvester matrix: every division
-    is exact in Z[z], and the last pivot is the determinant.
-    """
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp < 0 or dq < 0:
-        return []
-    n = dp + dq
-    if n == 0:
-        return [1]
-    m = [[[]] * k + p[::-1] + [[]] * (n - dp - k - 1) for k in range(dq)]
-    m += [[[]] * k + q[::-1] + [[]] * (n - dq - k - 1) for k in range(dp)]
-    m = [[norm(e) for e in row] for row in m]
-    sign, prev = 1, [1]
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot is None:
-            return []
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = exact_div(sub(mul(m[k][k], m[i][j]), mul(m[i][k], m[k][j])), prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else [-c for c in m[n - 1][n - 1]]
 
 
 def sturm_chain(p: Poly) -> list[Poly]:

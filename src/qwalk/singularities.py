@@ -5,10 +5,12 @@ The genus-transition point z_g is computed by two independent routes:
 * the critical point of the step polynomial: the unique (alpha, beta) in
   (0, inf)^2 killing both first moments, with z_g the reciprocal of the
   step polynomial there (Newton in log coordinates);
-* the smallest positive root of a fraction-free integer resultant in z,
-  bracketed to 2^-60 by exact bisection on its Sturm chain, then validated
-  numerically as the inner collision: the x-discriminant has a real
-  positive double root there, a local maximum.
+* the smallest positive root of the integer resultant in z of the cleared
+  x-discriminant D and its x-derivative, in closed form
+  (-1)^(d(d-1)/2) a_d disc(D) for D of x-degree d, bracketed to 2^-60 by
+  exact bisection on its Sturm chain, then validated numerically as the
+  inner collision: the x-discriminant has a real positive double root
+  there, a local maximum.
 
 z_Y and z_X have closed forms; 1/|S| is elementary.  The drift/covariance
 table then names the first positive singularity of Q(1,0,z), Q(0,1,z) and
@@ -98,20 +100,42 @@ def critical_point(s: StepSet) -> CriticalPoint:
     return CriticalPoint(alpha=alpha, beta=beta, z_g=1.0 / total, residual=r)
 
 
-def _resultant_in_z(s: StepSet) -> rp.Poly:
-    """R(z) = Res_x(D(x,z), dD/dx(x,z)) as an integer polynomial in z.
+def _sum_of_products(*terms: tuple) -> rp.Poly:
+    """The sum of k * p1 * p2 * ... over the terms (k, p1, p2, ...) in Z[z]."""
+    total: rp.Poly = []
+    for k, *factors in terms:
+        prod = [-k]  # negated, so that sub adds k * p1 * p2 * ...
+        for f in factors:
+            prod = rp.mul(prod, f)
+        total = rp.sub(total, prod)
+    return total
 
-    D is the cleared discriminant; the Sylvester dimensions are fixed by its
-    formal x-degree, and the determinant is taken fraction-free over Z[z].
+
+def _resultant_in_z(s: StepSet) -> rp.Poly:
+    """R(z) = Res_x(D, dD/dx) in Z[z], D the cleared discriminant.
+
+    For D of formal x-degree d with x-coefficients a_k in Z[z],
+    R = (-1)^(d(d-1)/2) a_d disc(D) in closed form: sign -1 on the
+    discriminants of the quadratic and the cubic, +1 on the quartic's
+    (4I^3 - J^2)/27 from its invariants I and J, divided exactly.
     """
-    coeff_polys = [rp.norm(trip) for trip in cleared_disc_int(s)]
-    while coeff_polys and not coeff_polys[-1]:
-        coeff_polys.pop()
-    dp = len(coeff_polys) - 1
-    if dp < 2:
-        raise RootFindingFailure("discriminant degenerates below a quadratic in x")
-    deriv_polys = [[k * c for c in coeff_polys[k]] for k in range(1, dp + 1)]
-    return rp.sylvester_resultant(coeff_polys, deriv_polys)
+    a = [rp.norm(trip) for trip in cleared_disc_int(s)]
+    while not a[-1]:  # d >= 2: the x^2 coefficient of D is 1 + O(z)
+        a.pop()
+    d = len(a) - 1
+    a0, a1, a2, a3, a4 = a + [[]] * (4 - d)
+    if d == 2:
+        disc = _sum_of_products((1, a1, a1), (-4, a2, a0))
+    elif d == 3:
+        disc = _sum_of_products((1, a2, a2, a1, a1), (-4, a3, a1, a1, a1),
+                                (-4, a2, a2, a2, a0), (-27, a3, a3, a0, a0),
+                                (18, a3, a2, a1, a0))
+    else:  # d == 4
+        i = _sum_of_products((12, a4, a0), (-3, a3, a1), (1, a2, a2))
+        j = _sum_of_products((72, a4, a2, a0), (9, a3, a2, a1), (-27, a4, a1, a1),
+                             (-27, a3, a3, a0), (-2, a2, a2, a2))
+        disc = rp.exact_div(_sum_of_products((4, i, i, i), (-1, j, j)), [27])
+    return _sum_of_products(((-1) ** (d * (d - 1) // 2), a[d], disc))
 
 
 def z_g_via_resultant(s: StepSet) -> float:

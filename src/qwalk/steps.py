@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .errors import EmptyStepSet, InvalidStep, OutOfRange
 
@@ -84,7 +84,7 @@ def parse_step_set(pairs: Iterable[Iterable[int]]) -> StepSet:
     neighbours of the origin (including (0,0) itself).
     """
     try:
-        candidates = [tuple(pair) for pair in pairs]
+        candidates = [tuple(_not_text(pair)) for pair in _not_text(pairs)]
     except TypeError:
         raise InvalidStep(f"not a list of integer pairs: {pairs!r}") from None
     collected = set()
@@ -97,6 +97,13 @@ def parse_step_set(pairs: Iterable[Iterable[int]]) -> StepSet:
     if not collected:
         raise EmptyStepSet("a step set must contain at least one step")
     return StepSet(frozenset(collected))
+
+
+def _not_text(v):
+    # a str, bytes or mapping is iterable, but over characters or keys
+    if isinstance(v, (str, bytes, Mapping)):
+        raise TypeError
+    return v
 
 
 def preset(name: str) -> StepSet:

@@ -355,6 +355,16 @@ def test_malformed_step_sources_are_structured_errors(capsys, tmp_path):
         assert len(lines) == 1 and json.loads(lines[0])["error"] == error
 
 
+@pytest.mark.parametrize("value", ['"ab"', '""', "{}", '{"a": 1}'])
+def test_a_string_or_object_is_not_a_step_list(capsys, value):
+    # iterable, but over characters or keys: never split into "pairs"
+    code, out, err = run(capsys, "group", "--steps", f'{{"steps": {value}}}')
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "InvalidStep", "message": f"not a list of integer pairs: {json.loads(value)!r}"}
+
+
 def test_an_untyped_error_propagates(capsys, monkeypatch):
     # only QwalkErrors are analysis errors; anything else is a bug, not exit 1
     def broken(s, args):

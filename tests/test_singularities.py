@@ -122,15 +122,24 @@ def test_roots_above_degree_four_are_out_of_range():
         rp.roots([1, 0, 0, 0, 0, 1])
 
 
-def test_sylvester_resultant_shared_root():
-    # p = (x-2)(x-3), q = (x-2)(x+1): resultant must vanish
-    # (coefficients are constant polynomials in z)
-    p = [[6], [-5], [1]]
-    q = [[-2], [-1], [1]]
-    assert rp.sylvester_resultant(p, q) == []
-    # disjoint roots: nonzero
-    q2 = [[1], [1]]  # root -1
-    assert rp.sylvester_resultant(p, q2) != []
+def test_closed_form_resultant_shared_root(monkeypatch):
+    # Res_x(f, f') of a monic f with the given roots, fed to _resultant_in_z
+    # as a cleared discriminant constant in z: 0 exactly when f has a double
+    # root, else (-1)^(d(d-1)/2) prod (r_i - r_j)^2, as the Fraction oracle
+    for roots, want in (((2, 2, -1), []),          # (x-2)^2 (x+1)
+                        ((2, 2, -1, 3), []),
+                        ((2, -1, 3), [-144]),
+                        ((2, -1, 3, 1), [2304]),
+                        ((2, -1), [-9])):
+        f = [1]
+        for r in roots:
+            f = rp.mul(f, [-r, 1])
+        disc = [(c, 0, 0) for c in f] + [(0, 0, 0)] * (5 - len(f))
+        monkeypatch.setattr(sg, "cleared_disc_int", lambda s: disc)
+        res = sg._resultant_in_z(SIMPLE)
+        assert res == want, roots
+        p = [Fraction(c) for c in f]
+        assert _fraction_sylvester_det(p, [k * p[k] for k in range(1, len(p))]) == sum(res)
 
 
 def _fraction_sylvester_det(p, q):
@@ -157,20 +166,28 @@ def _fraction_sylvester_det(p, q):
 
 
 def test_resultant_matches_fraction_sylvester_determinant():
-    # the Z[z] resultant against sampled rational determinants, at deg R + 1
-    # integer z, and its smallest positive root bracketed: no Sturm root in
-    # (0, lo], and the square-free part changes sign across (lo, hi)
-    for s in genuine_models():
+    # the closed-form Z[z] resultant against rational Sylvester determinants
+    # on all 255 sets (about 1.5 s).  D has x-degree d and z-degree <= 2, so
+    # R has z-degree at most 2(2d-1): agreement at 2(2d-1)+1 integer z
+    # proves equality.  On the genuine sets R is nonzero and its smallest
+    # positive root is bracketed: no Sturm root in (0, lo], and the
+    # square-free part changes sign across (lo, hi)
+    genuine = set(genuine_models())
+    for s in steps.all_step_sets():
         res = sg._resultant_in_z(s)
-        assert res, s
         disc = list(kernel.cleared_disc_int(s))
         while disc[-1] == (0, 0, 0):
             disc.pop()
-        for z in range(1, len(res) + 1):
+        bound = 2 * (2 * (len(disc) - 1) - 1)
+        assert len(res) - 1 <= bound, s
+        for z in range(1, bound + 2):
             p = [Fraction(c0 + c1 * z + c2 * z * z) for (c0, c1, c2) in disc]
             q = [k * p[k] for k in range(1, len(p))]
             want = _fraction_sylvester_det(p, q)
             assert sum(c * z**k for k, c in enumerate(res)) == want, (s, z)
+        if s not in genuine:
+            continue
+        assert res, s
         root = rp.smallest_positive_root(res)
         assert root is not None, s
         sqf = rp.square_free(res)

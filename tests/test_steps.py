@@ -35,7 +35,8 @@ def test_parse_rejects_far_step_and_empty():
 def test_parse_rejects_what_is_not_a_list_of_pairs():
     # booleans are ints to isinstance, but JSON true/false are not coordinates
     for bad in (5, None, [[1, 0], 5], [(1, 0), None], [(1, 0), (0, True)],
-                [(True, False), (False, True), (-1, -1)]):
+                [(True, False), (False, True), (-1, -1)],
+                "ab", "", b"", {}, {(1, 0): 1}, [(1, 0), "ab"], [b"\x01\x00"]):
         with pytest.raises(InvalidStep):
             steps.parse_step_set(bad)
     for text in ('{"steps": 5}', '{"steps": null}', '{"steps": [[1, 0], 5]}',
