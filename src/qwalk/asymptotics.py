@@ -1,9 +1,10 @@
 """Growth-rate, polynomial-exponent and constant estimation for integer
 coefficient sequences c_n ~ const * rho^n * n^alpha.
 
-rho comes from Richardson-extrapolated consecutive ratios, alpha from the
-extrapolated n*(ratio/rho - 1), and the constant from c_n * n^(-alpha) *
-rho^(-n).  Sequences from these walk models carry a subdominant oscillating
+rho comes from consecutive ratios, alpha from n*(ratio/rho - 1) and the
+constant from c_n * n^(-alpha) * rho^(-n), each extrapolated to 1/k -> 0 by
+windowed least-squares fits in 1/k of degree 0-4, one orthonormal basis
+shared by the three fits.  Walk sequences carry a subdominant oscillating
 correction (-rho)^n * n^(-beta) from the conjugate singularity at -1/rho, so
 each working sequence is first smoothed by a few rounds of adjacent-pair
 averaging, which demotes the alternating part by one power of n per round
@@ -16,10 +17,10 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import InsufficientData, ZeroSequence
+from .errors import InsufficientData, OutOfRange, ZeroSequence
 
 _SMOOTH_ROUNDS = 3
-_RICHARDSON_DEPTH = 4
+_FIT_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,17 @@ def detect_stride(coeffs) -> tuple[int, int]:
     return stride, first
 
 
-def _boxcar(values: list[float], ks: list[float], p: int) -> tuple[list[float], list[float]]:
+def _boxcar(values: list[float], p: int) -> list[float]:
     if p <= 1:
-        return values, ks
-    out = [sum(values[i : i + p]) / p for i in range(len(values) - p + 1)]
-    kout = [k + (p - 1) / 2 for k in ks[: len(out)]]
-    return out, kout
+        return values
+    return [sum(values[i : i + p]) / p for i in range(len(values) - p + 1)]
 
 
-def _smooth(values: list[float], ks: list[float], period: int) -> tuple[list[float], list[float]]:
+def _smooth(values: list[float], period: int) -> list[float]:
     """A boxcar over the modulation period, then _SMOOTH_ROUNDS pair averages."""
     for p in (period,) + (2,) * _SMOOTH_ROUNDS:
-        values, ks = _boxcar(values, ks, p)
-    return values, ks
+        values = _boxcar(values, p)
+    return values
 
 
 def _wobble(values: list[float]) -> float:
@@ -101,29 +100,22 @@ def _detect_period(values: list[float]) -> int:
     for p in (2, 3, 4, 6, 8, 12):
         if len(tail) < 3 * p + 8:
             continue
-        sm, _ = _boxcar(tail, [0.0] * len(tail), p)
         # genuine period-p modulation cancels exactly, not just partially
-        if _wobble(sm) < 0.02 * base:
+        if _wobble(_boxcar(tail, p)) < 0.02 * base:
             return p
     return 1
 
 
-def _extrapolate(values: list[float], ks: list[float], depth: int) -> tuple[float, float, tuple[float, ...], bool]:
-    """(estimate, uncertainty, residuals, converged) for a smooth-in-1/k tail.
+def _basis(ks: list[float], depth: int) -> list[tuple[list[float], float]]:
+    """(q_d, q_d at 1/k = 0) for d = 0..depth, orthonormal on the tail window.
 
-    Extrapolates to 1/k -> 0 with polynomial models of degree 0..depth fitted
-    over the tail window by least squares on Chebyshev-normalised nodes;
-    pointwise Neville on the clustered tail nodes would amplify roundoff by
-    (k/spacing)^depth, the windowed fit keeps the extrapolation stable.
-
-    One QR of the columns T_0..T_depth at the nodes serves all the nested
-    fits: modified Gram-Schmidt, applied twice, turns them into polynomials
-    q_0..q_depth orthonormal on the nodes, each carried along with its value
-    at the extrapolation point t0.  The degree-d fit is the projection
-    sum_{k<=d} <q_k, v> q_k, so its estimate at t0 is a running sum.
+    The window is the last max(4(depth + 1), len/2) nodes: a least-squares
+    fit over it keeps the extrapolation stable, where pointwise Neville on
+    the clustered tail nodes would amplify roundoff by (k/spacing)^depth.
+    Modified Gram-Schmidt, applied twice, turns the columns T_0..T_depth at
+    the Chebyshev-normalised 1/k into polynomials orthonormal on the window.
     """
-    window = min(len(values), max(4 * (depth + 1), len(values) // 2))
-    v = values[-window:]
+    window = min(len(ks), max(4 * (depth + 1), len(ks) // 2))
     x = [1.0 / k for k in ks[-window:]]
     centre = math.fsum(x) / window
     half = (max(x) - min(x)) / 2 or 1.0
@@ -135,8 +127,6 @@ def _extrapolate(values: list[float], ks: list[float], depth: int) -> tuple[floa
         (a, a0), (b, b0) = columns[-1], columns[-2]
         columns.append(([2 * ti * ai - bi for ti, ai, bi in zip(t, a, b)], 2 * t0 * a0 - b0))
     basis: list[tuple[list[float], float]] = []
-    estimates = []
-    estimate = 0.0
     for col, col0 in columns[: depth + 1]:
         for _ in range(2):
             for q, q0 in basis:
@@ -144,8 +134,20 @@ def _extrapolate(values: list[float], ks: list[float], depth: int) -> tuple[floa
                 col = [c - r * qi for c, qi in zip(col, q)]
                 col0 -= r * q0
         norm = math.sqrt(sum(map(mul, col, col)))
-        q, q0 = [c / norm for c in col], col0 / norm
-        basis.append((q, q0))
+        basis.append(([c / norm for c in col], col0 / norm))
+    return basis
+
+
+def _extrapolate(values: list[float], basis) -> tuple[float, float, tuple[float, ...], bool]:
+    """(estimate, uncertainty, residuals, converged) for a smooth-in-1/k tail.
+
+    The degree-d least-squares fit on the basis window is the projection
+    sum_{i<=d} <q_i, v> q_i, so its estimate at 1/k = 0 is a running sum.
+    """
+    v = values[-len(basis[0][0]):]
+    estimates = []
+    estimate = 0.0
+    for q, q0 in basis:
         r = sum(map(mul, q, v))
         v = [c - r * qi for c, qi in zip(v, q)]
         estimate += r * q0
@@ -167,9 +169,13 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     sub[k] = coeffs[first + stride*k] ~ const * rho^k * k^alpha: rho is the
     growth per stride step (16 rather than 4 for parity-supported excursion
     counts) and const absorbs rho^first.  Needs at least 32 nonzero terms
-    after the stride is applied.
+    after the stride is applied; a negative, infinite or nan term is
+    OutOfRange.
     """
     coeffs = list(coeffs)
+    bad = next((n for n, c in enumerate(coeffs) if c != 0 and not 0 < c < math.inf), None)
+    if bad is not None:  # compared, not math.isfinite: exact counts pass 1e308
+        raise OutOfRange(f"term {bad} is negative, infinite or nan; counts are >= 0 and finite")
     stride, first = detect_stride(coeffs)
     sub = coeffs[first::stride]
     if any(c == 0 for c in sub):
@@ -178,24 +184,24 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
         raise InsufficientData(f"{len(sub)} terms after stride; need >= 32")
 
     logs = [math.log(c) for c in sub]
-    ks = [float(k) for k in range(len(sub))]
 
     # log-ratios ~ log rho + smooth(1/k) + periodic and alternating parts
     lr = [b - a for a, b in zip(logs, logs[1:])]
     period = _detect_period(lr)
-    lr, krs = _smooth(lr, ks[1:], period)
-    log_rho, u_logrho, res_rho, ok_rho = _extrapolate(lr, krs, _RICHARDSON_DEPTH)
+    lr = _smooth(lr, period)  # each boxcar of width p shifts the nodes by (p - 1)/2
+    ks = [k + (period - 1) / 2 + _SMOOTH_ROUNDS / 2 for k in range(1, len(lr) + 1)]
+    basis = _basis(ks, _FIT_DEGREE)  # the nodes of all three fits
+    log_rho, u_logrho, res_rho, ok_rho = _extrapolate(lr, basis)
     rho = math.exp(log_rho)
 
     # alpha from k * (r_k/rho - 1) with the same smoothing
-    av = [k * math.expm1(v - log_rho) for v, k in zip(lr, krs)]
-    alpha, u_alpha, res_alpha, ok_alpha = _extrapolate(av, krs, _RICHARDSON_DEPTH)
+    av = [k * math.expm1(v - log_rho) for v, k in zip(lr, ks)]
+    alpha, u_alpha, res_alpha, ok_alpha = _extrapolate(av, basis)
 
     # constant from n^-alpha rho^-n c_n, in log space (the geometric mean
     # over a modulation period when one is present)
-    cv = [logs[k] - ks[k] * log_rho - alpha * math.log(ks[k]) for k in range(1, len(sub))]
-    cv, kcs = _smooth(cv, ks[1:], period)
-    log_const, u_logc, res_c, ok_c = _extrapolate(cv, kcs, _RICHARDSON_DEPTH)
+    cv = [logs[k] - k * log_rho - alpha * math.log(k) for k in range(1, len(sub))]
+    log_const, u_logc, res_c, ok_c = _extrapolate(_smooth(cv, period), basis)
     const = math.exp(log_const)
 
     return SeriesAnalysis(
@@ -232,7 +238,11 @@ def verify_prediction(
     const0: float,
 ) -> PredictionReport:
     """Compare extrapolated (rho, alpha, const) against a prediction: rho to
-    1e-6 relative, alpha to 1e-2 absolute, const to 1e-2 relative."""
+    1e-6 relative, alpha to 1e-2 absolute, const to 1e-2 relative; a zero
+    rho0 or const0 is OutOfRange."""
+    for name, value in (("rho0", rho0), ("const0", const0)):
+        if value == 0:
+            raise OutOfRange(f"{name} is 0; the deviation from it is relative")
     analysis = growth_estimate(coeffs)
     dr = abs(analysis.rho - rho0) / abs(rho0)
     da = abs(analysis.alpha - alpha0)

@@ -186,7 +186,7 @@ def _cmd_bvp(s: steps.StepSet, args) -> int:
         gf = bvp.q11_general(s, args.z, cgf)
     payload = asdict(gf)
     payload["flags"] = list(gf.flags)
-    payload["config"] = _config_echo(s, args, ["z", "target", "cgf"])
+    payload["config"] = _config_echo(s, args, ["z", "target"])
     _emit(payload)
     return 0
 
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_step_source(p)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--target", choices=("q00", "q10", "q01", "q11"), required=True)
-    p.add_argument("--cgf", choices=("builtin-circle",), default="builtin-circle")
     p.set_defaults(func=_cmd_bvp)
 
     p = sub.add_parser("asymptotics", help="growth estimate of a coefficient sequence")

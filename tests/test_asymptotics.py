@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qwalk import asymptotics, counting, steps
-from qwalk.errors import InsufficientData, ZeroSequence
+from qwalk.errors import InsufficientData, OutOfRange, ZeroSequence
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +40,62 @@ def test_stride_detection():
 def test_insufficient_data():
     with pytest.raises(InsufficientData):
         asymptotics.growth_estimate([2**n for n in range(10)])
+
+
+@pytest.mark.parametrize("coeffs, index", [
+    ([-(3**n) for n in range(60)], 0),
+    ([(-2)**n for n in range(60)], 1),
+    ([3**n for n in range(59)] + [math.inf], 59),
+    ([0] + [2**n for n in range(58)] + [math.nan], 59),
+])
+def test_negative_or_nonfinite_terms_are_out_of_range(coeffs, index):
+    with pytest.raises(OutOfRange, match=f"^term {index} "):
+        asymptotics.growth_estimate(coeffs)
+
+
+def test_exact_terms_past_the_float_range():
+    # c_59 ~ 1e328: math.isfinite would raise OverflowError on it
+    an = asymptotics.growth_estimate([10**300 * 3**n for n in range(60)])
+    assert an.rho == pytest.approx(3.0, rel=1e-9)
+    assert an.const_estimate == pytest.approx(1e300, rel=1e-8)
+
+
+@pytest.mark.parametrize("rho0, const0, name", [(0.0, 4 / math.pi, "rho0"), (16.0, 0, "const0")])
+def test_verify_prediction_rejects_a_zero_reference(simple_table, rho0, const0, name):
+    coeffs = counting.series(simple_table, "q00").coeffs
+    with pytest.raises(OutOfRange, match=f"^{name} is 0"):
+        asymptotics.verify_prediction(coeffs, rho0, -3.0, const0)
+
+
+@pytest.fixture(scope="module")
+def preset_series_300():
+    out = []
+    for name in sorted(steps.PRESETS):
+        table = counting.count(steps.preset(name), 300, dense_max=0)
+        out += [(name, lab, counting.series(table, lab).coeffs)
+                for lab in ("q00", "q10", "q01", "q11")]
+    return out
+
+
+def test_fit_matches_a_monomial_least_squares_oracle(preset_series_300):
+    # the smoothed log-ratios and nodes of growth_estimate, rebuilt here
+    for name, lab, coeffs in preset_series_300:
+        stride, first = asymptotics.detect_stride(coeffs)
+        logs = [math.log(c) for c in coeffs[first::stride]]
+        lr = [b - a for a, b in zip(logs, logs[1:])]
+        period = asymptotics._detect_period(lr)
+        lr = asymptotics._smooth(lr, period)
+        ks = [k + (period - 1) / 2 + asymptotics._SMOOTH_ROUNDS / 2 for k in range(1, len(lr) + 1)]
+        basis = asymptotics._basis(ks, 4)
+        q = np.array([qk for qk, _ in basis])
+        assert np.abs(q @ q.T - np.eye(5)).max() <= 1e-12, (name, lab)
+        estimate = asymptotics._extrapolate(lr, basis)[0]
+        assert asymptotics.growth_estimate(coeffs).rho == math.exp(estimate), (name, lab)
+        # independent oracle: degree-4 least squares in the monomials of 1/k
+        window = q.shape[1]
+        vander = np.vander(1.0 / np.array(ks[-window:]), 5, increasing=True)
+        coef = np.linalg.lstsq(vander, np.array(lr[-window:]), rcond=None)[0]
+        assert estimate == pytest.approx(coef[0], rel=1e-10), (name, lab)
 
 
 def test_simple_walk_excursions(simple_table):

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import os
@@ -180,6 +181,7 @@ def test_bvp_value(capsys):
     data = json.loads(out)
     assert data["value"] == pytest.approx(1.1029733226675287, rel=1e-10)
     assert data["method"] == "circle-closed-form"
+    assert data["config"] == {"preset": "simple", "steps": None, "target": "q00", "z": 0.2}
 
 
 def test_bvp_gluing_route_on_step_input(capsys):
@@ -456,6 +458,25 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["group", "--preset", "simple", "--seed", "1"])  # the panel is fixed
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # the unit-disc map is the one builtin
+        cli.main(["bvp", "--preset", "simple", "--z", "0.2", "--target", "q00",
+                  "--cgf", "builtin-circle"])
+    assert exc.value.code == 2
+
+
+def test_every_choice_offers_two_values():
+    # a knob with one choice is a constant: it selects nothing
+    def actions(parser):
+        for action in parser._actions:
+            yield parser.prog, action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    found = [(prog, a.dest, list(a.choices)) for prog, a in actions(cli.build_parser())
+             if a.choices is not None]
+    assert {"command", "preset", "target", "series", "action"} <= {d for _, d, _ in found}
+    assert [f for f in found if len(f[2]) < 2] == []
 
 
 def test_byte_identical_reruns(capsys):
