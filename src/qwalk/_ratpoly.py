@@ -5,8 +5,8 @@ Used for the resultant route to the genus-transition point: the resultant
 in z is the closed form +-a_d disc(D) over Z[z], built from mul, sub and
 exact_div here (singularities._resultant_in_z), and its smallest positive
 root is bracketed by exact bisection at dyadic points num / 2^k, on the
-Sturm chain's sign changes and then on the sign of the polynomial.  No
-float touches that route.
+Sturm chain's sign changes and then on the sign of the polynomial; D's
+positive roots are counted either side.  No float touches that route.
 
 roots() is the package's one float root finder, for degree at most 4 (the
 kernel discriminants, c(x) in bvp, a(x) in point_in_G_M), in pure Python so
@@ -101,9 +101,16 @@ def exact_div(p: Poly, q: Poly) -> Poly:
 
 
 def prem(p: Poly, q: Poly) -> Poly:
-    """A positive integer multiple of the remainder of p by q in Q[x]."""
-    scale = abs(q[-1]) ** max(0, len(p) - len(q) + 1)
-    return polydivmod([scale * c for c in p], q)[1]
+    """A positive integer multiple of the remainder of p by q in Q[x], by
+    steps that scale by lead(q) > 0 (-q leaves the same remainder)."""
+    q, rem = (q if q[-1] > 0 else [-c for c in q]), norm(p)
+    while len(rem) >= len(q):
+        shift, f = len(rem) - len(q), rem.pop()
+        rem = [q[-1] * c for c in rem]
+        for i, c in enumerate(q[:-1]):
+            rem[shift + i] -= f * c
+        rem = norm(rem)
+    return rem
 
 
 def polygcd(p: Poly, q: Poly) -> Poly:
@@ -142,9 +149,25 @@ def sign_at(p: Poly, num: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(chain: list[Poly], num: int, k: int) -> int:
-    signs = [s for s in (sign_at(p, num, k) for p in chain) if s]
+def _changes(values: list[int]) -> int:
+    """Sign changes along the nonzero values."""
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sign_changes(chain: list[Poly], num: int, k: int) -> int:
+    return _changes([sign_at(p, num, k) for p in chain])
+
+
+def count_positive_roots(p: Poly) -> int:
+    """The number of distinct positive real roots of p != 0, a root at 0
+    divided out: its Sturm chain's sign changes at 0 (the constant terms)
+    less those at +inf (the leading coefficients)."""
+    p = norm(p)
+    while not p[0]:
+        p = p[1:]
+    chain = sturm_chain(p)
+    return _changes([q[0] for q in chain]) - _changes([q[-1] for q in chain])
 
 
 def cauchy_bound(p: Poly) -> int:

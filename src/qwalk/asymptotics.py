@@ -162,6 +162,14 @@ def _extrapolate(values: list[float], basis) -> tuple[float, float, tuple[float,
     return estimates[-1], uncertainty, residuals, converged
 
 
+def _exp(value: float, name: str) -> float:
+    """exp of a fitted logarithm, or OutOfRange naming it past the float range."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        raise OutOfRange(f"the fitted {name} {value} is past the float range") from None
+
+
 def growth_estimate(coeffs) -> SeriesAnalysis:
     """Estimate (rho, alpha, const) for c_n ~ const * rho^n * n^alpha.
 
@@ -169,8 +177,8 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     sub[k] = coeffs[first + stride*k] ~ const * rho^k * k^alpha: rho is the
     growth per stride step (16 rather than 4 for parity-supported excursion
     counts) and const absorbs rho^first.  Needs at least 32 nonzero terms
-    after the stride is applied; a negative, infinite or nan term is
-    OutOfRange.
+    after the stride is applied; a negative, infinite or nan term, or a
+    fitted rho or const past the float range, is OutOfRange.
     """
     coeffs = list(coeffs)
     bad = next((n for n, c in enumerate(coeffs) if c != 0 and not 0 < c < math.inf), None)
@@ -192,7 +200,7 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     ks = [k + (period - 1) / 2 + _SMOOTH_ROUNDS / 2 for k in range(1, len(lr) + 1)]
     basis = _basis(ks, _FIT_DEGREE)  # the nodes of all three fits
     log_rho, u_logrho, res_rho, ok_rho = _extrapolate(lr, basis)
-    rho = math.exp(log_rho)
+    rho = _exp(log_rho, "log-rho")
 
     # alpha from k * (r_k/rho - 1) with the same smoothing
     av = [k * math.expm1(v - log_rho) for v, k in zip(lr, ks)]
@@ -202,7 +210,7 @@ def growth_estimate(coeffs) -> SeriesAnalysis:
     # over a modulation period when one is present)
     cv = [logs[k] - k * log_rho - alpha * math.log(k) for k in range(1, len(sub))]
     log_const, u_logc, res_c, ok_c = _extrapolate(_smooth(cv, period), basis)
-    const = math.exp(log_const)
+    const = _exp(log_const, "log-constant")
 
     return SeriesAnalysis(
         rho=rho,
@@ -238,11 +246,15 @@ def verify_prediction(
     const0: float,
 ) -> PredictionReport:
     """Compare extrapolated (rho, alpha, const) against a prediction: rho to
-    1e-6 relative, alpha to 1e-2 absolute, const to 1e-2 relative; a zero
-    rho0 or const0 is OutOfRange."""
-    for name, value in (("rho0", rho0), ("const0", const0)):
-        if value == 0:
-            raise OutOfRange(f"{name} is 0; the deviation from it is relative")
+    1e-6 relative, alpha to 1e-2 absolute, const to 1e-2 relative.  A rho0
+    or const0 that is not positive and finite, or an alpha0 that is not
+    finite, is OutOfRange."""
+    for name, value, ok in (("rho0", rho0, 0 < rho0 < math.inf),
+                            ("const0", const0, 0 < const0 < math.inf),
+                            ("alpha0", alpha0, -math.inf < alpha0 < math.inf)):
+        if not ok:
+            raise OutOfRange(f"{name} is {value}; rho0 and const0 must be positive "
+                             "and finite, alpha0 finite")
     analysis = growth_estimate(coeffs)
     dr = abs(analysis.rho - rho0) / abs(rho0)
     da = abs(analysis.alpha - alpha0)

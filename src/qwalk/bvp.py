@@ -56,6 +56,8 @@ from .kernel import (
     Y_branches,
     contour_nodes,
     curve_preimage,
+    curve_through_infinity,
+    curve_through_origin,
     point_in_G_M,
     trace_curve_M,
 )
@@ -108,7 +110,7 @@ def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
     """max |w(t) - w(conj t)| over the traced curve's nodes; inf when w
     blows up on them, or when the curve passes through t = 0, the pole of
     every CGF (a fold there, which no node reaches)."""
-    if curve_preimage(trace, 0j) is not None:
+    if curve_through_origin(trace.steps):
         return math.inf
     pts = trace.points
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,12 +220,11 @@ def q11_from_relation(
 def _contour_integral(
     trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
 ) -> tuple[complex, float]:
-    """(1/(2 pi i z)) (oint integrand dtau + plemelj), CCW: integrand(tau, ys,
-    t, dt) is summed over the midpoint nodes, doubled from 256 until two
-    successive sums differ by < tol; QuadratureNotConverged at the node cap.
-    A node on a pole makes a non-finite round, which the doubling passes
-    over."""
-    orient, z = (1.0 if trace.ccw else -1.0), trace.z
+    """(1/(2 pi i z)) (oint integrand dtau + plemelj) over the trace, which
+    runs counter-clockwise: integrand(tau, ys, t, dt) is summed over the
+    midpoint nodes, doubled from 256 until two successive sums differ by
+    < tol; QuadratureNotConverged at the node cap.  A node on a pole makes a
+    non-finite round, which the doubling passes over."""
 
     def at_m(m: int) -> complex:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -237,7 +238,7 @@ def _contour_integral(
         cur = at_m(m)
         diff = abs(cur - prev)
         if diff < tol:
-            return (orient * cur + plemelj) / (2j * math.pi * z), diff / (2 * math.pi * abs(z))
+            return (cur + plemelj) / (2j * math.pi * trace.z), diff / (2 * math.pi * abs(trace.z))
         prev = cur
     raise QuadratureNotConverged(
         f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
@@ -292,15 +293,12 @@ def _as_real(value: complex, what: str) -> float:
 
 def _require_glueable(s: StepSet) -> None:
     """Raise CGFUnavailable, before any tracing, for a plane whose curve no
-    CGF glues.  A constant c puts the curve through infinity.  With
-    c(x) = x^2 (the only down step is (1,-1)), y = 0 is the slit end y1 and
-    X0(0) = 0, so the curve passes through x = 0, the pole of every CGF."""
-    c0, c1, c2 = kernel_polys(s).c
-    if c0 != 0 and c1 == 0 and c2 == 0:
+    CGF glues: one through infinity, or through x = 0, the pole of every CGF."""
+    if curve_through_infinity(s):
         raise CGFUnavailable(
             "c is constant: the curve passes through infinity and no CGF glues it"
         )
-    if c0 == 0 and c1 == 0 and c2 != 0:
+    if curve_through_origin(s):
         raise CGFUnavailable(
             "c(x) = x^2: the curve passes through x = 0, the pole of every CGF, "
             "and no CGF glues it"

@@ -16,8 +16,8 @@ the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
 
 Branch points need no arrays: numpy is imported only inside the functions
-that trace the curve (_edge_values, _nodes, trace_curve_M, curve_preimage),
-so branch_points and disc_roots start without it, and point_in_G_M reads it
+that trace the curve (_edge_values, _nodes, curve_preimage), so
+branch_points and disc_roots start without it, and point_in_G_M reads it
 only through curve_preimage.
 """
 
@@ -215,15 +215,14 @@ def X_branches(s: StepSet, y: complex, z: float) -> tuple[complex, complex]:
 class CurveTrace:
     """The x-plane curve of the step set `steps` at `z`, the one handle on
     both: X0 traced over the slit [y1, y2] (upper edge out, lower edge back,
-    per the contour convention).
+    per the contour convention).  X0 is holomorphic off the slit, so the
+    traversal is counter-clockwise.
 
     points is t of contour_nodes at the trace's even m, read-only: points[k]
     lies at tau = 2 pi (k+1/2)/m, curve_preimage's parameter, the first half
     on the upper edge (_edge_values), the second its exact mirror; none at a
-    fold, tau = 0 or pi, where the edges meet.  ccw is whether the traversal
-    is positive: the sign of the closed node polygon's signed area.  The
-    points serve ccw, the gluing check and the printed trace; point_in_G_M
-    does not read them.
+    fold, tau = 0 or pi, where the edges meet.  The points serve the gluing
+    check and the printed trace; point_in_G_M does not read them.
 
     _memo holds the per-curve work done once and dropped with the trace: the
     contour_nodes result for each m (its arrays read-only) and, keyed by
@@ -235,8 +234,21 @@ class CurveTrace:
     y1: float
     y2: float
     points: np.ndarray
-    ccw: bool
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def curve_through_infinity(s: StepSet) -> bool:
+    """Whether the x-plane curve passes through infinity: c is a nonzero
+    constant, so y = 0 ends the slit and at(0) = bt(0) = 0 there."""
+    c0, c1, c2 = kernel_polys(s).c
+    return c0 != 0 and c1 == c2 == 0
+
+
+def curve_through_origin(s: StepSet) -> bool:
+    """Whether the x-plane curve passes through x = 0: c(x) = x^2, so y = 0
+    ends the slit and X0(0) = 0 there."""
+    c0, c1, c2 = kernel_polys(s).c
+    return c0 == c1 == 0 and c2 != 0
 
 
 def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
@@ -274,10 +286,7 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     y1, y2 = neg[0]
     if y2 - y1 < 1e-10 * max(1.0, abs(y1)):
         raise SlitDegenerate(f"slit [{y1}, {y2}] has zero length")
-    # at(y) = 0 makes dt(y) = (bt(y) - y/z)^2 >= 0, so on the slit it can
-    # vanish only at an end, which no contour node reaches
-    a_t = kernel_polys(s).a_t
-    if any(abs(poly_eval(a_t, y)) < 1e-12 * (1.0 + y * y) for y in (y1, y2)):
+    if curve_through_infinity(s):
         raise SlitDegenerate("at(y) vanishes on the slit: the curve passes through infinity")
     return y1, y2
 
@@ -294,7 +303,7 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
-    as at(y) stays away from 0, which _slit_endpoints checks.
+    as at(y) stays away from 0, as it does off a curve through infinity.
     """
     import numpy as np
 
@@ -340,11 +349,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
     and back along the lower edge, at the m contour nodes (m rounded up to
     even), which are kept for the integrals.  Requires the genus-1 regime.
-
-    The orientation is the sign of the closed node polygon's signed area.
     """
-    import numpy as np
-
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
     if m < 16:
@@ -354,9 +359,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
     nodes = _nodes(s, z, y1, y2, m)
-    # twice the signed (shoelace) area: Im(conj(p_k) p_{k+1}) summed over the edges
-    area2 = float(np.sum((np.conj(nodes[2]) * np.roll(nodes[2], -1)).imag))
-    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=nodes[2], ccw=area2 > 0)
+    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=nodes[2])
     trace._memo[m] = nodes
     return trace
 

@@ -8,9 +8,8 @@ The genus-transition point z_g is computed by two independent routes:
 * the smallest positive root of the integer resultant in z of the cleared
   x-discriminant D and its x-derivative, in closed form
   (-1)^(d(d-1)/2) a_d disc(D) for D of x-degree d, bracketed to 2^-60 by
-  exact bisection on its Sturm chain, then validated numerically as the
-  inner collision: the x-discriminant has a real positive double root
-  there, a local maximum.
+  exact bisection on its Sturm chain, then validated as the inner collision
+  by Sturm counts of D's positive roots either side of it.
 
 z_Y and z_X have closed forms; 1/|S| is elementary.  The drift/covariance
 table then names the first positive singularity of Q(1,0,z), Q(0,1,z) and
@@ -31,8 +30,8 @@ from .errors import (
     SingularWalk,
     ValidationMismatch,
 )
-from .kernel import cleared_disc_int, disc_roots
-from .steps import StepSet, drift, is_singular, kernel_polys, origin_in_hull_interior, poly_eval
+from .kernel import cleared_disc_int
+from .steps import StepSet, drift, is_singular, kernel_polys, origin_in_hull_interior
 
 
 @dataclass(frozen=True)
@@ -139,53 +138,29 @@ def _resultant_in_z(s: StepSet) -> rp.Poly:
 
 
 def z_g_via_resultant(s: StepSet) -> float:
-    """z_g as the smallest positive root of the integer z-resultant of
-    (D, D_x), within one ulp (_ratpoly.smallest_positive_root, exact
-    integer bisection, no float root finder), and validated numerically as
-    the inner collision: d(., z) has a clustered double root there that is
-    real, positive and a local maximum of d in x (the two colliding roots
-    are the real pair surrounding the shrinking positivity interval, not a
-    cut endpoint pair, which would touch from below).
-
-    Only the smallest root is examined: D has no double root on (0, z_g),
-    and on each of the 131 genuine step sets that root is the inner
-    collision.  A failed validation raises ValidationMismatch with its
-    reason, a RootFindingFailure of the discriminant's roots included.
+    """z_g as the smallest positive root of the integer z-resultant R of
+    (D, D_x), within one ulp (_ratpoly.smallest_positive_root), validated
+    without floats as the inner collision, where x2 and x3 meet and leave
+    the real axis: D(., z) has exactly 2 fewer distinct positive roots (by
+    Sturm counts) at a dyadic z = n / 2^k just above the root than at one
+    just below, else ValidationMismatch.  Below the root D's real roots keep
+    their pattern, as R has no smaller positive root; on each of the 131
+    genuine step sets the point above comes before R's next root.
     """
     _require_genuine(s)
     root = rp.smallest_positive_root(_resultant_in_z(s))
     if root is None:
         raise RootFindingFailure("the resultant has no positive real roots")
-    z = float(root)
-    try:
-        coeffs, roots = disc_roots(s, z)
-    except RootFindingFailure as exc:
-        raise ValidationMismatch(f"the smallest resultant root z={z} failed: {exc}") from None
-    # several double roots can coincide at one z (symmetric models):
-    # examine every clustered pair
-    clusters = []
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            gap = abs(roots[a] - roots[b])
-            centre = 0.5 * (roots[a] + roots[b])
-            if gap <= 1e-4 * (1.0 + abs(centre)):
-                clusters.append(centre)
-    d2 = rp.deriv(rp.deriv(coeffs))
-    rejected: list[str] = []
-    for x_star in clusters:
-        scale = 1.0 + abs(x_star)
-        if abs(x_star.imag) > 1e-6 * scale or x_star.real <= 0:
-            rejected.append(f"double root {x_star} not real positive")
-            continue
-        curvature = poly_eval(d2, x_star.real)
-        if curvature >= 0:
-            rejected.append(f"outer-type collision (curvature {curvature})")
-            continue
-        return z
-    raise ValidationMismatch(
-        f"the smallest resultant root z={z} is not the inner collision: "
-        + ("; ".join(rejected) or "no clustered double root")
-    )
+    # (n - 1)/2^k and (n + 2)/2^k straddle the true root, within 2^-(BRACKET_BITS+1) of `root`
+    k, z = rp.BRACKET_BITS // 2, float(root)  # a coarse grid keeps D's coefficients short
+    n, trips = (root.numerator << k) // root.denominator, cleared_disc_int(s)
+    below, above = (rp.count_positive_roots([(c0 << 2 * k) + (c1 * m << k) + c2 * m * m
+                                             for (c0, c1, c2) in trips])
+                    for m in (n - 1, n + 2))
+    if below - above != 2:
+        raise ValidationMismatch(f"the smallest resultant root z={z} is not the inner collision: "
+                                 f"D has {below} distinct positive roots below it, {above} above")
+    return z
 
 
 def z_Y(s: StepSet) -> float:

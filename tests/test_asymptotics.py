@@ -60,11 +60,33 @@ def test_exact_terms_past_the_float_range():
     assert an.const_estimate == pytest.approx(1e300, rel=1e-8)
 
 
+@pytest.mark.parametrize("coeffs, name", [
+    ([10**400 * 3**n for n in range(60)], "log-constant 921.03"),
+    ([10**(400 * n) for n in range(60)], "log-rho 921.03"),
+])
+def test_a_fit_past_the_float_range_is_out_of_range(coeffs, name):
+    with pytest.raises(OutOfRange, match=f"^the fitted {name}"):
+        asymptotics.growth_estimate(coeffs)
+
+
 @pytest.mark.parametrize("rho0, const0, name", [(0.0, 4 / math.pi, "rho0"), (16.0, 0, "const0")])
 def test_verify_prediction_rejects_a_zero_reference(simple_table, rho0, const0, name):
     coeffs = counting.series(simple_table, "q00").coeffs
     with pytest.raises(OutOfRange, match=f"^{name} is 0"):
         asymptotics.verify_prediction(coeffs, rho0, -3.0, const0)
+
+
+@pytest.mark.parametrize("rho0, alpha0, const0, name", [
+    (math.inf, -3.0, 4 / math.pi, "rho0 is inf"),
+    (-16.0, -3.0, 4 / math.pi, "rho0 is -16.0"),
+    (16.0, -3.0, math.nan, "const0 is nan"),
+    (16.0, -3.0, -1.0, "const0 is -1.0"),
+    (16.0, math.nan, 4 / math.pi, "alpha0 is nan"),
+])
+def test_verify_prediction_rejects_a_bad_reference(simple_table, rho0, alpha0, const0, name):
+    coeffs = counting.series(simple_table, "q00").coeffs
+    with pytest.raises(OutOfRange, match=f"^{name};"):
+        asymptotics.verify_prediction(coeffs, rho0, alpha0, const0)
 
 
 @pytest.fixture(scope="module")

@@ -330,13 +330,13 @@ def old_upper_edge_sign(s, z, y1, y2):
 
 
 def test_trace_orientation_and_edge_match_the_former_rules():
-    # ccw from the signed area agrees with the winding around x1, and the
-    # first half of the nodes is the edge the midpoint probe picked
+    # the traversal winds once counter-clockwise around x1, and the first
+    # half of the nodes is the edge the midpoint probe picked
     count = 0
     for s, z, tr in genuine_traces():
         count += 1
         w1 = winding(tr.points, kernel.branch_points(s, z).x_roots[0])
-        assert tr.ccw == (w1 == 1), (s, z)
+        assert w1 == 1, (s, z)
         m = len(tr.points)
         ys_up = 0.5 * (tr.y1 + tr.y2) - 0.5 * (tr.y2 - tr.y1) * np.cos(
             (np.arange(m // 2) + 0.5) * (2 * math.pi / m))
@@ -360,9 +360,9 @@ def kernel_y_roots(s, t, z):
 
 def test_trace_census_over_every_step_set():
     # every step set at z = f/|S| from below the slit's collapse to past the
-    # genus transition: which traces exist, their orientation, and that each
+    # genus transition: which traces exist, which collapse, and that each
     # node of a traced curve has a real kernel y-root on the slit [y1, y2]
-    errors, messages, ccw = Counter(), Counter(), Counter()
+    errors, messages, shapes = Counter(), Counter(), Counter()
     for s in steps.all_step_sets():
         for f in (0.02, 0.1, 0.25, 0.5, 0.85, 0.99, 1.0, 1.3):
             z = f / len(s)
@@ -372,10 +372,10 @@ def test_trace_census_over_every_step_set():
                 errors[type(exc).__name__] += 1
                 messages[str(exc)] += isinstance(exc, SlitDegenerate)
                 continue
-            ccw[tr.ccw] += 1
-            if not tr.ccw:
-                # collapsed by the noise clamp of _edge_values: every node real
-                assert f == 0.02 and np.all(tr.points.imag == 0), (s, f)
+            collapsed = bool(np.all(tr.points.imag == 0))
+            shapes[collapsed] += 1
+            if collapsed:  # by the noise clamp of _edge_values
+                assert f == 0.02, (s, f)
                 continue
             ys = kernel_y_roots(s, tr.points, z)
             off = (np.abs(ys.imag) + np.clip(tr.y1 - ys.real, 0, None)
@@ -383,7 +383,34 @@ def test_trace_census_over_every_step_set():
             assert off.min(axis=0).max() <= 1e-6, (s, f)
     assert errors == {"GenusZeroRegime": 1124, "SlitDegenerate": 91, "OutOfRange": 3}
     assert messages["at(y) vanishes on the slit: the curve passes through infinity"] == 91
-    assert ccw == {True: 820, False: 2}
+    assert shapes == {False: 820, True: 2}
+
+
+def test_curve_predicates_agree_with_the_float_facts_they_replace(monkeypatch):
+    # at every z of the trace census, the curve passes through infinity (c
+    # constant) iff at(y) is within 1e-12 (1 + y^2) of 0 at a slit end, and
+    # through x = 0 (c(x) = x^2) iff curve_preimage places x = 0 on it
+    through_infinity = kernel.curve_through_infinity
+    monkeypatch.setattr(kernel, "curve_through_infinity", lambda s: False)
+    seen = Counter()
+    for s in steps.all_step_sets():
+        a_t = kernel.kernel_polys(s).a_t
+        for f in (0.02, 0.1, 0.25, 0.5, 0.85, 0.99, 1.0, 1.3):
+            z = f / len(s)
+            try:
+                y1, y2 = kernel._slit_endpoints(s, z)
+            except QwalkError:
+                continue
+            at_end = any(abs(kernel.poly_eval(a_t, y)) < 1e-12 * (1.0 + y * y) for y in (y1, y2))
+            assert at_end == through_infinity(s), (s, f)
+            if at_end:
+                seen["infinity"] += 1
+                continue
+            tr = kernel.CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=None)
+            on_curve = kernel.curve_preimage(tr, 0j) is not None
+            assert on_curve == kernel.curve_through_origin(s), (s, f)
+            seen["origin" if on_curve else "neither"] += 1
+    assert seen == {"infinity": 91, "origin": 91, "neither": 731}
 
 
 def test_contour_nodes_mirror_the_upper_edge():
@@ -525,7 +552,7 @@ def test_membership_at_small_z_agrees_with_the_accurate_curve(pts):
     assert polyline_misses > 0
     if len(pts) <= 4:
         assert kernel.point_in_G_M(tr, 0j) == "inside"
-        assert not tr.ccw and np.all(tr.points.imag == 0)
+        assert np.all(tr.points.imag == 0)
 
 
 def test_points_the_polyline_misplaces_are_classified_off_the_curve():
@@ -540,7 +567,7 @@ def test_points_the_polyline_misplaces_are_classified_off_the_curve():
         assert np.abs(ref - x).min() > 3e-3
         assert kernel.curve_preimage(tr, x) is None
         assert kernel.point_in_G_M(tr, x) == "inside"
-        assert winding(ref, x) == (1 if tr.ccw else -1)
+        assert winding(ref, x) == 1
 
 
 def test_trace_nontrivial_model():

@@ -9,7 +9,6 @@ from qwalk import kernel, singularities as sg, steps
 from qwalk.errors import (
     NoPositiveSolution,
     OutOfRange,
-    RootFindingFailure,
     SingularWalk,
     ValidationMismatch,
 )
@@ -37,6 +36,23 @@ def test_ratpoly_divmod_and_gcd():
     assert quo == rp.norm([-1, 1]) and rem == []
     g = rp.polygcd(rp.norm([-1, 0, 1]), rp.norm([1, 1]))
     assert rp.degree(g) == 1
+    # prem is a positive multiple of the remainder in Q[x], whatever the sign of lead(q)
+    p = [5, -3, 0, 7, 2]
+    for q in ([1, 2, 3], [1, 2, -3], [-4, 0, 0, -5], [3, 7]):
+        rem = [Fraction(c) for c in p]
+        while len(rem) >= len(q):
+            f, shift = rem[-1] / q[-1], len(rem) - len(q)
+            rem = [c - f * q[i - shift] if i >= shift else c for i, c in enumerate(rem)][:-1]
+        rem = rp.norm(rem)
+        got = rp.prem(p, q)
+        assert got[-1] * rem[-1] > 0 and [g * rem[-1] for g in got] == [r * got[-1] for r in rem], q
+
+
+def test_count_positive_roots_counts_distinct_roots():
+    # (x-1)^2 (x-2) (x+3), x (x-1), x^2 (x^2 + 1), (x-1)^3, x^2 + 1, 7
+    for p, want in (([-6, 13, -7, -1, 1], 2), ([0, -1, 1], 1), ([0, 0, 1, 0, 1], 0),
+                    ([-1, 3, -3, 1], 1), ([1, 0, 1], 0), ([7], 0)):
+        assert rp.count_positive_roots(p) == want, p
 
 
 def test_sturm_root_isolation_known_roots():
@@ -277,15 +293,6 @@ def test_zero_drift_gives_inverse_cardinality():
     assert count > 5
 
 
-def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
-    def fail(coeffs):
-        raise RootFindingFailure("polished root has large residual")
-
-    monkeypatch.setattr(kernel, "_poly_roots", fail)
-    with pytest.raises(ValidationMismatch, match="large residual"):
-        sg.z_g_via_resultant(SIMPLE)
-
-
 def test_resultant_route_is_the_smallest_certified_root_on_every_genuine_set():
     # D has no double root on (0, z_g): on all 131 genuine sets the smallest
     # positive root of the resultant is the inner collision
@@ -306,15 +313,35 @@ def test_the_two_routes_meet_within_two_ulps_on_every_genuine_set():
         assert r.method_gap <= 2 * math.ulp(r.z_g), r
 
 
-def test_resultant_route_names_why_its_root_was_rejected(monkeypatch):
-    # at z = 1/4 the simple walk's x2 and x3 meet at x = 1, a local maximum
-    # of D; one root alone has no cluster, and -D touches zero from below
-    coeffs, roots = kernel.disc_roots(SIMPLE, 0.25)
-    for fake, reason in (((coeffs, roots[:1]), "no clustered double root"),
-                         (([-c for c in coeffs], roots), "outer-type collision")):
-        monkeypatch.setattr(sg, "disc_roots", lambda s, z, fake=fake: fake)
-        with pytest.raises(ValidationMismatch, match=reason):
-            sg.z_g_via_resultant(SIMPLE)
+def test_resultant_route_rejects_a_root_where_no_roots_meet(monkeypatch):
+    # a spurious root 1/8 below the simple walk's z_g = 1/4: D keeps its four
+    # positive roots across it
+    res = sg._resultant_in_z(SIMPLE)
+    monkeypatch.setattr(sg, "_resultant_in_z", lambda s: rp.mul(res, [-1, 8]))
+    with pytest.raises(ValidationMismatch,
+                       match="z=0.125 .* 4 distinct positive roots below it, 4 above"):
+        sg.z_g_via_resultant(SIMPLE)
+
+
+def test_the_validation_points_hold_one_root_of_the_resultant_on_every_genuine_set():
+    # z_g_via_resultant counts D's positive roots at (n - 1)/2^k and
+    # (n + 2)/2^k, n = floor(root 2^k), k = 30: R has exactly one root
+    # between them, and D, evaluated here on Fractions, loses 2 positive roots
+    k, seen = rp.BRACKET_BITS // 2, 0
+    for s in genuine_models():
+        res = sg._resultant_in_z(s)
+        n = math.floor(rp.smallest_positive_root(res) * 2**k)
+        chain = rp.sturm_chain(rp.square_free(res))
+        assert rp._sign_changes(chain, n - 1, k) - rp._sign_changes(chain, n + 2, k) == 1, s
+        counts = []
+        for m in (n - 1, n + 2):
+            z = Fraction(m, 2**k)
+            d = [(c0 + c1 * z + c2 * z * z) * 4**k for (c0, c1, c2) in kernel.cleared_disc_int(s)]
+            assert all(c.denominator == 1 for c in d), s
+            counts.append(rp.count_positive_roots([int(c) for c in d]))
+        assert counts[0] - counts[1] == 2, (s, counts)
+        seen += 1
+    assert seen == 131
 
 
 def test_branch_collision_at_resultant_z_g():
