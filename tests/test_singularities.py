@@ -9,6 +9,7 @@ from qwalk import kernel, singularities as sg, steps
 from qwalk.errors import (
     NoPositiveSolution,
     OutOfRange,
+    RootFindingFailure,
     SingularWalk,
     ValidationMismatch,
 )
@@ -313,13 +314,27 @@ def test_the_two_routes_meet_within_two_ulps_on_every_genuine_set():
         assert r.method_gap <= 2 * math.ulp(r.z_g), r
 
 
-def test_resultant_route_rejects_a_root_where_no_roots_meet(monkeypatch):
+def test_resultant_route_names_why_its_root_was_rejected(monkeypatch):
     # a spurious root 1/8 below the simple walk's z_g = 1/4: D keeps its four
     # positive roots across it
     res = sg._resultant_in_z(SIMPLE)
     monkeypatch.setattr(sg, "_resultant_in_z", lambda s: rp.mul(res, [-1, 8]))
     with pytest.raises(ValidationMismatch,
                        match="z=0.125 .* 4 distinct positive roots below it, 4 above"):
+        sg.z_g_via_resultant(SIMPLE)
+
+
+def test_resultant_route_reports_every_dropped_candidate(monkeypatch):
+    # only the smallest positive root is a candidate: a spurious one is
+    # reported by its z, never passed over for the true z_g = 1/4 above it,
+    # and a resultant without positive roots says so
+    res = sg._resultant_in_z(SIMPLE)
+    for factor, z in (([-1, 16], "0.0625"), ([-1, 8], "0.125"), ([-3, 16], "0.1875")):
+        monkeypatch.setattr(sg, "_resultant_in_z", lambda s, f=factor: rp.mul(res, f))
+        with pytest.raises(ValidationMismatch, match=f"smallest resultant root z={z} "):
+            sg.z_g_via_resultant(SIMPLE)
+    monkeypatch.setattr(sg, "_resultant_in_z", lambda s: rp.mul([1, 1], [1, 0, 1]))
+    with pytest.raises(RootFindingFailure, match="no positive real roots"):
         sg.z_g_via_resultant(SIMPLE)
 
 
