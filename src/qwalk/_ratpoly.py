@@ -69,32 +69,19 @@ def primitive(p: Poly) -> Poly:
     return [c // g for c in p] if g > 1 else list(p)
 
 
-def polydivmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of p by q in Z[x].
-
-    Raises InexactDivision when a quotient coefficient is not an integer
-    (the leading coefficient of q fails to divide a leading remainder term).
-    """
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
+def exact_div(p: Poly, q: Poly) -> Poly:
+    """p / q in Z[x] for q != 0; raises InexactDivision if q does not divide p."""
     rem = norm(p)
-    dq, lead = degree(q), q[-1]
-    quo = [0] * max(0, len(rem) - dq)
-    while len(rem) - 1 >= dq:
-        k = len(rem) - 1 - dq
-        f, r = divmod(rem[-1], lead)
+    quo = [0] * max(0, len(rem) - degree(q))
+    while len(rem) >= len(q):
+        k = len(rem) - len(q)
+        f, r = divmod(rem[-1], q[-1])
         if r:
-            raise InexactDivision(f"leading term {rem[-1]} is not divisible by {lead}")
+            raise InexactDivision(f"leading term {rem[-1]} is not divisible by {q[-1]}")
         quo[k] = f
         for i, c in enumerate(q):
             rem[k + i] -= f * c
         rem = norm(rem)
-    return norm(quo), rem
-
-
-def exact_div(p: Poly, q: Poly) -> Poly:
-    """p / q in Z[x]; raises InexactDivision if q does not divide p."""
-    quo, rem = polydivmod(p, q)
     if rem:
         raise InexactDivision("polynomial division leaves a nonzero remainder")
     return quo

@@ -255,18 +255,19 @@ def cauchy_value(
     the spectrally convergent midpoint rule.  For x on the curve it is the
     inside limit: the integrand's poles are subtracted as cot-kernels on the
     staggered grid (principal value) and their Sokhotski-Plemelj
-    half-residues added back.  The position is point_in_G_M's, and points
-    outside the domain raise PointOutsideDomain.
+    half-residues added back.  Points off the curve take point_in_G_M's
+    position, and points outside the domain raise PointOutsideDomain.
     """
     _require_gluing(cgf, trace)
-    position = point_in_G_M(trace, x)
+    preimage = curve_preimage(trace, x)
+    position = "boundary" if preimage else point_in_G_M(trace, x)
     if position == "outside":
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
     poles = []
-    if position == "boundary":
+    if preimage:
         # w'/(w - w(x)) has residue 1 at each simple preimage of w(x): x at tau
         # and its mirror at 2 pi - tau, which meet at a fold
-        ys, tau = curve_preimage(trace, x)
+        ys, tau = preimage
         poles = [(tau, x * ys, 1), (2 * math.pi - tau, (x * ys).conjugate(), -1)]
     wx = cgf.w(complex(x))
 

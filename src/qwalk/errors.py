@@ -50,7 +50,7 @@ class GenusZeroRegime(QwalkError, ValueError):
 
 
 class SlitDegenerate(QwalkError, ValueError):
-    """The slit between the two inner branch points has zero length or is not real."""
+    """The slit is narrower than the trace resolves, or the curve passes through infinity."""
 
 
 class NoPositiveSolution(QwalkError, ArithmeticError):

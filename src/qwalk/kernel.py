@@ -67,8 +67,8 @@ def cleared_disc_int(s: StepSet) -> list[tuple[int, int, int]]:
 
     Entry k is (c0, c1, c2) with coefficient of x^k equal to c0 + c1 z + c2 z^2.
     Same roots in x as d(x, z) = (b(x) - x/z)^2 - 4 a(x) c(x) for z != 0;
-    used for exact resultant work and for well-scaled numeric root-finding.
-    The y-plane form is cleared_disc_int(s.mirrored()).
+    used for exact resultant and sign work and for well-scaled numeric
+    root-finding.  The y-plane form is cleared_disc_int(s.mirrored()).
     """
     kp = kernel_polys(s)
     per_z = ([0, 0, 1], rp.mul([0, -2], kp.b),
@@ -78,6 +78,18 @@ def cleared_disc_int(s: StepSet) -> list[tuple[int, int, int]]:
 
 def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
     return [c0 + c1 * z + c2 * z * z for (c0, c1, c2) in coeffs_int]
+
+
+def cleared_disc_dyadic(coeffs_int, num: int, k: int) -> rp.Poly:
+    """4^k D(., num / 2^k) in Z[x], from the triples of cleared_disc_int."""
+    return rp.norm([(c0 << 2 * k) + (c1 * num << k) + c2 * num * num
+                    for (c0, c1, c2) in coeffs_int])
+
+
+def _dyadic(v: float) -> tuple[int, int]:
+    """(num, k) with v = num / 2^k exactly, as for every finite float."""
+    num, den = v.as_integer_ratio()
+    return num, den.bit_length() - 1
 
 
 def _newton_polish(coeffs: list[float], r: complex) -> complex:
@@ -103,6 +115,8 @@ def _poly_roots(coeffs: list[float]) -> list[complex]:
     out = [_newton_polish(arr, r) for r in rp.roots(arr)]
     scale = max(abs(v) for v in arr)
     for r in out:  # written so that a nan residual fails too
+        if not cmath.isfinite(r):
+            raise OverflowError(f"root {r} is not finite")
         if not abs(poly_eval(arr, r)) <= 1e-6 * scale * max(1.0, abs(r)) ** (len(arr) - 1):
             raise RootFindingFailure(f"polished root {r} has large residual")
     return out
@@ -124,16 +138,17 @@ class BranchPoints:
     ordering_asserted: bool
 
 
-def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
-    """The cleared x-discriminant's coefficients at z and its finite roots,
-    with imaginary parts at roundoff level set to exactly 0.  Where the
-    discriminant vanishes identically (every x a branch point, as for
-    {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange, and likewise where
-    z^2 over- or underflows a normal float, a coefficient is not finite or
-    the closed-form roots overflow, since such roots are not those of D."""
+def disc_roots(s: StepSet, z: float) -> tuple[list[tuple[int, int, int]], list[complex]]:
+    """The cleared x-discriminant's triples (cleared_disc_int) and its finite
+    roots at z, with imaginary parts at roundoff level set to exactly 0.
+    Where the discriminant vanishes identically (every x a branch point, as
+    for {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange, and likewise where
+    z^2 over- or underflows a normal float, a coefficient or a closed-form
+    root is not finite, since such roots are not those of D."""
     if not sys.float_info.min <= z * z < math.inf:
         raise OutOfRange(f"z^2 is not a normal float at z={z}")
-    coeffs = _cleared_disc_at(cleared_disc_int(s), z)
+    trips = cleared_disc_int(s)
+    coeffs = _cleared_disc_at(trips, z)
     if not all(map(math.isfinite, coeffs)):
         raise OutOfRange(f"the discriminant's coefficients overflow at z={z}")
     if not any(coeffs):
@@ -143,7 +158,7 @@ def disc_roots(s: StepSet, z: float) -> tuple[list[float], list[complex]]:
     except OverflowError:
         raise OutOfRange(f"the discriminant's roots overflow at z={z}") from None
     scale = max((abs(r) for r in roots), default=1.0)
-    return coeffs, [
+    return trips, [
         complex(r.real, 0.0) if abs(r.imag) <= 1e-9 * max(1.0, abs(r), scale) else r
         for r in roots
     ]
@@ -254,38 +269,31 @@ def curve_through_origin(s: StepSet) -> bool:
 def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
     """Real endpoints [y1, y2] of the inner y-plane slit.
 
-    In the genus-1 regime the discriminant is negative on exactly two
-    disjoint cuts of the circle R + {inf} (the inner slit [y1, y2] and the
-    outer cut, which may pass through infinity).  One merged cut signals the
-    genus transition.
+    In the genus-1 regime the y-discriminant D has deg D = 3 or 4 simple
+    real roots and is negative on exactly two arcs of the circle R + {inf}:
+    the inner slit [y1, y2] and the outer cut, which may pass through
+    infinity.  D's signs at +-inf and between consecutive float roots, all
+    dyadic points, are exact.  Genus 1 needs deg D float real roots and a
+    sign change across each, so D has one simple root beside each of them.
     """
-    coeffs, roots = disc_roots(s.mirrored(), z)
+    trips, roots = disc_roots(s.mirrored(), z)
     reals = sorted(r.real for r in roots if r.imag == 0.0)
     if len(reals) < 2:
-        raise GenusZeroRegime(
-            f"fewer than two real y-plane branch points at z={z}"
-        )
-
-    def dt(v: float) -> float:
-        return poly_eval(coeffs, v)
-
-    # negativity components on the circle: bounded gaps plus the infinity arc
-    neg: list[tuple[float, float] | None] = []
-    for lo, hi in zip(reals, reals[1:]):
-        if hi - lo > 1e-11 * max(1.0, abs(lo), abs(hi)) and dt(0.5 * (lo + hi)) < 0:
-            neg.append((lo, hi))
-    span = max(1.0, abs(reals[0]), abs(reals[-1]))
-    tail_neg = dt(reals[-1] + span) < 0 or dt(reals[0] - span) < 0
-    n_components = len(neg) + (1 if tail_neg else 0)
-    if n_components != 2:
+        raise GenusZeroRegime(f"fewer than two real y-plane branch points at z={z}")
+    d = cleared_disc_dyadic(trips, *_dyadic(z))
+    lead = 1 if d[-1] > 0 else -1
+    mids = [rp.sign_at(d, *_dyadic(0.5 * lo + 0.5 * hi)) for lo, hi in zip(reals, reals[1:])]
+    signs = [lead * (-1) ** rp.degree(d), *mids, lead]
+    neg = [(lo, hi) for lo, hi, sign in zip(reals, reals[1:], mids) if sign < 0]
+    if not 3 <= len(reals) == rp.degree(d) or any(a * b >= 0 for a, b in zip(signs, signs[1:])):
+        n_components = len(neg) + (signs[0] < 0 or signs[-1] < 0)
         raise GenusZeroRegime(
             f"{n_components} negative-discriminant component(s) at z={z}; "
             "the genus-1 two-cut structure is absent"
         )
-    neg.sort(key=lambda ab: max(abs(ab[0]), abs(ab[1])))
-    y1, y2 = neg[0]
+    y1, y2 = min(neg, key=lambda ab: max(abs(ab[0]), abs(ab[1])))
     if y2 - y1 < 1e-10 * max(1.0, abs(y1)):
-        raise SlitDegenerate(f"slit [{y1}, {y2}] has zero length")
+        raise SlitDegenerate(f"slit [{y1}, {y2}] is narrower than the trace resolves")
     if curve_through_infinity(s):
         raise SlitDegenerate("at(y) vanishes on the slit: the curve passes through infinity")
     return y1, y2

@@ -30,7 +30,7 @@ from .errors import (
     SingularWalk,
     ValidationMismatch,
 )
-from .kernel import cleared_disc_int
+from .kernel import cleared_disc_dyadic, cleared_disc_int
 from .steps import StepSet, drift, is_singular, kernel_polys, origin_in_hull_interior
 
 
@@ -154,8 +154,7 @@ def z_g_via_resultant(s: StepSet) -> float:
     # (n - 1)/2^k and (n + 2)/2^k straddle the true root, within 2^-(BRACKET_BITS+1) of `root`
     k, z = rp.BRACKET_BITS // 2, float(root)  # a coarse grid keeps D's coefficients short
     n, trips = (root.numerator << k) // root.denominator, cleared_disc_int(s)
-    below, above = (rp.count_positive_roots([(c0 << 2 * k) + (c1 * m << k) + c2 * m * m
-                                             for (c0, c1, c2) in trips])
+    below, above = (rp.count_positive_roots(cleared_disc_dyadic(trips, m, k))
                     for m in (n - 1, n + 2))
     if below - above != 2:
         raise ValidationMismatch(f"the smallest resultant root z={z} is not the inner collision: "

@@ -640,6 +640,25 @@ def test_q11_general_computes_q00_once(monkeypatch):
         assert len(calls) == 1 and calls[0].steps == SIMPLE, z
 
 
+def test_cauchy_value_locates_a_boundary_point_once(monkeypatch):
+    # a point on the curve goes through curve_preimage once, for both its
+    # position and its poles; only a point off it asks point_in_G_M
+    calls = []
+    preimage = kernel.curve_preimage
+
+    def counting_preimage(trace, x):
+        calls.append(x)
+        return preimage(trace, x)
+
+    for module in (bvp, kernel):
+        monkeypatch.setattr(module, "curve_preimage", counting_preimage)
+    tr = kernel.trace_curve_M(SIMPLE, 0.2)
+    for x, position in ((1 + 0j, "boundary"), (0.5 + 0j, "inside")):
+        calls.clear()
+        assert bvp.cauchy_value(tr, x, bvp.circle_cgf())[2] == position
+        assert calls[0] == x and len(calls) == (1 if position == "boundary" else 2), x
+
+
 def test_q11_general_equals_the_relation_on_its_parts():
     # the five genuine models symmetric in both axes: the circle glues both
     # planes.  The parts are taken as q11_general takes them, with the

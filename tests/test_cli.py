@@ -435,6 +435,15 @@ def test_extreme_z_is_out_of_range_not_wrong_branch_points(capsys):
                     assert all(map(cmath.isfinite, roots)), argv
 
 
+def test_overflowed_roots_are_out_of_range(capsys):
+    # nan roots from the closed forms take the overflow path, not a residual test
+    for preset in ("gessel", "gouyou-beauchamps"):
+        code, out, err = run(capsys, "kernel", "trace", "--preset", preset, "--z", "1e-100")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "OutOfRange",
+                                   "message": "the discriminant's roots overflow at z=1e-100"}
+
+
 def test_out_of_range_lengths_are_typed_errors(capsys):
     for argv in (("check", "--preset", "simple", "--n", "0"),
                  ("count", "--preset", "simple", "--n", "-1")):

@@ -381,9 +381,9 @@ def test_trace_census_over_every_step_set():
             off = (np.abs(ys.imag) + np.clip(tr.y1 - ys.real, 0, None)
                    + np.clip(ys.real - tr.y2, 0, None))
             assert off.min(axis=0).max() <= 1e-6, (s, f)
-    assert errors == {"GenusZeroRegime": 1124, "SlitDegenerate": 91, "OutOfRange": 3}
-    assert messages["at(y) vanishes on the slit: the curve passes through infinity"] == 91
-    assert shapes == {False: 820, True: 2}
+    assert errors == {"GenusZeroRegime": 1131, "SlitDegenerate": 90, "OutOfRange": 3}
+    assert messages["at(y) vanishes on the slit: the curve passes through infinity"] == 90
+    assert shapes == {False: 814, True: 2}
 
 
 def test_curve_predicates_agree_with_the_float_facts_they_replace(monkeypatch):
@@ -410,7 +410,7 @@ def test_curve_predicates_agree_with_the_float_facts_they_replace(monkeypatch):
             on_curve = kernel.curve_preimage(tr, 0j) is not None
             assert on_curve == kernel.curve_through_origin(s), (s, f)
             seen["origin" if on_curve else "neither"] += 1
-    assert seen == {"infinity": 91, "origin": 91, "neither": 731}
+    assert seen == {"infinity": 90, "origin": 90, "neither": 726}
 
 
 def test_contour_nodes_mirror_the_upper_edge():
@@ -454,6 +454,41 @@ def test_trace_finds_roots_once(monkeypatch):
 def test_trace_rejects_genus_zero():
     with pytest.raises(GenusZeroRegime):
         kernel.trace_curve_M(SIMPLE, 0.2500001, m=64)
+
+
+def test_zero_drift_sets_at_the_genus_transition():
+    # z_g = 1/|S| for zero drift; at |S| = 4 or 8 it is a float, and D's
+    # exact signs see the double root y = 1 there: the two negative arcs
+    # meet, and no slit is traced.  Just below, the slit ends within 2^-8 of
+    # that root, except where the curve passes through infinity (Gessel's)
+    zero_drift = [s for s in steps.all_step_sets()
+                  if len(s) in (4, 8) and not steps.is_singular(s)
+                  and steps.origin_in_hull_interior(s)
+                  and steps.drift(s).m_x == steps.drift(s).m_y == 0]
+    assert len(zero_drift) == 7
+    traced = 0
+    for s in zero_drift:
+        for plane in (s, s.mirrored()):
+            with pytest.raises(GenusZeroRegime, match="^2 negative-discriminant component"):
+                kernel.trace_curve_M(plane, 1 / len(s))
+            z = (1 - 2**-20) / len(s)
+            if kernel.curve_through_infinity(plane):
+                with pytest.raises(SlitDegenerate, match="passes through infinity"):
+                    kernel.trace_curve_M(plane, z)
+                continue
+            tr = kernel.trace_curve_M(plane, z)
+            assert tr.y1 < tr.y2 and 1 - 2**-8 < tr.y2 < 1, (s, tr.y1, tr.y2)
+            traced += 1
+    assert traced == 12
+
+
+def test_tiny_z_slit_is_found_and_refused_by_width():
+    # at z = 1e-26 the y-plane roots are 0, 4e-52 and 2.5e51: the slit
+    # [0, 4e-52] is real, but narrower than the trace resolves
+    for name in ("gessel", "gouyou-beauchamps"):
+        with pytest.raises(SlitDegenerate) as exc:
+            kernel.trace_curve_M(steps.preset(name), 1e-26)
+        assert str(exc.value) == "slit [0.0, 4e-52] is narrower than the trace resolves"
 
 
 def test_bad_z_and_node_counts_are_out_of_range():

@@ -7,6 +7,7 @@ import pytest
 from qwalk import _ratpoly as rp
 from qwalk import kernel, singularities as sg, steps
 from qwalk.errors import (
+    InexactDivision,
     NoPositiveSolution,
     OutOfRange,
     RootFindingFailure,
@@ -33,8 +34,12 @@ def test_ratpoly_divmod_and_gcd():
     # (x^2 - 1) = (x - 1)(x + 1)
     p = rp.norm([-1, 0, 1])
     q = rp.norm([1, 1])
-    quo, rem = rp.polydivmod(p, q)
-    assert quo == rp.norm([-1, 1]) and rem == []
+    assert rp.exact_div(p, q) == rp.norm([-1, 1])
+    # x^2 + 1 leaves the remainder 2 on x + 1; 2x^2 is not an integer multiple of 3x
+    for p, q, match in (([1, 0, 1], [1, 1], "nonzero remainder"),
+                        ([0, 0, 2], [0, 3], "not divisible by 3")):
+        with pytest.raises(InexactDivision, match=match):
+            rp.exact_div(p, q)
     g = rp.polygcd(rp.norm([-1, 0, 1]), rp.norm([1, 1]))
     assert rp.degree(g) == 1
     # prem is a positive multiple of the remainder in Q[x], whatever the sign of lead(q)
