@@ -184,8 +184,11 @@ def roots(coeffs) -> list[complex]:
     coefficient gives an exact 0j root.  The other roots start from the
     closed forms and are refined by Aberth-Ehrlich iteration, which moves
     every root by its Newton step corrected for the pull of the others; one
-    or two sweeps suffice.  Like the roots, the result is real or conjugate
-    in pairs (_conjugate_symmetric).
+    or two sweeps suffice.  When a root is left failing the residual test
+    (roots decades apart, whose closed form loses the small ones), the
+    iteration restarts from _reciprocal_start, and its roots replace the
+    first ones only if every one of them passes.  Like the roots, the
+    result is real or conjugate in pairs (_conjugate_symmetric).
     """
     p = [float(c) for c in coeffs]
     while p and p[-1] == 0:
@@ -198,7 +201,26 @@ def roots(coeffs) -> list[complex]:
     if len(p) - zeros < 2:
         return [0j] * zeros
     monic = [c / p[-1] for c in p[zeros:]]
-    return [0j] * zeros + _conjugate_symmetric(_aberth(monic, _closed_form(monic)))
+    z, settled = _aberth(monic, _closed_form(monic))
+    if not settled:
+        start = _reciprocal_start(p[zeros:])
+        if start:
+            back, settled = _aberth(monic, start)
+            if settled:
+                z = back
+    return [0j] * zeros + _conjugate_symmetric(z)
+
+
+def _reciprocal_start(p: list[float]) -> list[complex] | None:
+    """Aberth starts for p (nonzero constant term) whose roots lie decades
+    apart, where p's own closed form loses the small ones: the reciprocals
+    of the closed-form roots of the reversed polynomial.  None when that
+    closed form overflows or has a root at 0."""
+    try:
+        back = _closed_form([c / p[0] for c in reversed(p)])
+    except OverflowError:
+        return None
+    return [1 / y for y in back] if all(back) else None
 
 
 def quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -253,21 +275,36 @@ def _closed_form(a: list[float]) -> list[complex]:
     return [y - s for y in ys]
 
 
-def _aberth(a: list[float], z: list[complex]) -> list[complex]:
+def _settled(desc: list[float], mags: list[float], tol: float, x: complex) -> bool:
+    """Aberth's residual test at x for the monic p with the descending
+    coefficients 1, *desc of moduli 1, *mags: |p(x)| within tol of the
+    bound sum |a_k| |x|^k on Horner's error."""
+    ax = abs(x)
+    pv, bound = 1.0, 1.0
+    for c, mag in zip(desc, mags):
+        pv = pv * x + c
+        bound = bound * ax + mag
+    return abs(pv) <= tol * bound
+
+
+def _aberth(a: list[float], z: list[complex]) -> tuple[list[complex], bool]:
     """Aberth-Ehrlich sweeps on the monic polynomial a from the start z,
     each root seeing the others' newest values, until every root is left
-    alone (see _RESIDUAL_ULPS) or for _MAX_SWEEPS sweeps."""
+    alone (see _RESIDUAL_ULPS) or for _MAX_SWEEPS sweeps; and whether every
+    root passes the residual test where it is left."""
     n = len(a) - 1
     desc = a[-2::-1]
     mags = [abs(c) for c in desc]
     tol = _RESIDUAL_ULPS * n * 2.0**-52
     z = list(z)
     live = range(n)
+    untested = []  # roots left after a small step, not tested where they landed
     for _ in range(_MAX_SWEEPS):
         still = []
         for i in live:
             x = z[i]
             ax = abs(x)
+            # Horner inline (a call per evaluation costs roots() a tenth)
             pv, dv, bound = 1.0, 0.0, 1.0
             for c, mag in zip(desc, mags):
                 dv = dv * x + pv
@@ -293,10 +330,14 @@ def _aberth(a: list[float], z: list[complex]) -> list[complex]:
             z[i] = x - step
             if abs(step) > _STEP_SCALE * near:
                 still.append(i)
+            else:
+                untested.append(i)
         if not still:
             break
         live = still
-    return z
+    else:
+        untested += live
+    return z, all(_settled(desc, mags, tol, z[i]) for i in untested)
 
 
 def _conjugate_symmetric(z: list[complex]) -> list[complex]:

@@ -58,7 +58,7 @@ from .kernel import (
     curve_preimage,
     curve_through_infinity,
     curve_through_origin,
-    point_in_G_M,
+    off_curve_position,
     trace_curve_M,
 )
 from .steps import StepSet, drift, kernel_polys, poly_eval
@@ -255,12 +255,13 @@ def cauchy_value(
     the spectrally convergent midpoint rule.  For x on the curve it is the
     inside limit: the integrand's poles are subtracted as cot-kernels on the
     staggered grid (principal value) and their Sokhotski-Plemelj
-    half-residues added back.  Points off the curve take point_in_G_M's
-    position, and points outside the domain raise PointOutsideDomain.
+    half-residues added back.  Points off the curve take their position from
+    off_curve_position, and points outside the domain raise
+    PointOutsideDomain.
     """
     _require_gluing(cgf, trace)
     preimage = curve_preimage(trace, x)
-    position = "boundary" if preimage else point_in_G_M(trace, x)
+    position = "boundary" if preimage else off_curve_position(trace, x)
     if position == "outside":
         raise PointOutsideDomain(f"{x} lies outside the curve-bounded domain")
     poles = []

@@ -36,8 +36,10 @@ back to one cell per i.
 
 check_functional_equation() packs whole rows, one digit per i, back from the
 table's lists, at a width W of its own: every coefficient of either side is a sum of
-at most |S| + 7 cells it reads, so with M the largest |cell| read, W is the
-least multiple of 8 with (|S| + 7) * M < 2^(W-1).  The digits of a side are
+at most |S| + 7 cells it reads, so with M a bound on every |cell| read, W is the
+least multiple of 8 with (|S| + 7) * M < 2^(W-1).  M is 2^64 - 1 when the
+cells read all convert to one array("Q"), which the packing then reuses, and
+the largest |cell| otherwise.  The digits of a side are
 then balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a
 side that differs is decoded digit by digit to find the first mismatch.
 """
@@ -232,22 +234,36 @@ def _unpack_rows(rows: list[int], bits: int, count: int) -> list[list[int]]:
     return [flat[k : k + count] for k in range(0, cells, count)]
 
 
+def _u64_cells(rows: list[list[int]]) -> array | None:
+    """Every cell of rows, in order, as one array("Q"); None when a cell lies
+    outside [0, 2**64) or the array's items are not the digits' bytes."""
+    if not _NATIVE_Q:
+        return None
+    try:
+        return array("Q", chain.from_iterable(rows))
+    except OverflowError:
+        return None
+
+
+def _pack_cells(cells: array, lengths: list[int], bits: int) -> list[int]:
+    """The rows of the given lengths that the array("Q") cells begin with,
+    each packed as _pack_rows packs it; cells past the last row are unread."""
+    nb = bits // 8
+    buf = _respace(cells.tobytes(), 8, nb)
+    ends = list(accumulate(nb * n for n in lengths))
+    return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
+
+
 def _pack_rows(rows: list[list[int]], bits: int) -> list[int]:
     """Each row as the one int sum_i cell_i * 2**(bits*i): the inverse of
     _unpack_rows for cells in [0, 2**bits), and the signed sum for negative
     cells.  Rows may differ in length.  When every cell lies in [0, 2**64),
     all of them go through one array("Q"); else each row is summed cell by
     cell."""
-    try:
-        cells = array("Q", chain.from_iterable(rows)) if _NATIVE_Q else None
-    except OverflowError:
-        cells = None
+    cells = _u64_cells(rows)
     if cells is None:
         return [sum(v << bits * i for i, v in enumerate(r)) for r in rows]
-    nb = bits // 8
-    buf = _respace(cells.tobytes(), 8, nb)
-    ends = list(accumulate(nb * len(r) for r in rows))
-    return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
+    return _pack_cells(cells, [len(r) for r in rows], bits)
 
 
 @dataclass
@@ -461,11 +477,13 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     coefficient of x^i y^j above (the factor xy makes every exponent >= 0).
     Row j is held as one int, the coefficient of x^i at bit W*i: it is built
     by one shift and add per (row, step) from the table's rows, packed once
-    each.  With M the largest |value| read from the table, every coefficient
-    is below (|S| + 7) * M < 2^(W-1) in absolute value, so the two sides agree
-    exactly when their ints do.  When they differ at degree n, the rows of
-    that degree are decoded as balanced digits (each in (-2^(W-1), 2^(W-1)))
-    back into grids.  first_mismatch is (n, i, j, lhs, rhs) at the least n,
+    each.  With M a bound on every |value| read from the table, every
+    coefficient is below (|S| + 7) * M < 2^(W-1) in absolute value, so the
+    two sides agree exactly when their ints do.  M is 2^64 - 1 when every
+    value read converts to one array("Q"), which the packing then reuses
+    (W = 72 for any step set), else the largest |value|, found by a scan.
+    When they differ at degree n, the rows of that degree are decoded as
+    balanced digits (each in (-2^(W-1), 2^(W-1))) back into grids.  first_mismatch is (n, i, j, lhs, rhs) at the least n,
     and within it the least (i, j) in lexicographic order, where the two
     coefficients differ.
     """
@@ -474,10 +492,18 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     table = count(s, n_degree, dense_max=n_degree)
     kp = kernel_polys(s)
     layers = table._dense[: n_degree + 1]
-    read = [*chain.from_iterable(layers), *table.row0[:n_degree], *table.col0[:n_degree],
-            table.q00[:n_degree]]
-    top = max(max(map(max, read)), -min(map(min, read)), 1)
-    bits = _digit_bits(2 * (len(s) + 7) * top)
+    rows = [*chain.from_iterable(layers), *table.row0[:n_degree]]
+    read = [*rows, *table.col0[:n_degree], table.q00[:n_degree]]
+    cells = _u64_cells(read)
+    if cells is None:
+        top = max(max(map(max, read)), -min(map(min, read)), 1)
+        bits = _digit_bits(2 * (len(s) + 7) * top)
+        packed = iter(_pack_rows(rows, bits))
+    else:
+        bits = _digit_bits(2 * (len(s) + 7) * ((1 << 64) - 1))
+        packed = iter(_pack_cells(cells, [len(r) for r in rows], bits))
+    dense = [[next(packed) for _ in layer] for layer in layers]
+    row0 = list(packed)
     half = 1 << (bits - 1)
 
     def grid(packed: list[int]) -> list[list[int]]:
@@ -485,10 +511,6 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
         bias = sum(half << bits * i for i in range(len(packed)))
         rows = _unpack_rows([r + bias for r in packed], bits, len(packed))
         return [[v - half for v in row] for row in rows]
-
-    packed = iter(_pack_rows([*chain.from_iterable(layers), *table.row0[:n_degree]], bits))
-    dense = [[next(packed) for _ in layer] for layer in layers]
-    row0 = list(packed)
 
     first_mismatch = None
     for n in range(0, n_degree + 1):

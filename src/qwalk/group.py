@@ -8,18 +8,24 @@ where a, c (and the tilde pair) are the boundary polynomials of the kernel;
 both leave sum(delta_{ij} x^i y^j) invariant and square to the identity.
 The group they generate is dihedral; its order is 2m where m is the order of
 psi o phi.  The order depends on the step set alone, so it is certified with
-exact rational arithmetic on one fixed panel of five small-height points: for
+exact arithmetic on one fixed panel of five small-height points: for
 distinct bounded-degree birational maps a generic exact panel cannot collide,
 so "all panel points fixed" is decisive.
 
 Orbits of infinite-order compositions blow up in height (digit count grows
-geometrically), so candidate orders are first screened by running each
-panel orbit modulo one prime; non-return modulo a prime of good reduction
-already proves non-return over Q, and only screened candidates are re-run
-exactly.  The screening orbit runs on projective pairs (n : d), so it needs
-no modular inversion.  A pole on the exact orbit makes a projective factor
-vanish modulo the prime too, so a panel orbit that screens proves the exact
-orbit pole-free; one that does not is a bad-reduction panel point.
+geometrically), so candidate orders are first screened by running the
+panel orbits modulo one prime, one point at a time: non-return modulo a
+prime of good reduction already proves non-return over Q, so each point
+strikes out candidates, the next point runs only as far as the largest
+candidate left, and the screen stops once none is left (for most walks
+whose group exceeds the bound, after the first point).  The orbits run on
+projective pairs (n : d), so they need no modular inversion, and the
+survivors are certified on the same recurrence over the integers, equality
+by cross-multiplication.  A pole on the exact orbit makes a projective
+factor vanish modulo the prime too, so an orbit that screens proves the
+exact orbit pole-free for as many steps as it ran, and every survivor lies
+within every point's screen; a panel point whose screen meets a vanishing
+factor is a bad-reduction point.
 """
 
 from __future__ import annotations
@@ -136,11 +142,21 @@ def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[
     return flags
 
 
-def _orbit_exact_returns_at(s: StepSet, p0: RationalPoint, m: int) -> bool:
-    p = p0
+def _orbit_exact_returns_at(kp: KernelPolys, p0: RationalPoint, m: int) -> bool:
+    """Whether (psi o phi)^m fixes p0, on the screen's projective recurrence
+    over the integers.  Every d stays nonzero when the orbit of p0 screened
+    at least m steps modulo _PRIME, so equal cross-products mean equal
+    points."""
+    def h(poly: tuple[int, int, int], n: int, d: int) -> int:
+        return poly[0] * d * d + poly[1] * n * d + poly[2] * n * n
+
+    x0n, x0d = p0.x.numerator, p0.x.denominator
+    y0n, y0d = p0.y.numerator, p0.y.denominator
+    xn, xd, yn, yd = x0n, x0d, y0n, y0d
     for _ in range(m):
-        p = psi(s, phi(s, p))
-    return p == p0
+        xn, xd = h(kp.c_t, yn, yd) * xd, h(kp.a_t, yn, yd) * xn
+        yn, yd = h(kp.c, xn, xd) * yd, h(kp.a, xn, xd) * yn
+    return xn * x0d == x0n * xd and yn * y0d == y0n * yd
 
 
 def group_order(s: StepSet, max_half_order: int = 16) -> GroupOrderResult:
@@ -148,27 +164,32 @@ def group_order(s: StepSet, max_half_order: int = 16) -> GroupOrderResult:
 
     Returns Finite with group order 2m for the smallest certified m, else an
     ExceedsBound result (honestly "not finite up to the bound", never
-    "infinite").  Certification is exact (Fraction arithmetic, no rounding)
-    on the fixed panel _PANEL; screening each panel orbit modulo _PRIME only
-    prunes candidate values of m.  A panel orbit that reduces badly modulo
-    _PRIME raises TestPointExhaustion.
+    "infinite").  Certification is exact (integer projective pairs, no
+    rounding) on the fixed panel _PANEL; screening the panel orbits modulo
+    _PRIME, one point at a time and each only up to the largest m still in
+    question, only prunes candidate values of m, and stops once none is
+    left.  A panel point whose screened orbit reduces badly modulo _PRIME
+    raises TestPointExhaustion; the points after the screen has stopped are
+    never run.
     """
-    _check_defined(kernel_polys(s))
+    kp = kernel_polys(s)
+    _check_defined(kp)
     if max_half_order < 2:
         raise OutOfRange("max_half_order must be >= 2 (psi and phi are never equal)")
     if max_half_order > _MAX_HALF_ORDER:
         raise OutOfRange(f"max_half_order must be <= {_MAX_HALF_ORDER}")
-    point_flags = []  # per point: returns-at-m flags, m=1..bound
+    candidates = list(range(2, max_half_order + 1))
     for p in _PANEL:
-        flags = _orbit_mod_p(s, p, _PRIME, max_half_order)
+        if not candidates:
+            break
+        flags = _orbit_mod_p(s, p, _PRIME, candidates[-1])
         if flags is None:
             raise TestPointExhaustion(f"the panel orbit of {p} reduces badly modulo {_PRIME}")
-        point_flags.append(flags)
+        candidates = [m for m in candidates if flags[m - 1]]
 
-    # screened orbits have no exact pole: at(y), x, a(x) or y = 0 vanishes mod _PRIME too
-    for m in range(2, max_half_order + 1):
-        if all(flags[m - 1] for flags in point_flags) and all(
-            _orbit_exact_returns_at(s, p, m) for p in _PANEL
-        ):
+    # each candidate lies within every point's screen, which proves its exact
+    # orbit free of poles up to there: at(y), x, a(x) or y = 0 vanishes mod _PRIME too
+    for m in candidates:
+        if all(_orbit_exact_returns_at(kp, p, m) for p in _PANEL):
             return GroupOrderResult(finite=True, order=2 * m)
     return GroupOrderResult(finite=False, half_order_bound=max_half_order)

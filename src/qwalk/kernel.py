@@ -432,6 +432,12 @@ def point_in_G_M(trace: CurveTrace, x: complex) -> str:
     X1(Y0(x)) instead); this test reads neither the nodes nor numpy."""
     if curve_preimage(trace, x) is not None:
         return "boundary"
+    return off_curve_position(trace, x)
+
+
+def off_curve_position(trace: CurveTrace, x: complex) -> str:
+    """point_in_G_M's branch test, "inside" or "outside", for an x that
+    curve_preimage has found off the curve."""
     s, z = trace.steps, trace.z
     try:
         y0 = Y_branches(s, x, z)[0]

@@ -1,6 +1,7 @@
 import argparse
 import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -433,6 +434,16 @@ def test_extreme_z_is_out_of_range_not_wrong_branch_points(capsys):
                 if code and json.loads(err)["error"] == "GenusZeroRegime":
                     roots = kernel.disc_roots(steps.preset(preset).mirrored(), float(z))[1]
                     assert all(map(cmath.isfinite, roots)), argv
+
+
+def test_branch_points_with_roots_decades_apart(capsys):
+    # the x-discriminant's roots are 1e-23 (double) and 2.5e45: all normal floats
+    code, out, _ = run(capsys, "kernel", "branch-points", "--steps",
+                       '{"steps": [[-1, 0], [0, 1], [1, -1]]}', "--z", "1e-23")
+    assert code == 0
+    moduli = sorted(math.hypot(r["re"], r["im"]) for r in json.loads(out)["x_roots"]
+                    if r != "infinity")
+    assert moduli[:2] == pytest.approx([1e-23, 1e-23], rel=1e-7)
 
 
 def test_overflowed_roots_are_out_of_range(capsys):

@@ -427,6 +427,17 @@ def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
         assert report == grid_check(SIMPLE, table, 10) and not report.holds, value
 
 
+def test_functional_equation_width_with_and_without_the_uint64_cells(monkeypatch):
+    # the king walk's cells pass 2^64 at degree 25, where the width comes
+    # from a scan of the cells; up to 24 they convert to one array("Q") and
+    # the width is fixed by 2^64 - 1; with no such array it is scanned again
+    for degree, native in ((24, True), (24, False), (25, True)):
+        monkeypatch.setattr(counting, "_NATIVE_Q", native and counting._NATIVE_Q)
+        table = counting.count(KING, degree, dense_max=degree)
+        report = counting.check_functional_equation(KING, degree)
+        assert report.holds and report == grid_check(KING, table, degree), (degree, native)
+
+
 def test_unpack_rows_matches_per_cell_reference(monkeypatch):
     rng = random.Random(5)
     # _NATIVE_Q False: the per-digit path a big-endian machine takes

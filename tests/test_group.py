@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qwalk import group, kernel, singularities, steps
-from qwalk.errors import DegenerateGenerators, OutOfRange, PoleEncountered
+from qwalk.errors import DegenerateGenerators, OutOfRange, PoleEncountered, QwalkError
 from qwalk.group import RationalPoint
 
 SIMPLE = steps.preset("simple")
@@ -89,6 +89,85 @@ def test_a_badly_reducing_panel_point_is_exhaustion(monkeypatch):
     monkeypatch.setattr(group, "_PANEL", (RationalPoint(F(3, 2**61 - 1), F(5, 7)),))
     with pytest.raises(group.TestPointExhaustion, match="reduces badly"):
         group.group_order(steps.preset("kreweras"))
+
+
+def reference_group_order(s, max_half_order):
+    """group_order as an all-points screen: every panel orbit screened to the
+    full bound, candidates certified with Fraction arithmetic through psi and
+    phi."""
+    group._check_defined(kernel.kernel_polys(s))
+    if max_half_order < 2:
+        raise OutOfRange("max_half_order must be >= 2 (psi and phi are never equal)")
+    if max_half_order > group._MAX_HALF_ORDER:
+        raise OutOfRange(f"max_half_order must be <= {group._MAX_HALF_ORDER}")
+    point_flags = []
+    for p in group._PANEL:
+        flags = group._orbit_mod_p(s, p, group._PRIME, max_half_order)
+        if flags is None:
+            raise group.TestPointExhaustion(
+                f"the panel orbit of {p} reduces badly modulo {group._PRIME}")
+        point_flags.append(flags)
+
+    def returns_at(p0, m):
+        p = p0
+        for _ in range(m):
+            p = group.psi(s, group.phi(s, p))
+        return p == p0
+
+    for m in range(2, max_half_order + 1):
+        if all(flags[m - 1] for flags in point_flags) and all(
+                returns_at(p, m) for p in group._PANEL):
+            return group.GroupOrderResult(finite=True, order=2 * m)
+    return group.GroupOrderResult(finite=False, half_order_bound=max_half_order)
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except QwalkError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_group_order_matches_the_all_points_reference():
+    # the lazy screen and the integer certification decide as the full
+    # screen with Fraction certification does, errors included
+    for s in steps.all_step_sets():
+        for bound in (2, 4, 8, 16, 64):
+            got = outcome(group.group_order, s, bound)
+            assert got == outcome(reference_group_order, s, bound), (s, bound)
+
+
+def test_exact_certification_matches_fraction_orbits():
+    # the integer projective orbit returns exactly when the Fraction orbit
+    # does, also where it does not return (certification sees no such m on
+    # the 255 sets, since the screen strikes them out); finite m are <= 4
+    for s in generator_models():
+        kp = kernel.kernel_polys(s)
+        for p in group._PANEL:
+            q = p
+            for m in range(1, 5):
+                q = group.psi(s, group.phi(s, q))
+                assert group._orbit_exact_returns_at(kp, p, m) == (q == p), (s, p, m)
+
+
+def test_one_screened_orbit_rules_out_every_order_above_the_bound(monkeypatch):
+    # on each genuine set whose group exceeds the bound, the first panel
+    # point's orbit already strikes out every m <= 16, so no other point runs
+    screened = []
+    orbit = group._orbit_mod_p
+
+    def counting_orbit(s, p0, prime, max_m):
+        screened.append(max_m)
+        return orbit(s, p0, prime, max_m)
+
+    monkeypatch.setattr(group, "_orbit_mod_p", counting_orbit)
+    exceeding = 0
+    for s in genuine_models():
+        screened.clear()
+        if not group.group_order(s).finite:
+            assert screened == [16], s
+            exceeding += 1
+    assert exceeding == 92
 
 
 def test_psi_simple_walk_inverts_y():

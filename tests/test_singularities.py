@@ -138,6 +138,19 @@ def test_roots_of_every_cleared_discriminant():
     assert cases == 2034 and worst < 1e-7, worst
 
 
+def test_roots_decades_apart_restart_from_the_reversed_polynomial():
+    # the cleared x-discriminant of {(-1,0),(0,1),(1,-1)} at z = 1e-23: a
+    # double root at 1e-23 and one at 2.5e45.  The forward closed form starts
+    # the small pair at +-6e36 i, where Aberth settles on a wrong pair; the
+    # reciprocals of the reversed polynomial's roots start it right
+    coeffs = [1e-46, -2e-23, 1.0, -4e-46]
+    got = sorted(rp.roots(coeffs), key=abs)
+    assert [abs(r) for r in got] == pytest.approx([1e-23, 1e-23, 2.5e45], rel=1e-7)
+    for r in got:
+        bound = 1e-6 * max(map(abs, coeffs)) * max(1.0, abs(r)) ** 3
+        assert abs(kernel.poly_eval(coeffs, r)) <= bound, r
+
+
 def test_roots_above_degree_four_are_out_of_range():
     # only the closed forms start the iteration: degree 5 is refused
     with pytest.raises(OutOfRange, match="degree at most 4"):
