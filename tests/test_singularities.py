@@ -141,7 +141,7 @@ def test_roots_of_every_cleared_discriminant():
 def test_roots_decades_apart_restart_from_the_reversed_polynomial():
     # the cleared x-discriminant of {(-1,0),(0,1),(1,-1)} at z = 1e-23: a
     # double root at 1e-23 and one at 2.5e45.  The forward closed form starts
-    # the small pair at +-6e36 i, where Aberth settles on a wrong pair; the
+    # the small pair at +-6e36 i, from where Aberth leaves a wrong pair; the
     # reciprocals of the reversed polynomial's roots start it right
     coeffs = [1e-46, -2e-23, 1.0, -4e-46]
     got = sorted(rp.roots(coeffs), key=abs)
