@@ -9,8 +9,8 @@ Sturm chain's sign changes and then on the sign of the polynomial; D's
 positive roots are counted either side.  No float touches that route.
 
 roots() is the package's one float root finder, for degree at most 4 (the
-kernel discriminants, c(x) in bvp, a(x) in point_in_G_M), in pure Python so
-that the subcommands built on it start without numpy.
+kernel discriminants, c(x) in bvp, a(x) in off_curve_position), in pure
+Python so that the subcommands built on it start without numpy.
 """
 
 from __future__ import annotations

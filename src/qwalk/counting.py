@@ -39,7 +39,8 @@ table's lists, at a width W of its own: every coefficient of either side is a su
 at most |S| + 7 cells it reads, so with M a bound on every |cell| read, W is the
 least multiple of 8 with (|S| + 7) * M < 2^(W-1).  M is 2^64 - 1 when the
 cells read all convert to one array("Q"), which the packing then reuses, and
-the largest |cell| otherwise.  The digits of a side are
+otherwise the largest |cell|, each row then packed as the sum of its shifted
+cells.  The digits of a side are
 then balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a
 side that differs is decoded digit by digit to find the first mismatch.
 """
@@ -247,23 +248,12 @@ def _u64_cells(rows: list[list[int]]) -> array | None:
 
 def _pack_cells(cells: array, lengths: list[int], bits: int) -> list[int]:
     """The rows of the given lengths that the array("Q") cells begin with,
-    each packed as _pack_rows packs it; cells past the last row are unread."""
+    each packed as the one int sum_i cell_i * 2**(bits*i), the inverse of
+    _unpack_rows; cells past the last row are unread."""
     nb = bits // 8
     buf = _respace(cells.tobytes(), 8, nb)
     ends = list(accumulate(nb * n for n in lengths))
     return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
-
-
-def _pack_rows(rows: list[list[int]], bits: int) -> list[int]:
-    """Each row as the one int sum_i cell_i * 2**(bits*i): the inverse of
-    _unpack_rows for cells in [0, 2**bits), and the signed sum for negative
-    cells.  Rows may differ in length.  When every cell lies in [0, 2**64),
-    all of them go through one array("Q"); else each row is summed cell by
-    cell."""
-    cells = _u64_cells(rows)
-    if cells is None:
-        return [sum(v << bits * i for i, v in enumerate(r)) for r in rows]
-    return _pack_cells(cells, [len(r) for r in rows], bits)
 
 
 @dataclass
@@ -481,7 +471,8 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     coefficient is below (|S| + 7) * M < 2^(W-1) in absolute value, so the
     two sides agree exactly when their ints do.  M is 2^64 - 1 when every
     value read converts to one array("Q"), which the packing then reuses
-    (W = 72 for any step set), else the largest |value|, found by a scan.
+    (W = 72 for any step set), else the largest |value|, found by a scan, and
+    each row is packed as the sum of its shifted cells.
     When they differ at degree n, the rows of that degree are decoded as
     balanced digits (each in (-2^(W-1), 2^(W-1))) back into grids.  first_mismatch is (n, i, j, lhs, rhs) at the least n,
     and within it the least (i, j) in lexicographic order, where the two
@@ -498,7 +489,7 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     if cells is None:
         top = max(max(map(max, read)), -min(map(min, read)), 1)
         bits = _digit_bits(2 * (len(s) + 7) * top)
-        packed = iter(_pack_rows(rows, bits))
+        packed = iter([sum(v << bits * i for i, v in enumerate(r)) for r in rows])
     else:
         bits = _digit_bits(2 * (len(s) + 7) * ((1 << 64) - 1))
         packed = iter(_pack_cells(cells, [len(r) for r in rows], bits))

@@ -105,23 +105,6 @@ def _newton_polish(coeffs: list[float], r: complex) -> complex:
     return r
 
 
-def _poly_roots(coeffs: list[float]) -> list[complex]:
-    """All finite roots (_ratpoly.roots, one Newton polish)."""
-    arr = list(coeffs)
-    while arr and arr[-1] == 0:
-        arr.pop()
-    if len(arr) <= 1:
-        return []
-    out = [_newton_polish(arr, r) for r in rp.roots(arr)]
-    scale = max(abs(v) for v in arr)
-    for r in out:  # written so that a nan residual fails too
-        if not cmath.isfinite(r):
-            raise OverflowError(f"root {r} is not finite")
-        if not abs(poly_eval(arr, r)) <= 1e-6 * scale * max(1.0, abs(r)) ** (len(arr) - 1):
-            raise RootFindingFailure(f"polished root {r} has large residual")
-    return out
-
-
 @dataclass(frozen=True)
 class BranchPoints:
     """The four x- and y-plane branch points at a given z.
@@ -140,11 +123,15 @@ class BranchPoints:
 
 def disc_roots(s: StepSet, z: float) -> tuple[list[tuple[int, int, int]], list[complex]]:
     """The cleared x-discriminant's triples (cleared_disc_int) and its finite
-    roots at z, with imaginary parts at roundoff level set to exactly 0.
-    Where the discriminant vanishes identically (every x a branch point, as
-    for {(0,-1), (0,1)} at z = 1/2) it raises OutOfRange, and likewise where
-    z^2 over- or underflows a normal float, a coefficient or a closed-form
-    root is not finite, since such roots are not those of D."""
+    roots at z (_ratpoly.roots, one Newton polish), with imaginary parts at
+    roundoff level set to exactly 0.  Where the discriminant vanishes
+    identically (every x a branch point, as for {(0,-1), (0,1)} at z = 1/2)
+    it raises OutOfRange, and likewise where z^2 over- or underflows a normal
+    float, or a coefficient or a root is not finite, since such roots are not
+    those of D.  Every root r of the degree-d polynomial p satisfies
+    |p(r)| <= 1e-6 max|a_k| max(1, |r|)^d, tested for |r| > 1 as
+    |r^-d p(r)| = |rev p(1/r)| so that no power of r overflows; a root that
+    fails it raises RootFindingFailure."""
     if not sys.float_info.min <= z * z < math.inf:
         raise OutOfRange(f"z^2 is not a normal float at z={z}")
     trips = cleared_disc_int(s)
@@ -154,9 +141,17 @@ def disc_roots(s: StepSet, z: float) -> tuple[list[tuple[int, int, int]], list[c
     if not any(coeffs):
         raise OutOfRange(f"the discriminant vanishes identically at z={z}")
     try:
-        roots = _poly_roots(coeffs)
-    except OverflowError:
-        raise OutOfRange(f"the discriminant's roots overflow at z={z}") from None
+        roots = [_newton_polish(coeffs, r) for r in rp.roots(coeffs)]
+    except OverflowError:  # a power in the closed forms
+        roots = [INF_ROOT]  # refused below, as a root that is not finite
+    deg = max(k for k, c in enumerate(coeffs) if c)
+    top = max(map(abs, coeffs))
+    for r in roots:
+        if not cmath.isfinite(r):
+            raise OutOfRange(f"the discriminant's roots overflow at z={z}")
+        residual = poly_eval(coeffs[deg::-1], 1 / r) if abs(r) > 1 else poly_eval(coeffs, r)
+        if not abs(residual) <= 1e-6 * top:  # written so that a nan residual fails too
+            raise RootFindingFailure(f"polished root {r} has large residual")
     scale = max((abs(r) for r in roots), default=1.0)
     return trips, [
         complex(r.real, 0.0) if abs(r.imag) <= 1e-9 * max(1.0, abs(r), scale) else r

@@ -446,6 +446,23 @@ def test_branch_points_with_roots_decades_apart(capsys):
     assert moduli[:2] == pytest.approx([1e-23, 1e-23], rel=1e-7)
 
 
+def test_finite_roots_past_the_float_powers_are_printed(capsys):
+    # {(0,1)} at z = 1e-99: D = x^2 in the x-plane (two roots at infinity)
+    # and x^2 (1 - z x)^2 in the y-plane, whose double root 1e99 is a normal
+    # float though (1e99)^4 is not
+    code, out, _ = run(capsys, "kernel", "branch-points", "--steps", '{"steps": [[0, 1]]}',
+                       "--z", "1e-99")
+    zero = {"im": 0.0, "re": 0.0}
+    far = {"im": 0.0, "re": 1e99}
+    assert code == 0
+    assert json.loads(out) == {
+        "config": {"preset": None, "steps": [[0, 1]], "z": 1e-99},
+        "ordering_asserted": False,
+        "x_roots": [zero, zero, "infinity", "infinity"],
+        "y_roots": [zero, zero, far, far],
+    }
+
+
 def test_overflowed_roots_are_out_of_range(capsys):
     # nan roots from the closed forms take the overflow path, not a residual test
     for preset in ("gessel", "gouyou-beauchamps"):

@@ -2,8 +2,9 @@ import math
 import random
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -462,26 +463,28 @@ def test_unpack_rows_matches_per_cell_reference(monkeypatch):
             ]
             assert reference == digit_rows
             assert counting._unpack_rows(rows, bits, count) == reference, (native, nb)
-            assert counting._pack_rows(digit_rows, bits) == rows, (native, nb)
+            if nb <= 8:  # cells that one array("Q") holds
+                cells = array("Q", chain.from_iterable(digit_rows))
+                assert counting._pack_cells(cells, [count] * len(rows), bits) == rows, nb
             for extra in range(1, 10):
                 new_bits = bits + 8 * extra
                 wide = rows[:]
                 counting._widen(wide, bits, new_bits)
                 assert wide == [sum(v << new_bits * i for i, v in enumerate(r))
                                 for r in digit_rows], (native, nb, extra)
-        # rows of different lengths; cells of 2**64 and more, or below 0, are
-        # summed cell by cell (the signed sum, for negative ones)
+        # rows of different lengths, packed as their per-cell sums; the cells
+        # past the rows asked for are left unread
         ragged = [[1, 2, 3], [], [5], [2**64 - 1, 0, 7]]
+        cells = array("Q", chain.from_iterable(ragged))
         for bits in (64, 72):
-            packed = counting._pack_rows(ragged, bits)
-            assert packed == [sum(v << bits * i for i, v in enumerate(r)) for r in ragged]
+            packed = [sum(v << bits * i for i, v in enumerate(r)) for r in ragged]
+            assert counting._pack_cells(cells, [len(r) for r in ragged], bits) == packed
+            assert counting._pack_cells(cells, [3, 0], bits) == packed[:2]
             assert counting._unpack_rows(packed, bits, 3) == [r + [0] * (3 - len(r))
                                                                for r in ragged]
         big = [[2**64, 1], [3, 2**100 - 1]]
-        assert counting._unpack_rows(counting._pack_rows(big, 104), 104, 2) == big
-        signed = [[-1, 5], [7, -(2**70)], [2**64, -3]]
-        assert counting._pack_rows(signed, 80) == [
-            sum(v << 80 * i for i, v in enumerate(r)) for r in signed]
+        packed = [sum(v << 104 * i for i, v in enumerate(r)) for r in big]
+        assert counting._unpack_rows(packed, 104, 2) == big
 
 
 def test_negative_lengths_are_out_of_range():

@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qwalk import _ratpoly as rp
 from qwalk import kernel, steps
 from qwalk.errors import GenusZeroRegime, OutOfRange, QwalkError, SlitDegenerate
 
@@ -239,6 +241,53 @@ def test_identically_vanishing_discriminant_is_out_of_range():
             kernel.branch_points(steps.parse_step_set(pts), 0.5)
 
 
+def test_far_roots_pass_the_exact_residual_test():
+    # all 255 step sets, both planes, at z where roots lie up to about 1e200
+    # apart: every root disc_roots returns is within 1e-13 relative of p's
+    # value bound, |p(r)| <= 1e-13 sum |a_k| |r|^k, in exact arithmetic (|r|
+    # taken just below the float modulus).  The residual test never forms a
+    # power of r, so a finite root such as 1e99 is returned; only roots the
+    # closed forms leave nan or infinite are OutOfRange.  About 0.4 s
+    below = 1 - Fraction(1, 2**50)
+    out_of_range = Counter()
+    checked = 0
+    for s in steps.all_step_sets():
+        for plane in (s, s.mirrored()):
+            for z in (1e-99, 1e-84, 1e100):
+                try:
+                    trips, roots = kernel.disc_roots(plane, z)
+                except OutOfRange as exc:
+                    assert str(exc) == f"the discriminant's roots overflow at z={z}"
+                    out_of_range[z] += 1
+                    continue
+                coeffs = [Fraction(c) for c in kernel._cleared_disc_at(trips, z)]
+                for r in roots:
+                    re, im = Fraction(r.real), Fraction(r.imag)
+                    p_re = p_im = Fraction(0)
+                    for c in reversed(coeffs):
+                        p_re, p_im = p_re * re - p_im * im + c, p_re * im + p_im * re
+                    m = Fraction(abs(r)) * below
+                    bound = sum(abs(c) * m**k for k, c in enumerate(coeffs)) / 10**13
+                    assert p_re**2 + p_im**2 <= bound**2, (s, z, r)
+                    checked += 1
+    assert out_of_range == {1e-99: 292, 1e-84: 292}, out_of_range
+    assert checked == 2940
+
+
+@pytest.mark.parametrize("z", [
+    1e-10,
+    pytest.param(1e-11, marks=pytest.mark.xfail(strict=True, reason=(
+        "disc_roots accepts wrong roots at tiny z: at 1e-11 the diagonal walk's "
+        "x2, x1 = +-2e-11 come out as 0.0 twice, and |D(0)| = 4e-22 passes "
+        "the absolute residual bound 1e-6 for |r| <= 1"))),
+])
+def test_small_branch_points_of_the_diagonal_walk(z):
+    # D = -4 z^2 + x^2 - 4 z^2 x^4, whose small roots are +-2z to first order
+    s = steps.parse_step_set([(-1, -1), (-1, 1), (1, -1), (1, 1)])
+    small = sorted(kernel.branch_points(s, z).x_roots, key=abs)[:2]
+    assert sorted(r.real for r in small) == pytest.approx([-2 * z, 2 * z], rel=1e-6)
+
+
 def test_y_branches_eq_y0_formula_on_circle():
     # Y0(e^{i theta}, z) = (1 - 2 z cos(theta) - sqrt((1-2z cos)^2 - 4z^2))/(2z)
     z = 0.2
@@ -438,13 +487,13 @@ def test_contour_nodes_mirror_the_upper_edge():
 
 def test_trace_finds_roots_once(monkeypatch):
     calls = []
-    poly_roots = kernel._poly_roots
+    roots = rp.roots
 
     def counted(coeffs):
         calls.append(coeffs)
-        return poly_roots(coeffs)
+        return roots(coeffs)
 
-    monkeypatch.setattr(kernel, "_poly_roots", counted)
+    monkeypatch.setattr(rp, "roots", counted)
     for s, z, _ in genuine_traces():
         calls.clear()
         kernel.trace_curve_M(s, z)

@@ -116,7 +116,7 @@ def test_roots_simple_walk_branch_points_closed_form():
 def test_roots_of_every_cleared_discriminant():
     # all 255 step sets, both planes, at z down to 0.001 and up to 1/|S|,
     # where x2 and x3 collide into a double root: every root within the
-    # residual bound of kernel._poly_roots, before its Newton polish, and
+    # residual bound of kernel.disc_roots, before its Newton polish, and
     # the roots rebuild the polynomial (no root found twice, none missed;
     # a double root is found to about the square root of roundoff)
     cases = worst = 0
