@@ -247,7 +247,7 @@ def test_far_roots_pass_the_exact_residual_test():
     # value bound, |p(r)| <= 1e-13 sum |a_k| |r|^k, in exact arithmetic (|r|
     # taken just below the float modulus).  The residual test never forms a
     # power of r, so a finite root such as 1e99 is returned; only roots the
-    # closed forms leave nan or infinite are OutOfRange.  About 0.4 s
+    # closed forms leave nan or infinite are OutOfRange.  About 0.5 s
     below = 1 - Fraction(1, 2**50)
     out_of_range = Counter()
     checked = 0
