@@ -55,10 +55,6 @@ def _config_echo(s: steps.StepSet, args, fields) -> dict:
     return cfg
 
 
-def _fs_dict(fs) -> dict:
-    return {"label": fs.label, "ties": list(fs.ties), "value": fs.value}
-
-
 def _cmd_count(s: steps.StepSet, args) -> int:
     from . import counting
 
@@ -139,22 +135,10 @@ def _cmd_kernel(s: steps.StepSet, args) -> int:
 def _singularities_payload(s: steps.StepSet, args) -> dict:
     from . import singularities
 
-    rep = singularities.classify_first_singularities(s)
-    return {
-        "config": _config_echo(s, args, []),
-        "z_g": rep.z_g,
-        "z_g_resultant": rep.z_g_resultant,
-        "method_gap": rep.method_gap,
-        "z_X": rep.z_X,
-        "z_Y": rep.z_Y,
-        "inv_cardinality": rep.inv_cardinality,
-        "critical_point": {"alpha": rep.alpha, "beta": rep.beta},
-        "drift_sign": list(rep.drift_sign),
-        "cov_sign": rep.cov_sign,
-        "fs_q10": _fs_dict(rep.fs_q10),
-        "fs_q01": _fs_dict(rep.fs_q01),
-        "fs_q11": _fs_dict(rep.fs_q11),
-    }
+    payload = asdict(singularities.classify_first_singularities(s))
+    payload["critical_point"] = {"alpha": payload.pop("alpha"), "beta": payload.pop("beta")}
+    payload["config"] = _config_echo(s, args, [])
+    return payload
 
 
 def _cmd_singularities(s: steps.StepSet, args) -> int:
@@ -185,7 +169,6 @@ def _cmd_bvp(s: steps.StepSet, args) -> int:
     else:
         gf = bvp.q11_general(s, args.z, cgf)
     payload = asdict(gf)
-    payload["flags"] = list(gf.flags)
     payload["config"] = _config_echo(s, args, ["z", "target"])
     _emit(payload)
     return 0
@@ -198,7 +181,6 @@ def _cmd_asymptotics(s: steps.StepSet, args) -> int:
     coeffs = counting.series(table, args.series).coeffs
     an = asymptotics.growth_estimate(coeffs)
     payload = asdict(an)
-    payload["diagnostics"] = list(an.diagnostics)
     payload["config"] = _config_echo(s, args, ["n", "series"])
     _emit(payload)
     return 0

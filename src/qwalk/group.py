@@ -18,20 +18,21 @@ panel orbits modulo one prime, one point at a time: non-return modulo a
 prime of good reduction already proves non-return over Q, so each point
 strikes out candidates, the next point runs only as far as the largest
 candidate left, and the screen stops once none is left (for most walks
-whose group exceeds the bound, after the first point).  The orbits run on
-projective pairs (n : d), so they need no modular inversion, and the
-survivors are certified on the same recurrence over the integers, equality
-by cross-multiplication.  A pole on the exact orbit makes a projective
-factor vanish modulo the prime too, so an orbit that screens proves the
-exact orbit pole-free for as many steps as it ran, and every survivor lies
-within every point's screen; a panel point whose screen meets a vanishing
-factor is a bad-reduction point.
+whose group exceeds the bound, after the first point).  The survivors are
+certified over the integers, equality by cross-multiplication.  Screen and
+certificate run one recurrence, `_orbit`, reduced modulo the prime or not
+at all, so a zero denominator on the exact orbit is zero modulo the prime
+too: an orbit that screens proves the exact orbit pole-free for as many
+steps as it ran, and every survivor lies within every point's screen.  A
+panel point whose screen meets a zero denominator is a bad-reduction point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DegenerateGenerators, OutOfRange, PoleEncountered, TestPointExhaustion
 from .steps import KernelPolys, StepSet, kernel_polys, poly_eval
@@ -107,35 +108,42 @@ def invariant_check(s: StepSet, p: RationalPoint) -> bool:
     return v == step_symbol(s, psi(s, p)) == step_symbol(s, phi(s, p))
 
 
+def _orbit(kp: KernelPolys, p0: RationalPoint,
+           reduce: Callable[[int], int]) -> Iterator[tuple[int, int, int, int]]:
+    """Yield p0, then each step of its psi o phi orbit, as projective pairs
+    (xn, xd, yn, yd) with every entry passed through `reduce`; no inversion.
+
+    With h(P; n, d) = P0 d^2 + P1 n d + P2 n^2, phi maps (xn : xd) to
+    (h(ct; yn, yd) xd : h(at; yn, yd) xn), then psi maps (yn : yd) to
+    (h(c; xn, xd) yd : h(a; xn, xd) yn).  A new d is the pole factor times
+    the old n, so it is zero exactly where psi or phi meets a pole.
+    """
+    (a0, a1, a2), (c0, c1, c2) = kp.a, kp.c
+    (at0, at1, at2), (ct0, ct1, ct2) = kp.a_t, kp.c_t
+    xn, xd = reduce(p0.x.numerator), reduce(p0.x.denominator)
+    yn, yd = reduce(p0.y.numerator), reduce(p0.y.denominator)
+    while True:
+        yield xn, xd, yn, yd
+        dd, nd, nn = yd * yd, yn * yd, yn * yn
+        xn, xd = (reduce((ct0 * dd + ct1 * nd + ct2 * nn) * xd),
+                  reduce((at0 * dd + at1 * nd + at2 * nn) * xn))
+        dd, nd, nn = xd * xd, xn * xd, xn * xn
+        yn, yd = (reduce((c0 * dd + c1 * nd + c2 * nn) * yd),
+                  reduce((a0 * dd + a1 * nd + a2 * nn) * yn))
+
+
 def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[bool] | None:
     """Return-per-m flags of the psi o phi orbit over F_prime, or None when a
-    denominator or a pole factor vanishes mod prime (bad reduction, or an
-    exact pole on the orbit).
-
-    Each coordinate is a projective pair (n : d) mod prime, so the orbit needs
-    no inversion.  With h(P; n, d) = P0 d^2 + P1 n d + P2 n^2, phi maps
-    (xn : xd) to (h(ct; yn, yd) xd : h(at; yn, yd) xn), and psi acts on y
-    alike with a and c.  Every d is a product of pole-tested nonzero factors.
-    """
-    def h(poly: tuple[int, int, int], n: int, d: int) -> int:
-        return (poly[0] * d * d + poly[1] * n * d + poly[2] * n * n) % prime
-
-    kp = kernel_polys(s)
-    x0n, x0d = p0.x.numerator % prime, p0.x.denominator % prime
-    y0n, y0d = p0.y.numerator % prime, p0.y.denominator % prime
+    denominator vanishes mod prime (bad reduction, or an exact pole on the
+    orbit)."""
+    orbit = _orbit(kernel_polys(s), p0, lambda v: v % prime)
+    x0n, x0d, y0n, y0d = next(orbit)
     if x0d == 0 or y0d == 0:
         return None
-    xn, xd, yn, yd = x0n, x0d, y0n, y0d
     flags = []
-    for _ in range(max_m):
-        at = h(kp.a_t, yn, yd)
-        if at == 0 or xn == 0:
+    for xn, xd, yn, yd in islice(orbit, max_m):
+        if xd == 0 or yd == 0:
             return None
-        xn, xd = h(kp.c_t, yn, yd) * xd % prime, at * xn % prime
-        a = h(kp.a, xn, xd)
-        if a == 0 or yn == 0:
-            return None
-        yn, yd = h(kp.c, xn, xd) * yd % prime, a * yn % prime
         flags.append(
             (xn * x0d - x0n * xd) % prime == 0 and (yn * y0d - y0n * yd) % prime == 0
         )
@@ -143,19 +151,12 @@ def _orbit_mod_p(s: StepSet, p0: RationalPoint, prime: int, max_m: int) -> list[
 
 
 def _orbit_exact_returns_at(kp: KernelPolys, p0: RationalPoint, m: int) -> bool:
-    """Whether (psi o phi)^m fixes p0, on the screen's projective recurrence
-    over the integers.  Every d stays nonzero when the orbit of p0 screened
-    at least m steps modulo _PRIME, so equal cross-products mean equal
-    points."""
-    def h(poly: tuple[int, int, int], n: int, d: int) -> int:
-        return poly[0] * d * d + poly[1] * n * d + poly[2] * n * n
-
-    x0n, x0d = p0.x.numerator, p0.x.denominator
-    y0n, y0d = p0.y.numerator, p0.y.denominator
-    xn, xd, yn, yd = x0n, x0d, y0n, y0d
-    for _ in range(m):
-        xn, xd = h(kp.c_t, yn, yd) * xd, h(kp.a_t, yn, yd) * xn
-        yn, yd = h(kp.c, xn, xd) * yd, h(kp.a, xn, xd) * yn
+    """Whether (psi o phi)^m fixes p0, on `_orbit` over the integers.  Every
+    d stays nonzero when the orbit of p0 screened at least m steps modulo
+    _PRIME, so equal cross-products mean equal points."""
+    orbit = _orbit(kp, p0, int)
+    x0n, x0d, y0n, y0d = next(orbit)
+    xn, xd, yn, yd = next(islice(orbit, m - 1, None))
     return xn * x0d == x0n * xd and yn * y0d == y0n * yd
 
 
@@ -188,7 +189,7 @@ def group_order(s: StepSet, max_half_order: int = 16) -> GroupOrderResult:
         candidates = [m for m in candidates if flags[m - 1]]
 
     # each candidate lies within every point's screen, which proves its exact
-    # orbit free of poles up to there: at(y), x, a(x) or y = 0 vanishes mod _PRIME too
+    # orbit free of poles up to there: a zero denominator over Z is zero mod _PRIME
     for m in candidates:
         if all(_orbit_exact_returns_at(kp, p, m) for p in _PANEL):
             return GroupOrderResult(finite=True, order=2 * m)

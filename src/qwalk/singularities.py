@@ -240,8 +240,10 @@ _Q11_RULES = {
 }
 
 
-def _swap_label(label: str) -> str:
-    return {"z_X": "z_Y", "z_Y": "z_X"}.get(label, label)
+# the Q(0,1,z) column is the diagonal mirror of the Q(1,0,z) column
+_SWAP = {"z_X": "z_Y", "z_Y": "z_X"}
+_Q01_RULES = {(my, mx): _SWAP.get(rule, rule) if isinstance(rule, str)
+              else tuple(_SWAP.get(r, r) for r in rule) for (mx, my), rule in _Q10_RULES.items()}
 
 
 def _resolve(rule, cov: int, values: dict[str, float]) -> FirstSingularity:
@@ -274,13 +276,7 @@ def classify_first_singularities(s: StepSet) -> SingularityReport:
     }
     key = (_sign(d.m_x), _sign(d.m_y))
     fs10 = _resolve(_Q10_RULES[key], d.covariance, values)
-    # the Q(0,1,z) column is the diagonal mirror of the Q(1,0,z) column
-    mirror_rule = _Q10_RULES[(key[1], key[0])]
-    if isinstance(mirror_rule, str):
-        rule01 = _swap_label(mirror_rule)
-    else:
-        rule01 = tuple(_swap_label(r) if r != _SPLIT else r for r in mirror_rule)
-    fs01 = _resolve(rule01, d.covariance, values)
+    fs01 = _resolve(_Q01_RULES[key], d.covariance, values)
     fs11 = _resolve(_Q11_RULES[key], d.covariance, values)
     return SingularityReport(
         z_g=cp.z_g,

@@ -177,6 +177,22 @@ def test_classify_is_singularities_restricted(capsys):
         assert json.loads(classify) == {k: v for k, v in full.items() if k in keys}
 
 
+def test_singularities_schema(capsys):
+    # the payload is the SingularityReport as the library builds it, with
+    # alpha and beta under critical_point and the config echo added
+    code, out, _ = run(capsys, "singularities", "--preset", "simple")
+    data = json.loads(out)
+    assert code == 0 and set(data) == {
+        "config", "z_g", "z_g_resultant", "method_gap", "z_X", "z_Y", "inv_cardinality",
+        "critical_point", "drift_sign", "cov_sign", "fs_q10", "fs_q01", "fs_q11"}
+    assert data["config"] == {"preset": "simple", "steps": None}
+    assert set(data["critical_point"]) == {"alpha", "beta"}
+    assert data["drift_sign"] == ["0", "0"]
+    for key in ("fs_q10", "fs_q01", "fs_q11"):
+        assert set(data[key]) == {"label", "ties", "value"}
+        assert isinstance(data[key]["ties"], list), key
+
+
 def test_bvp_value(capsys):
     code, out, _ = run(capsys, "bvp", "--preset", "simple", "--z", "0.2", "--target", "q00")
     data = json.loads(out)
