@@ -24,7 +24,7 @@ s = preset("simple")
 z = 0.2
 
 print("cleared D(x, z) = z^2 d(x, z), x^k coefficient as (z^0, z^1, z^2) integers:",
-      cleared_disc_int(s))
+      list(cleared_disc_int(s)))
 bp = branch_points(s, z)
 print("x-plane branch points:", [complex(round(r.real, 6)) for r in bp.x_roots])
 print("ordering asserted:", bp.ordering_asserted)

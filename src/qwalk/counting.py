@@ -30,19 +30,20 @@ the previous layer's axis sections by the kernel relation at (1, 1), before
 the layer is built; every cell is at most T_n, so when T_n outgrows the
 digits the rolling layer is re-packed in place to a width that holds the
 next _LOOKAHEAD layers.  Before it allocates anything, count() estimates its
-peak memory and raises ResourceLimit above _MAX_BYTES.  A kept layer is
-unpacked into lists in one pass over the bytes of all its rows, then spread
-back to one cell per i.
+peak memory and raises ResourceLimit above _MAX_BYTES.  A layer n <= dense_max
+is kept as the DP left it, its rows and their digit width; as for every other
+layer, only row 0 and column 0 are decoded when it is recorded.  layer() and
+q() decode the kept rows on read.
 
-check_functional_equation() packs whole rows, one digit per i, back from the
-table's lists, at a width W of its own: every coefficient of either side is a sum of
-at most |S| + 7 cells it reads, so with M a bound on every |cell| read, W is the
-least multiple of 8 with (|S| + 7) * M < 2^(W-1).  M is 2^64 - 1 when the
-cells read all convert to one array("Q"), which the packing then reuses, and
-otherwise the largest |cell|, each row then packed as the sum of its shifted
-cells.  The digits of a side are
-then balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a
-side that differs is decoded digit by digit to find the first mismatch.
+check_functional_equation() re-spaces the kept rows' bytes from the DP width to
+a width W of its own, spreading a row's coset digits to one digit per i: every
+coefficient of either side is a sum of at most |S| + 7 cells it reads, so with
+M a bound on every |cell| read, W is the least multiple of 8 with
+(|S| + 7) * M < 2^(W-1).  A kept digit lies in [0, 2^B), B the widest DP
+width, and M is the larger of 2^B - 1 and the largest |cell| of the axis
+sections and q00 read, found by a scan.  The digits of a side are then
+balanced (in (-2^(W-1), 2^(W-1))), equal ints mean equal grids, and a side
+that differs is decoded digit by digit to find the first mismatch.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import groupby, repeat
 from typing import Literal
 
 from .errors import OutOfRange, ResourceLimit
@@ -101,9 +102,9 @@ def _peak_bytes(card: int, n_max: int, dense_max: int, p: int, q: int, u: int) -
     - The axis sections: a list slot for every cell and an int for each on
       the coset, one in p of row 0 and one in q*p/gcd(u, p) of column 0;
       q(0,0,n) and the layer total.
-    - The dense layers up to dense_max: a slot for every cell and an int
-      for each on the coset, and the copies made while the last one is
-      unpacked.
+    - The dense layers up to dense_max, kept as the DP left them: per layer
+      m a list of m+1 slots and a tuple, and an int for each of the at most
+      (m+q)/q rows on the coset, of at most m/p + 1 digits.
 
     The bits of a digit and of an axis cell are bounded by those of the
     largest cell |S|^n could be, so the estimate is an upper bound."""
@@ -111,19 +112,19 @@ def _peak_bytes(card: int, n_max: int, dense_max: int, p: int, q: int, u: int) -
     n, d = n_max, dense_max
     # an int below |S|^m: 28 bytes and 4 per 30 bits, int_a + int_b * m
     int_a, int_b = 32.0, 4 * lg / 30
+    digit = n * lg + 8
     cells = max((d + 1) ** 2, (n + 3) ** 2 / 3) / (p * q)
-    layers = 2 * (cells * (n * lg + 8) / 8 + (8 + int_a) * (n + 2))
+    layers = 2 * (cells * digit / 8 + (8 + int_a) * (n + 2))
     # per layer m: slots 8 (2m + 3); on-coset ints (m/p + m/col + 4) (int_a + int_b m)
     on_axes = 1 / p + math.gcd(u, p) / (p * q)
     s0, s1, s2 = n + 1, n * (n + 1) / 2, n * (n + 1) * (2 * n + 1) / 6
     axes = ((24 + 4 * int_a) * s0 + (16 + on_axes * int_a + 4 * int_b) * s1
             + on_axes * int_b * s2)
-    # per dense layer m: m+1 row lists, (m+1)^2 slots and (m+1)^2 / (p*q) ints
-    # of int_a + int_b m; unpacking the last one holds about two more copies
-    t1, t2 = (d + 1) * (d + 2) / 2, (d + 1) * (d + 2) * (2 * d + 3) / 6
-    t3 = t1 * t1 - t2  # sums of m+1, (m+1)^2 and (m+1)^2 m
-    last = (d + 1) ** 2 * (8 + (int_a + int_b * d) / (p * q))
-    dense = 64 * t1 + 8 * t2 + (int_a * t2 + int_b * t3) / (p * q) + 2 * last
+    # per dense layer m: 120 + 8 (m+1) for the list and the tuple, and
+    # (m+q)/q * (m/p + 1) = m^2/(pq) + m/q + m/p + 1 digits in (m+q)/q ints
+    t0, t1, t2 = d + 1, d * (d + 1) / 2, d * (d + 1) * (2 * d + 1) / 6
+    dense = (128 * t0 + 8 * t1 + int_a * (t1 / q + t0)
+             + 4 * digit / 30 * (t2 / (p * q) + t1 / q + t1 / p + t0))
     return int(layers + axes + dense)
 
 
@@ -134,6 +135,8 @@ def _respace(buf: bytes, nb: int, new_nb: int) -> bytes | bytearray:
     (a Python step per column); few wide ones as one struct of byte strings,
     which pads or truncates each (an object per digit).  Measured, the two
     cost the same at 4 to 20 digits per column, the wider the digits the later."""
+    if nb == new_nb:
+        return buf
     count = len(buf) // nb
     if count > 16 * min(nb, new_nb):
         out = bytearray(count * new_nb)
@@ -235,35 +238,16 @@ def _unpack_rows(rows: list[int], bits: int, count: int) -> list[list[int]]:
     return [flat[k : k + count] for k in range(0, cells, count)]
 
 
-def _u64_cells(rows: list[list[int]]) -> array | None:
-    """Every cell of rows, in order, as one array("Q"); None when a cell lies
-    outside [0, 2**64) or the array's items are not the digits' bytes."""
-    if not _NATIVE_Q:
-        return None
-    try:
-        return array("Q", chain.from_iterable(rows))
-    except OverflowError:
-        return None
-
-
-def _pack_cells(cells: array, lengths: list[int], bits: int) -> list[int]:
-    """The rows of the given lengths that the array("Q") cells begin with,
-    each packed as the one int sum_i cell_i * 2**(bits*i), the inverse of
-    _unpack_rows; cells past the last row are unread."""
-    nb = bits // 8
-    buf = _respace(cells.tobytes(), 8, nb)
-    ends = list(accumulate(nb * n for n in lengths))
-    return [int.from_bytes(buf[a:b], "little") for a, b in zip([0, *ends], ends)]
-
-
 @dataclass
 class CountTable:
     """Exact counts for one step set up to length n_max.
 
     Per layer n the table keeps q(0,0,n), the axis sections q(i,0,n) and
     q(0,j,n), and the layer total (from the kernel relation, not from a sum
-    over the layer); full dense layers are retained for n <= dense_max (the
-    DP itself is a two-layer rolling grid of packed rows).
+    over the layer).  The layers n <= dense_max are kept as the DP left them
+    (the DP itself is a two-layer rolling grid of packed rows): the row ints,
+    each holding its coset's cells as digits, and the digit width.  layer(n)
+    and q(i, j, n) decode them on read.
     """
 
     steps: StepSet
@@ -273,7 +257,39 @@ class CountTable:
     row0: list[list[int]] = field(default_factory=list)  # q(i,0,n), i = 0..n
     col0: list[list[int]] = field(default_factory=list)  # q(0,j,n), j = 0..n
     totals: list[int] = field(default_factory=list)
-    _dense: list[list[list[int]]] = field(default_factory=list)  # [n][j][i]
+    _dense: list[tuple[list[int], int]] = field(default_factory=list)  # [n] = (rows, bits)
+    _lattice: tuple[int, int, int, int, int] = (1, 1, 0, 0, 0)  # _coset's (p, q, u), steps[0]
+
+    def _residue(self, n: int, j: int) -> int:
+        """x mod p of the walks of length n that end in row j, for j on the
+        coset: digit k of that packed row is cell _residue(n, j) + p*k."""
+        p, q, u, a0, b0 = self._lattice
+        return (n * a0 + (j - n * b0) // q * u) % p
+
+    def _spread(self, ns: range, bits: int) -> list[list[int]]:
+        """The rows of the dense layers ns re-packed one digit per i, each
+        digit `bits` wide (at least the layers' own width).  A row's digits
+        are re-spaced to p digits of the new width, then shifted by its
+        residue; the rows of all the layers of one width go through one
+        to_bytes() join and one _respace, each at the digit count of the last."""
+        p, q, _, _, b0 = self._lattice
+        out = []
+        for own, group in groupby(ns, lambda n: self._dense[n][1]):
+            group = list(group)
+            nb, wide, count = own // 8, bits // 8 * p, group[-1] // p + 1  # cells r + p*k <= n
+            rows = [r for n in group for r in self._dense[n][0]]
+            buf = _respace(b"".join([r.to_bytes(nb * count, "little") for r in rows]), nb, wide)
+            size = wide * count
+            flat = iter([int.from_bytes(buf[a : a + size], "little")
+                         for a in range(0, size * len(rows), size)])
+            for n in group:
+                layer = [next(flat) for _ in range(n + 1)]
+                if p > 1:  # the rows on the coset are start + p*q*m, one residue per start
+                    for start in range(n * b0 % q, p * q, q):
+                        shift = bits * self._residue(n, start)
+                        layer[start::p * q] = [r << shift for r in layer[start::p * q]]
+                out.append(layer)
+        return out
 
     def q(self, i: int, j: int, n: int) -> int:
         """q(i, j, n); requires n <= dense_max unless (i, j) is on an axis."""
@@ -286,8 +302,9 @@ class CountTable:
         if i == 0:
             return self.col0[n][j]
         if n <= self.dense_max:
-            layer = self._dense[n]
-            return layer[j][i] if j < len(layer) and i < len(layer[j]) else 0
+            rows, bits = self._dense[n]
+            k, off = divmod(i - self._residue(n, j), self._lattice[0])
+            return 0 if off or k < 0 else rows[j] >> bits * k & (1 << bits) - 1
         raise ResourceLimit(
             f"interior cell ({i},{j},{n}) beyond dense_max={self.dense_max}; "
             "recount with a larger dense_max"
@@ -299,7 +316,8 @@ class CountTable:
             raise OutOfRange(f"layer {n} not computed (n_max={self.n_max})")
         if n > self.dense_max:
             raise ResourceLimit(f"layer {n} beyond dense_max={self.dense_max}")
-        return [row[:] for row in self._dense[n]]
+        bits = self._dense[n][1]
+        return _unpack_rows(self._spread(range(n, n + 1), bits)[0], bits, n + 1)
 
 
 def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
@@ -317,9 +335,12 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     exceeds T_n, so the digits are widened, when T_n no longer fits, to hold
     the next _LOOKAHEAD layers.  A row packs only its coset's cells, and past
     dense_max each row j > n_max - n only its cells i <= n_max - n, the ones
-    that can still reach column 0 by n_max (see the module docstring).
-    Raises OutOfRange for a negative n_max or dense_max, and ResourceLimit,
-    before allocating, when the estimated peak memory exceeds _MAX_BYTES.
+    that can still reach column 0 by n_max (see the module docstring).  Each
+    layer has its row 0 and column 0 decoded into the axis sections; the
+    layers n <= dense_max are kept as their packed rows, which layer() and
+    q() decode on read.  Raises OutOfRange for a negative n_max or
+    dense_max, and ResourceLimit, before allocating, when the estimated peak
+    memory exceeds _MAX_BYTES.
     """
     if n_max < 0:
         raise OutOfRange(f"n_max must be >= 0, got {n_max}")
@@ -344,31 +365,25 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
     stride = p * q
     moves = _moves(steps, p)
 
-    def residue(n: int, j: int) -> int:
-        # x mod p of the walks of length n that end in row j, for j on the coset
-        return (n * a0 + (j - n * b0) // q * u) % p
+    table = CountTable(steps=s, n_max=n_max, dense_max=dense_max, _lattice=(p, q, u, a0, b0))
+    residue = table._residue
 
     # The rows of layer n on the coset are start + stride*m, one residue per
     # start; the pattern repeats with period p*q in n.
     cosets = [[(j, residue(n, j)) for j in range(n * b0 % q, stride, q)] for n in range(stride)]
 
-    table = CountTable(steps=s, n_max=n_max, dense_max=dense_max)
-
     def record(n: int, rows: list[int], bits: int, total: int) -> None:
         mask = (1 << bits) - 1
-        cells = _unpack_rows(rows if n <= dense_max else rows[:1], bits, n // p + 1)
+        row0 = _unpack_rows(rows[:1], bits, n // p + 1)[0]
         if p > 1:
-            # digit k of a row of residue r is cell r + p*k; rows off the
-            # coset are 0, whatever residue they are given
-            for start in range(min(stride, len(cells))):
-                r = residue(n, start)
-                for j in range(start, len(cells), stride):
-                    full = [0] * (p * len(cells[j]))
-                    full[r::p] = cells[j]
-                    del full[n + 1:]
-                    cells[j] = full
-        table.q00.append(cells[0][0])
-        table.row0.append(cells[0][:])  # a list of its own, apart from _dense[n][0]
+            # digit k of a row of residue r is cell r + p*k; a row off the
+            # coset is 0, whatever residue it is given
+            full = [0] * (p * len(row0))
+            full[residue(n, 0)::p] = row0
+            del full[n + 1:]
+            row0 = full
+        table.q00.append(row0[0])
+        table.row0.append(row0)
         col0 = [r & mask for r in rows]
         for start, res in cosets[n % stride]:
             if res:  # digit 0 of the row is cell res, not cell 0
@@ -376,7 +391,8 @@ def count(s: StepSet, n_max: int, dense_max: int | None = None) -> CountTable:
         table.col0.append(col0)
         table.totals.append(total)
         if n <= dense_max:
-            table._dense.append(cells)
+            # a list of its own: _widen re-packs the rolling rows in place
+            table._dense.append((rows[:], bits))
 
     bits = _digit_bits(card ** min(_LOOKAHEAD, n_max))
     rows: list[int] = [1]  # layer 0: q(0,0,0) = 1
@@ -466,35 +482,29 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
     Each side of degree n is a grid of rows indexed [j][i] that holds the
     coefficient of x^i y^j above (the factor xy makes every exponent >= 0).
     Row j is held as one int, the coefficient of x^i at bit W*i: it is built
-    by one shift and add per (row, step) from the table's rows, packed once
-    each.  With M a bound on every |value| read from the table, every
-    coefficient is below (|S| + 7) * M < 2^(W-1) in absolute value, so the
-    two sides agree exactly when their ints do.  M is 2^64 - 1 when every
-    value read converts to one array("Q"), which the packing then reuses
-    (W = 72 for any step set), else the largest |value|, found by a scan, and
-    each row is packed as the sum of its shifted cells.
-    When they differ at degree n, the rows of that degree are decoded as
-    balanced digits (each in (-2^(W-1), 2^(W-1))) back into grids.  first_mismatch is (n, i, j, lhs, rhs) at the least n,
-    and within it the least (i, j) in lexicographic order, where the two
-    coefficients differ.
+    by one shift and add per (row, step) from the table's packed rows, each
+    re-spaced once from the DP's digit width to W, one digit per i (the row
+    section is packed from its lists).  With M a bound on every |value| read
+    from the table, every coefficient is below (|S| + 7) * M < 2^(W-1) in
+    absolute value, so the two sides agree exactly when their ints do.  M is
+    the larger of 2^B - 1, B the widest digit width of the dense layers,
+    and the largest |value| of the axis sections and q00 read, found by a
+    scan.  When they differ at degree n, the rows of that degree are decoded
+    as balanced digits (each in (-2^(W-1), 2^(W-1))) back into grids.
+    first_mismatch is (n, i, j, lhs, rhs) at the least n, and within it the
+    least (i, j) in lexicographic order, where the two coefficients differ.
     """
     if n_degree < 1:
         raise OutOfRange(f"n_degree must be >= 1, got {n_degree}")
     table = count(s, n_degree, dense_max=n_degree)
     kp = kernel_polys(s)
-    layers = table._dense[: n_degree + 1]
-    rows = [*chain.from_iterable(layers), *table.row0[:n_degree]]
-    read = [*rows, *table.col0[:n_degree], table.q00[:n_degree]]
-    cells = _u64_cells(read)
-    if cells is None:
-        top = max(max(map(max, read)), -min(map(min, read)), 1)
-        bits = _digit_bits(2 * (len(s) + 7) * top)
-        packed = iter([sum(v << bits * i for i, v in enumerate(r)) for r in rows])
-    else:
-        bits = _digit_bits(2 * (len(s) + 7) * ((1 << 64) - 1))
-        packed = iter(_pack_cells(cells, [len(r) for r in rows], bits))
-    dense = [[next(packed) for _ in layer] for layer in layers]
-    row0 = list(packed)
+    row0, col0, q00 = table.row0[:n_degree], table.col0[:n_degree], table.q00[:n_degree]
+    axes = [*row0, *col0, q00]
+    # dense digits lie in [0, 2^bits) at the widest DP width, the axis cells anywhere
+    top = max((1 << table._dense[n_degree][1]) - 1, max(map(max, axes)), -min(map(min, axes)))
+    bits = _digit_bits(2 * (len(s) + 7) * top)
+    dense = table._spread(range(n_degree + 1), bits)
+    row0 = [sum(v << bits * i for i, v in enumerate(r) if v) for r in row0]
     half = 1 << (bits - 1)
 
     def grid(packed: list[int]) -> list[list[int]]:
@@ -517,9 +527,9 @@ def check_functional_equation(s: StepSet, n_degree: int) -> FunctionalEquationRe
                 if kp.c[k]:
                     rhs[0] += row0[n - 1] << bits * k
                 if kp.c_t[k]:
-                    for j, v in enumerate(table.col0[n - 1], k):
+                    for j, v in enumerate(col0[n - 1], k):
                         rhs[j] += v
-            rhs[0] -= kp.c[0] * table.q00[n - 1]
+            rhs[0] -= kp.c[0] * q00[n - 1]
         else:
             rhs[1] = -1 << bits
         for j, r in enumerate(dense[n], 1):

@@ -24,6 +24,7 @@ only through curve_preimage.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -61,7 +62,8 @@ def kernel_eval(s: StepSet, x: complex, y: complex, z: float) -> complex:
     )
 
 
-def cleared_disc_int(s: StepSet) -> list[tuple[int, int, int]]:
+@functools.cache  # at most 255 step sets, each called for many z
+def cleared_disc_int(s: StepSet) -> tuple[tuple[int, int, int], ...]:
     """Integer form of the z^2-cleared x-discriminant
     D = (z b(x) - x)^2 - 4 z^2 a c = x^2 - 2 z x b(x) + z^2 (b^2 - 4 a c).
 
@@ -73,7 +75,7 @@ def cleared_disc_int(s: StepSet) -> list[tuple[int, int, int]]:
     kp = kernel_polys(s)
     per_z = ([0, 0, 1], rp.mul([0, -2], kp.b),
              rp.sub(rp.mul(kp.b, kp.b), rp.mul([4], rp.mul(kp.a, kp.c))))
-    return [tuple(p[k] if k < len(p) else 0 for p in per_z) for k in range(5)]
+    return tuple(tuple(p[k] if k < len(p) else 0 for p in per_z) for k in range(5))
 
 
 def _cleared_disc_at(coeffs_int, z: float) -> list[float]:
@@ -121,7 +123,7 @@ class BranchPoints:
     ordering_asserted: bool
 
 
-def disc_roots(s: StepSet, z: float) -> tuple[list[tuple[int, int, int]], list[complex]]:
+def disc_roots(s: StepSet, z: float) -> tuple[tuple[tuple[int, int, int], ...], list[complex]]:
     """The cleared x-discriminant's triples (cleared_disc_int) and its finite
     roots at z (_ratpoly.roots, one Newton polish), with imaginary parts at
     roundoff level set to exactly 0.  Where the discriminant vanishes

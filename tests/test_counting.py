@@ -2,9 +2,8 @@ import math
 import random
 import time
 import tracemalloc
-from array import array
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import pytest
 
@@ -78,6 +77,29 @@ def test_packed_matches_naive_dp():
             assert t.row0[m] == axes.row0[m] == grid[0], (s, m)
             assert t.col0[m] == axes.col0[m] == [row[0] for row in grid], (s, m)
             assert t.totals[m] == sum(map(sum, ref[m]))
+
+
+def test_packed_layers_decode_to_the_naive_dp():
+    # layer() and q() decode the kept rows on read: a set with q = 2, whose
+    # rows off the coset are 0 (and whose residue moves with the row, u = 1),
+    # Kreweras (p = 3) and the two sets with p = 4, interior cells included
+    sets = [steps.parse_step_set([(-1, -1), (0, 1), (1, -1)]), KREWERAS,
+            *(s for s in steps.all_step_sets() if counting._coset(s.sorted_steps())[0] == 4)]
+    assert [counting._coset(s.sorted_steps())[:2] for s in sets] == [(2, 2), (3, 1), (4, 1),
+                                                                      (4, 1)]
+    n = 18
+    for s in sets:
+        t = counting.count(s, n, dense_max=n)
+        ref = naive_count(s, n)
+        interior = 0
+        for m in range(n + 1):
+            grid = [row[: m + 1] for row in ref[m][: m + 1]]
+            assert t.layer(m) == grid, (s, m)
+            for j in range(m + 1):
+                for i in range(m + 1):
+                    assert t.q(i, j, m) == grid[j][i], (s, i, j, m)
+                    interior += i > 0 and j > 0 and grid[j][i] > 0
+        assert interior > 100, s
 
 
 def lattice_search(s, radius=8):
@@ -207,7 +229,9 @@ def test_widening_schedule_does_not_change_counts(widenings):
         assert short.row0 == long.row0[:41]
         assert short.col0 == long.col0[:41]
         assert short.totals == long.totals[:41]
-        assert long._dense == counting.count(s, 40, dense_max=40)._dense
+        # the kept rows are packed at each run's own widths; their cells agree
+        dense = counting.count(s, 40, dense_max=40)
+        assert [long.layer(m) for m in range(41)] == [dense.layer(m) for m in range(41)], s
 
 
 def test_widened_layers_match_naive_dp(widenings):
@@ -230,7 +254,9 @@ def test_dense_max_does_not_change_the_axes():
         for t in (cut, part):
             assert (t.q00, t.row0, t.col0, t.totals) == (
                 whole.q00, whole.row0, whole.col0, whole.totals), s
-        assert part._dense == whole._dense[:10] == counting.count(s, 9, dense_max=9)._dense, s
+        nine = counting.count(s, 9, dense_max=9)
+        assert ([part.layer(m) for m in range(10)] == [whole.layer(m) for m in range(10)]
+                == [nine.layer(m) for m in range(10)]), s
 
 
 @pytest.fixture
@@ -326,6 +352,42 @@ def test_singular_walks_drop_the_q00_term():
             assert report.holds and not report.has_q00_term
 
 
+def coset_cells(table, n):
+    """The cells (i, j) of dense layer n that its packed rows hold a digit
+    for: the rows on the coset, and in each the cells of its residue."""
+    p, q, _, _, b0 = table._lattice
+    return [(i, j) for j in range(n * b0 % q, n + 1, q)
+            for i in range(table._residue(n, j), n + 1, p)]
+
+
+def digit(table, n, j, i):
+    """Cell (i, j) of dense layer n as its packed row holds it."""
+    rows, bits = table._dense[n]
+    return rows[j] >> bits * ((i - table._residue(n, j)) // table._lattice[0]) & (1 << bits) - 1
+
+
+def set_digit(table, n, j, i, value):
+    """Write cell (i, j) of dense layer n into its packed row, as a digit in
+    [0, 2^bits); the axis sections are lists of their own and keep theirs."""
+    rows, bits = table._dense[n]
+    assert (i, j) in coset_cells(table, n) and 0 <= value < 1 << bits, (n, j, i, value)
+    shift = bits * ((i - table._residue(n, j)) // table._lattice[0])
+    rows[j] += value - digit(table, n, j, i) << shift
+
+
+def corrupt(table, part, where, delta):
+    """Add delta to a cell: a coset digit of a dense layer, where[n][j][i],
+    or an axis cell, a list entry."""
+    if part == "_dense":
+        set_digit(table, *where, digit(table, *where) + delta)
+        return
+    *path, last = where
+    cells = getattr(table, part)
+    for k in path:
+        cells = cells[k]
+    cells[last] += delta
+
+
 @pytest.mark.parametrize(
     "name,part,where,delta,mismatch",
     [
@@ -344,11 +406,7 @@ def test_functional_equation_detects_a_corrupted_cell(monkeypatch, name, part, w
                                                       mismatch):
     s = steps.preset(name)
     table = counting.count(s, 10, dense_max=10)
-    *path, last = where
-    cells = getattr(table, part)
-    for k in path:
-        cells = cells[k]
-    cells[last] += delta
+    corrupt(table, part, where, delta)
     monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
     report = counting.check_functional_equation(s, 10)
     assert report.holds is (mismatch is None)
@@ -364,7 +422,7 @@ def grid_check(s, table, n_degree):
         lhs = [[0] * size for _ in range(size)]
         rhs = [[0] * size for _ in range(size)]
         if n >= 1:
-            for j, row in enumerate(table._dense[n - 1]):
+            for j, row in enumerate(table.layer(n - 1)):
                 for i, v in enumerate(row):
                     for p, q in s.steps:
                         lhs[j + q + 1][i + p + 1] += v
@@ -378,7 +436,7 @@ def grid_check(s, table, n_degree):
             rhs[0][0] -= d11 * table.q00[n - 1]
         else:
             rhs[1][1] = -1
-        for j, row in enumerate(table._dense[n]):
+        for j, row in enumerate(table.layer(n)):
             for i, v in enumerate(row):
                 lhs[j + 1][i + 1] -= v
         if lhs != rhs:
@@ -395,8 +453,10 @@ def test_functional_equation_matches_grid_check_on_every_step_set():
 
 
 def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
-    # huge deltas push one cell far past the layer total, so a packing width
-    # taken from the totals instead of the cells read would alias coefficients
+    # a dense cell is a digit of the DP's width and stays one; the axis cells
+    # are lists, and huge or negative values there push a coefficient far
+    # past the layer total, so a packing width taken from the dense digits
+    # alone would alias coefficients
     rng = random.Random(29)
     sets = list(steps.all_step_sets())
     real_count = counting.count
@@ -406,13 +466,17 @@ def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
         table = real_count(s, 10, dense_max=10)
         part = rng.choice(("_dense", "row0", "col0", "q00"))
         n = rng.randint(0, 10)
-        where = {"_dense": (n, rng.randint(0, n), rng.randint(0, n)),
-                 "row0": (n, rng.randint(0, n)), "col0": (n, rng.randint(0, n)), "q00": (n,)}[part]
-        *path, last = where
-        cells = getattr(table, part)
-        for k in path:
-            cells = cells[k]
-        cells[last] += rng.choice((1, -1, -1000, 2**100, -2**90))
+        if part == "_dense":
+            i, j = rng.choice(coset_cells(table, n))
+            top = (1 << table._dense[n][1]) - 1
+            old = digit(table, n, j, i)
+            set_digit(table, n, j, i, rng.choice((min(old + 1, top), max(old - 1, 0), 0, top,
+                                                  rng.randint(0, top))))
+            where = (n, j, i)
+        else:
+            where = {"row0": (n, rng.randint(0, n)), "col0": (n, rng.randint(0, n)),
+                     "q00": (n,)}[part]
+            corrupt(table, part, where, rng.choice((1, -1, -1000, 2**100, -2**100)))
         monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
         report = counting.check_functional_equation(s, 10)
         assert report == grid_check(s, table, 10), (s, part, where)
@@ -420,19 +484,28 @@ def test_functional_equation_matches_grid_check_on_corrupted_cells(monkeypatch):
     assert 0 < detected < 300
     # a cell at the top of a whole number of bytes: without the headroom for
     # the |S| + 7 cells summed into one coefficient, the width leaves none
-    for value in (2**64 - 1, -(2**72 - 1)):
-        table = real_count(SIMPLE, 10, dense_max=10)
-        table._dense[5][2][3] = value
-        monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
-        report = counting.check_functional_equation(SIMPLE, 10)
-        assert report == grid_check(SIMPLE, table, 10) and not report.holds, value
+    # (only a set with the step (-1, -1), here Gessel's, reads q00)
+    for s, part, where in ((SIMPLE, "row0", (5, 3)), (SIMPLE, "col0", (5, 2)),
+                           (GESSEL, "q00", (4,))):
+        for value in (2**64 - 1, -(2**72 - 1)):
+            table = real_count(s, 10, dense_max=10)
+            corrupt(table, part, where, value)
+            monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
+            report = counting.check_functional_equation(s, 10)
+            assert report == grid_check(s, table, 10) and not report.holds, (part, value)
+    # and a dense digit at the top of the DP's width
+    table = real_count(SIMPLE, 10, dense_max=10)
+    set_digit(table, 5, 2, 3, (1 << table._dense[5][1]) - 1)
+    monkeypatch.setattr(counting, "count", lambda *args, **kwargs: table)
+    report = counting.check_functional_equation(SIMPLE, 10)
+    assert report == grid_check(SIMPLE, table, 10) and not report.holds
 
 
-def test_functional_equation_width_with_and_without_the_uint64_cells(monkeypatch):
-    # the king walk's cells pass 2^64 at degree 25, where the width comes
-    # from a scan of the cells; up to 24 they convert to one array("Q") and
-    # the width is fixed by 2^64 - 1; with no such array it is scanned again
-    for degree, native in ((24, True), (24, False), (25, True)):
+def test_functional_equation_matches_grid_check_past_64_bit_digits(monkeypatch):
+    # the king walk's digits pass 64 bits from degree 24 on (80-bit digits);
+    # _NATIVE_Q off reads digits of at most 8 bytes one by one, as a
+    # big-endian machine does, which the 64-bit digits of degree 20 use
+    for degree, native in ((24, True), (25, True), (26, True), (24, False), (20, False)):
         monkeypatch.setattr(counting, "_NATIVE_Q", native and counting._NATIVE_Q)
         table = counting.count(KING, degree, dense_max=degree)
         report = counting.check_functional_equation(KING, degree)
@@ -463,23 +536,16 @@ def test_unpack_rows_matches_per_cell_reference(monkeypatch):
             ]
             assert reference == digit_rows
             assert counting._unpack_rows(rows, bits, count) == reference, (native, nb)
-            if nb <= 8:  # cells that one array("Q") holds
-                cells = array("Q", chain.from_iterable(digit_rows))
-                assert counting._pack_cells(cells, [count] * len(rows), bits) == rows, nb
             for extra in range(1, 10):
                 new_bits = bits + 8 * extra
                 wide = rows[:]
                 counting._widen(wide, bits, new_bits)
                 assert wide == [sum(v << new_bits * i for i, v in enumerate(r))
                                 for r in digit_rows], (native, nb, extra)
-        # rows of different lengths, packed as their per-cell sums; the cells
-        # past the rows asked for are left unread
+        # rows of different lengths, packed as their per-cell sums
         ragged = [[1, 2, 3], [], [5], [2**64 - 1, 0, 7]]
-        cells = array("Q", chain.from_iterable(ragged))
         for bits in (64, 72):
             packed = [sum(v << bits * i for i, v in enumerate(r)) for r in ragged]
-            assert counting._pack_cells(cells, [len(r) for r in ragged], bits) == packed
-            assert counting._pack_cells(cells, [3, 0], bits) == packed[:2]
             assert counting._unpack_rows(packed, bits, 3) == [r + [0] * (3 - len(r))
                                                                for r in ragged]
         big = [[2**64, 1], [3, 2**100 - 1]]

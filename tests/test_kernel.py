@@ -111,8 +111,8 @@ def test_kernel_eval_two_quadratic_forms_agree():
 def test_discriminant_simple_walk_value():
     # d(x, z) = (1 + x^2 - x/z)^2 - 4x^2; at x=1, z=0.2: (2-5)^2 - 4 = 5,
     # and D = (z + z x^2 - x)^2 - 4 z^2 x^2 has these integer triples
-    assert kernel.cleared_disc_int(SIMPLE) == [
-        (0, 0, 1), (0, -2, 0), (1, 0, -2), (0, -2, 0), (0, 0, 1)]
+    assert kernel.cleared_disc_int(SIMPLE) == (
+        (0, 0, 1), (0, -2, 0), (1, 0, -2), (0, -2, 0), (0, 0, 1))
     assert literal_disc(SIMPLE, 1.0, 0.2) == pytest.approx(5.0)
     assert cleared_disc(SIMPLE, 1.0, 0.2) == pytest.approx(0.2 * 0.2 * 5.0)
 

@@ -102,10 +102,11 @@ def test_a_trace_is_the_only_handle_on_its_model_and_z():
     assert found == []
 
 
-def test_kernel_polys_is_the_only_cache_across_calls():
+def test_only_caches_keyed_by_the_step_set_persist_across_calls():
     # per-curve work is kept on its CurveTrace and dies with it; a functools
     # cache keyed by z would serve repeated inputs instead of doing the work.
-    # kernel_polys, keyed by the step set alone, is the one exception
+    # kernel_polys and cleared_disc_int, keyed by the step set alone (at most
+    # 255 entries each), are the exceptions
     caching = {"cache", "lru_cache", "cached_property"}
     decorated, uses = [], 0
     for p in sorted(PACKAGE.glob("*.py")):
@@ -117,7 +118,7 @@ def test_kernel_polys_is_the_only_cache_across_calls():
                    {node.attr} if isinstance(node, ast.Attribute) else
                    {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
             uses += len(caching & own)
-    assert decorated == ["steps.kernel_polys"] and uses == 1
+    assert decorated == ["kernel.cleared_disc_int", "steps.kernel_polys"] and uses == 2
 
 
 def test_every_name_the_demos_import_exists():

@@ -432,6 +432,109 @@ def test_sandwich_property():
             assert inv - 1e-10 <= v <= zg + 1e-10, s
 
 
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _sign_surd(a, b, m):
+    """The sign of a + b sqrt(m), m >= 0, in integers."""
+    if (a >= 0) == (b >= 0) or not (a and b and m):
+        return _sign(a) if a else _sign(b) * (m > 0)
+    return _sign(a) * _sign(a * a - b * b * m)  # opposite signs: compare squares
+
+
+def _cmp_points(x1, x2):
+    """The sign of x1 - x2 for points x = 1/(b + c sqrt(m)), b + c sqrt(m) > 0,
+    given as (b, c, m): the sign of D2 - D1 = a + c2 sqrt(m2) - c1 sqrt(m1)."""
+    (b1, c1, m1), (b2, c2, m2) = x1, x2
+    a, b, m = b2 - b1, c2, m2
+    su, sw = _sign_surd(a, b, m), -_sign_surd(0, c1, m1)
+    if su == sw or not sw:
+        return su
+    if not su:
+        return sw
+    # u + w with u, w of opposite signs: sign(u) sign(u^2 - w^2)
+    return su * _sign_surd(a * a + b * b * m - c1 * c1 * m1, 2 * a * b, m)
+
+
+def _sign_at(p, x):
+    """The sign of p(x) at x = 1/D, D = b + c sqrt(m) > 0: that of
+    D^deg p(1/D) = sum p_i D^(deg - i), by Horner in Z[sqrt(m)]."""
+    b, c, m = x
+    u = v = 0  # u + v sqrt(m)
+    for coeff in p:
+        u, v = u * b + v * c * m + coeff, u * c + v * b
+    return _sign_surd(u, v, m)
+
+
+def _cmp_z_g(chain, sf, x):
+    """The sign of z_g - x, z_g the smallest positive root of the square-free
+    sf with sf(0) != 0 and Sturm chain `chain`: the chain's sign changes at
+    0 less those at x count the roots in (0, x]."""
+    def changes(signs):
+        signs = [v for v in signs if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    below = changes([_sign(q[0]) for q in chain]) - changes([_sign_at(q, x) for q in chain])
+    if not below:
+        return 1
+    return 0 if below == 1 and not _sign_at(sf, x) else -1
+
+
+def test_sandwich_and_ties_hold_exactly_on_every_genuine_set():
+    # 1/|S| <= z_X, z_Y <= z_g and every tie the table reports, decided in
+    # integers (about 0.1 s): 1/|S| and z_Y = 1/(b(1) + 2 sqrt(a(1) c(1)))
+    # are points 1/(b + c sqrt(m)), z_X likewise from the mirrored set, and
+    # z_g is the smallest positive root of the resultant R, placed against a
+    # point by Sturm counts of R's square-free part at it
+    labels = ("1/|S|", "z_X", "z_Y", "z_g")
+    tally = {}
+    for s in genuine_models():
+        sf = rp.square_free(sg._resultant_in_z(s))
+        while not sf[0]:
+            sf = sf[1:]  # a root at 0 is not positive
+        chain = rp.sturm_chain(sf)
+        points = {"1/|S|": (len(s), 0, 0)}
+        for label, plane in (("z_Y", s), ("z_X", s.mirrored())):
+            kp = steps.kernel_polys(plane)
+            points[label] = (sum(kp.b), 2, sum(kp.a) * sum(kp.c))
+
+        def cmp(u, v):
+            if v == "z_g":
+                return -cmp(v, u)
+            if u == "z_g":
+                return 0 if v == "z_g" else _cmp_z_g(chain, sf, points[v])
+            return _cmp_points(points[u], points[v])
+
+        for v in ("z_X", "z_Y"):
+            assert cmp("1/|S|", v) <= 0 and cmp(v, "z_g") <= 0, (s, v)
+        rep = sg.classify_first_singularities(s)
+        for fs in (rep.fs_q10, rep.fs_q01, rep.fs_q11):
+            for tie in fs.ties:
+                assert cmp(fs.label, tie) == 0, (s, fs)
+        equal = tuple((u, v) for k, u in enumerate(labels) for v in labels[k + 1:]
+                      if not cmp(u, v))
+        d = steps.drift(s)
+        zeros = (d.m_x == 0) + (d.m_y == 0)
+        key = zeros, zeros == 1 and d.covariance == 0, equal
+        tally[key] = tally.get(key, 0) + 1
+    # ROADMAP item 16's tally: all four are equal on the 19 zero-drift sets;
+    # with one zero drift component, one of z_X, z_Y equals 1/|S| on 64 sets,
+    # and the other equals z_g on the 24 of them with zero covariance; no
+    # other value equals 1/|S| or z_g, and z_X = z_Y on 24 of the other 48
+    both = (("1/|S|", "z_X"), ("1/|S|", "z_Y"), ("1/|S|", "z_g"), ("z_X", "z_Y"), ("z_X", "z_g"),
+            ("z_Y", "z_g"))
+    assert tally == {
+        (2, False, both): 19,
+        (1, True, (("1/|S|", "z_X"), ("z_Y", "z_g"))): 12,
+        (1, True, (("1/|S|", "z_Y"), ("z_X", "z_g"))): 12,
+        (1, False, (("1/|S|", "z_X"),)): 20,
+        (1, False, (("1/|S|", "z_Y"),)): 20,
+        (0, False, ()): 24,
+        (0, False, (("z_X", "z_Y"),)): 24,
+    }, tally
+
+
 # ------------------------------------------------------------ classification
 
 def test_classification_simple_walk():
