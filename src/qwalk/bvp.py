@@ -26,7 +26,9 @@ Two layers:
   passes through infinity) or c(x) = x^2 (it passes through x = 0, the pole
   of every CGF).  Each plane's curve is traced, checked and its nodes built
   once per call; the trace carries the model and z to every integral on it,
-  and keeps its nodes and passed gluing checks.
+  and keeps its nodes and passed gluing checks.  Every integral starts by
+  comparing its 256- and 512-node sums, both from one integrand call on
+  the nodes the trace built for them in one pass.
   A point x on the curve takes the inside limit of the same integral: the
   same integrand minus its poles at x and at x's mirror, which meet at a
   fold (principal value), plus their Sokhotski-Plemelj half-residues.
@@ -51,6 +53,7 @@ from .errors import (
     RootOutsideDomain,
 )
 from .kernel import (
+    FIRST_GRIDS,
     CurveTrace,
     X_branches,
     Y_branches,
@@ -58,6 +61,7 @@ from .kernel import (
     curve_preimage,
     curve_through_infinity,
     curve_through_origin,
+    first_grid_nodes,
     off_curve_position,
     trace_curve_M,
 )
@@ -221,28 +225,28 @@ def _contour_integral(
     trace: CurveTrace, integrand, tol: float, plemelj: complex = 0j
 ) -> tuple[complex, float]:
     """(1/(2 pi i z)) (oint integrand dtau + plemelj) over the trace, which
-    runs counter-clockwise: integrand(tau, ys, t, dt) is summed over the
-    midpoint nodes, doubled from 256 until two successive sums differ by
-    < tol; QuadratureNotConverged at the node cap.  A node on a pole makes a
+    runs counter-clockwise: integrand(tau, ys, t, dt), elementwise, is
+    summed over the midpoint nodes until two successive sums differ by
+    < tol.  The first comparison, 256 against 512 nodes, is one call on
+    first_grid_nodes, summed slice by slice; past it m doubles, and
+    QuadratureNotConverged at the node cap.  A node on a pole makes a
     non-finite round, which the doubling passes over."""
 
-    def at_m(m: int) -> complex:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = integrand(*contour_nodes(trace, m=m))
-            return complex(np.sum(f)) * (2 * math.pi / m)
+    def total(f: np.ndarray, m: int) -> complex:
+        return complex(np.sum(f)) * (2 * math.pi / m)
 
-    m, diff = 256, math.inf
-    prev = at_m(m)
-    while m < _MAX_NODES:
-        m *= 2
-        cur = at_m(m)
-        diff = abs(cur - prev)
-        if diff < tol:
-            return (cur + plemelj) / (2j * math.pi * trace.z), diff / (2 * math.pi * abs(trace.z))
-        prev = cur
-    raise QuadratureNotConverged(
-        f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
-    )
+    lo, m = FIRST_GRIDS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = integrand(*first_grid_nodes(trace))
+        prev, cur = total(f[:lo], lo), total(f[lo:], m)
+        while not (diff := abs(cur - prev)) < tol:
+            if m >= _MAX_NODES:
+                raise QuadratureNotConverged(
+                    f"contour sums still differ by {diff:.2e} at {m} nodes (tolerance {tol:.1e})"
+                )
+            prev, m = cur, 2 * m
+            cur = total(integrand(*contour_nodes(trace, m=m)), m)
+    return (cur + plemelj) / (2j * math.pi * trace.z), diff / (2 * math.pi * abs(trace.z))
 
 
 def cauchy_value(

@@ -16,9 +16,9 @@ the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
 
 Branch points need no arrays: numpy is imported only inside the functions
-that trace the curve (_edge_values, _nodes, curve_preimage), so
-branch_points and disc_roots start without it, and point_in_G_M reads it
-only through curve_preimage.
+that trace the curve (_edge_values, _nodes), so branch_points and
+disc_roots start without it, and point_in_G_M reads it only through
+curve_preimage's one edge value.
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ def _dyadic(v: float) -> tuple[int, int]:
     return num, den.bit_length() - 1
 
 
-def _newton_polish(coeffs: list[float], r: complex) -> complex:
-    """One Newton step from r, kept only if it is short and does not raise
-    |p|: at a double root found to roundoff, p and p' are both noise and
-    their ratio is no step at all."""
+def _newton_polish(coeffs: list[float], dcoeffs: list[float], r: complex) -> complex:
+    """One Newton step from r on coeffs, whose derivative is dcoeffs, kept
+    only if it is short and does not raise |p|: at a double root found to
+    roundoff, p and p' are both noise and their ratio is no step at all."""
     p = poly_eval(coeffs, r)
-    dp = poly_eval(rp.deriv(coeffs), r)
+    dp = poly_eval(dcoeffs, r)
     if dp != 0:
         step = p / dp
         if abs(step) < 0.5 * (1 + abs(r)) and abs(poly_eval(coeffs, r - step)) <= abs(p):
@@ -143,7 +143,8 @@ def disc_roots(s: StepSet, z: float) -> tuple[tuple[tuple[int, int, int], ...], 
     if not any(coeffs):
         raise OutOfRange(f"the discriminant vanishes identically at z={z}")
     try:
-        roots = [_newton_polish(coeffs, r) for r in rp.roots(coeffs)]
+        dcoeffs = rp.deriv(coeffs)
+        roots = [_newton_polish(coeffs, dcoeffs, r) for r in rp.roots(coeffs)]
     except OverflowError:  # a power in the closed forms
         roots = [INF_ROOT]  # refused below, as a root that is not finite
     deg = max(k for k, c in enumerate(coeffs) if c)
@@ -236,9 +237,12 @@ class CurveTrace:
     fold, tau = 0 or pi, where the edges meet.  The points serve the gluing
     check and the printed trace; point_in_G_M does not read them.
 
-    _memo holds the per-curve work done once and dropped with the trace: the
-    contour_nodes result for each m (its arrays read-only) and, keyed by
-    themselves, the CGFs that passed bvp's gluing check on this curve.
+    _memo holds the per-curve work done once and dropped with the trace:
+    the read-only arrays of each node build, keyed by its tuple of grids
+    (FIRST_GRIDS, 256 and 512 joined, for the build trace_curve_M makes at
+    its default m); the contour_nodes result for each m, views of those;
+    and, keyed by themselves, the CGFs that passed bvp's gluing check on
+    this curve.
     """
 
     steps: StepSet
@@ -301,10 +305,10 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
 _UPPER_SIGN = -1
 
 
-def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """X0 on the upper edge of the slit for real y nodes (the lower edge is
-    its conjugate), with dK/dx = 2 at X0 + bt - y/z there, which is the
-    formula's root term i*sigma*sqrt(-dt).
+def _edge_values(s: StepSet, ys, z: float) -> tuple:
+    """X0 on the upper edge of the slit at real ordinates ys, a float or an
+    array (the lower edge is its conjugate), with dK/dx = 2 at X0 + bt - y/z
+    there, which is the formula's root term i*sigma*sqrt(-dt).
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
@@ -327,13 +331,20 @@ def _edge_values(s: StepSet, ys: np.ndarray, z: float) -> tuple[np.ndarray, np.n
     return ((-bt + ys / z) + k_x) / (2 * at), k_x
 
 
-def _nodes(s: StepSet, z: float, y1: float, y2: float, m: int) -> tuple:
-    """The read-only (tau, ys, t, dt_dtau) of contour_nodes, over [y1, y2]."""
+#: Node counts of the contour sums' first comparison (bvp._contour_integral):
+#: trace_curve_M's default m and the level below it, built in one pass.
+FIRST_GRIDS = (256, 512)
+
+
+def _nodes(s: StepSet, z: float, y1: float, y2: float, grids: tuple[int, ...]) -> tuple:
+    """The read-only (tau, ys, t, dt_dtau) of contour_nodes over [y1, y2]
+    for each even m of grids, joined in that order: one pass over the
+    upper-edge ordinates of all of them, each grid's lower half mirrored."""
     import numpy as np
 
     mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
-    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
-    up = tau[: m // 2]
+    taus = [(np.arange(m) + 0.5) * (2 * math.pi / m) for m in grids]
+    up = np.concatenate([tau[: m // 2] for tau, m in zip(taus, grids)])
     ys = mid - half * np.cos(up)
     t, k_x = _edge_values(s, ys, z)
 
@@ -342,18 +353,41 @@ def _nodes(s: StepSet, z: float, y1: float, y2: float, m: int) -> tuple:
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
     with np.errstate(divide="ignore", invalid="ignore"):  # k_x = 0 on a collapsed trace
         dt_dtau = -k_y / k_x * (half * np.sin(up))
-    nodes = (tau, np.concatenate([ys, ys[::-1]]),
-             np.concatenate([t, np.conj(t[::-1])]),
-             np.concatenate([dt_dtau, -np.conj(dt_dtau[::-1])]))
+
+    # each grid's upper edge [lo, hi) of the pass, then its lower edge reversed
+    cuts = [0]
+    for m in grids:
+        cuts.append(cuts[-1] + m // 2)
+
+    def both_edges(upper, lower):
+        return np.concatenate([piece for lo, hi in zip(cuts, cuts[1:])
+                               for piece in (upper[lo:hi], lower[lo:hi][::-1])])
+
+    nodes = (np.concatenate(taus), both_edges(ys, ys), both_edges(t, np.conj(t)),
+             both_edges(dt_dtau, -np.conj(dt_dtau)))
     for arr in nodes:
         arr.flags.writeable = False
     return nodes
 
 
+def _node_memo(s: StepSet, z: float, y1: float, y2: float, m: int) -> dict:
+    """The memo entries of one node build: the joined arrays of its grids,
+    keyed by the grid tuple, and the views contour_nodes returns, keyed by
+    m.  Either grid of FIRST_GRIDS builds both."""
+    grids = FIRST_GRIDS if m in FIRST_GRIDS else (m,)
+    joined = _nodes(s, z, y1, y2, grids)
+    memo, start = {grids: joined}, 0
+    for g in grids:
+        memo[g] = tuple(arr[start:start + g] for arr in joined)
+        start += g
+    return memo
+
+
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
     and back along the lower edge, at the m contour nodes (m rounded up to
-    even), which are kept for the integrals.  Requires the genus-1 regime.
+    even), which are kept for the integrals; m = 512 or 256 builds both
+    FIRST_GRIDS in one pass.  Requires the genus-1 regime.
     """
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
@@ -363,9 +397,9 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
-    nodes = _nodes(s, z, y1, y2, m)
-    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=nodes[2])
-    trace._memo[m] = nodes
+    memo = _node_memo(s, z, y1, y2, m)
+    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=memo[m][2])
+    trace._memo.update(memo)
     return trace
 
 
@@ -387,8 +421,18 @@ def contour_nodes(
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
     if m not in trace._memo:
-        trace._memo[m] = _nodes(trace.steps, trace.z, trace.y1, trace.y2, m)
+        trace._memo.update(_node_memo(trace.steps, trace.z, trace.y1, trace.y2, m))
     return trace._memo[m]
+
+
+def first_grid_nodes(
+    trace: CurveTrace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The contour nodes of both FIRST_GRIDS joined, the 256 before the 512:
+    the one build of which contour_nodes(trace, m=256) and (m=512) are
+    views, so one elementwise call covers both sums."""
+    contour_nodes(trace, m=FIRST_GRIDS[0])
+    return trace._memo[FIRST_GRIDS]
 
 
 def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
@@ -401,8 +445,6 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
     kernel y-root at x is real, inside [y1, y2], and the slit edge value at
     that y reproduces x.
     """
-    import numpy as np
-
     s, z = trace.steps, trace.z
     try:
         y_roots = Y_branches(s, x, z)
@@ -413,7 +455,7 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, np.array([yv]), z)[0][0])
+        up = complex(_edge_values(s, yv, z)[0])
         if min(abs(up - x), abs(up.conjugate() - x)) > _BAND:
             continue
         cosv = (0.5 * (trace.y1 + trace.y2) - yv) / (0.5 * (trace.y2 - trace.y1))

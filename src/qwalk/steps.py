@@ -205,8 +205,9 @@ def kernel_polys(s: StepSet) -> KernelPolys:
 
 
 def poly_eval(p, v):
-    """Evaluate an ascending coefficient sequence at v (Horner)."""
-    acc = 0
-    for coeff in reversed(p):
+    """Evaluate an ascending coefficient sequence at v by Horner's rule from
+    the leading coefficient (0 for no coefficients)."""
+    acc = p[-1] if p else 0
+    for coeff in p[-2::-1]:
         acc = acc * v + coeff
     return acc

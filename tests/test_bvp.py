@@ -577,12 +577,13 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
 
 
 def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
-    # several integrals on one trace share its node arrays, those the trace
-    # built among them, and its gluing check; _edge_values sees more than one
-    # ordinate, the m/2 upper-edge nodes, only when nodes are built
-    traced, glued, built, asked = [], [], [], []
+    # several integrals on one trace share its node arrays and its gluing
+    # check.  A default trace builds the 256 and 512 nodes of the first
+    # comparison in one _nodes pass, and each first comparison is one
+    # integrand call over both; each later level is built once per trace
+    traced, glued, built, sizes = [], [], [], []
     trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
-    edge_values, contour_nodes = kernel._edge_values, bvp.contour_nodes
+    nodes, contour_integral = kernel._nodes, bvp._contour_integral
 
     def counting_trace(*args, **kwargs):
         traced.append(trace_curve_M(*args, **kwargs))
@@ -592,36 +593,86 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         glued.append(trace)
         return gluing_defect(cgf, trace)
 
-    def counting_edges(s, ys, z):
-        if len(ys) > 1:
-            built.append(2 * len(ys))
-        return edge_values(s, ys, z)
+    def counting_nodes(s, z, y1, y2, grids):
+        built.append(grids)
+        return nodes(s, z, y1, y2, grids)
 
-    def counting_nodes(trace, *, m):
-        asked.append((id(trace), m))
-        return contour_nodes(trace, m=m)
+    def counting_integral(trace, integrand, *args):
+        calls = []
+        sizes.append(calls)
+
+        def counted(*nodes):
+            calls.append(len(nodes[0]))
+            return integrand(*nodes)
+
+        return contour_integral(trace, counted, *args)
 
     monkeypatch.setattr(bvp, "trace_curve_M", counting_trace)
     monkeypatch.setattr(bvp, "gluing_defect", counting_defect)
-    monkeypatch.setattr(kernel, "_edge_values", counting_edges)
-    monkeypatch.setattr(bvp, "contour_nodes", counting_nodes)
+    monkeypatch.setattr(kernel, "_nodes", counting_nodes)
+    monkeypatch.setattr(bvp, "_contour_integral", counting_integral)
     cgf = bvp.circle_cgf()
     for fn, s, z, n_traces in ((bvp.q10_general, LRS, 0.15, 1),
                                (bvp.q11_general, SIMPLE, 0.2, 2)):
-        for log in (traced, glued, built, asked):
+        for log in (traced, glued, built, sizes):
             log.clear()
         fn(s, z, cgf)
         assert len(traced) == n_traces and len(glued) == n_traces, fn.__name__
-        assert sorted(built) == sorted(m for _, m in set(asked)), fn.__name__
-        assert len(asked) > len(set(asked)), fn.__name__
+        assert built.count(kernel.FIRST_GRIDS) == n_traces, fn.__name__
+        kept = [k for tr in traced for k in tr._memo if isinstance(k, tuple)]
+        assert sorted(built) == sorted(kept), fn.__name__
+        assert len(sizes) > n_traces, fn.__name__
+        for calls in sizes:
+            assert calls == [768] + [512 * 2**k for k in range(1, len(calls))], fn.__name__
         for tr in traced:
             assert tr.points is kernel.contour_nodes(tr, m=len(tr.points))[2]
 
-    nodes = kernel.contour_nodes(traced[0], m=256)
-    assert kernel.contour_nodes(traced[0], m=256) is nodes
-    for arr in nodes:
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    joined = kernel.first_grid_nodes(traced[0])
+    for m in kernel.FIRST_GRIDS:
+        nodes = kernel.contour_nodes(traced[0], m=m)
+        assert kernel.contour_nodes(traced[0], m=m) is nodes
+        assert all(arr.base is whole for arr, whole in zip(nodes, joined))
+        for arr in nodes:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def two_build_integral(trace, integrand, tol, plemelj=0j):
+    """The contour sum as it was before the first comparison was one call:
+    each level's nodes built on their own, each summed by its own call."""
+    def at_m(m):
+        nodes = kernel._nodes(trace.steps, trace.z, trace.y1, trace.y2, (m,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return complex(np.sum(integrand(*nodes))) * (2 * math.pi / m)
+
+    m, prev = 256, at_m(256)
+    while True:
+        m *= 2
+        cur = at_m(m)
+        if abs(cur - prev) < tol:
+            return ((cur + plemelj) / (2j * math.pi * trace.z),
+                    abs(cur - prev) / (2 * math.pi * abs(trace.z)))
+        prev = cur
+
+
+def test_one_pass_first_comparison_matches_two_builds(monkeypatch):
+    # the first comparison summed from one integrand call over the joined
+    # 256 and 512 nodes gives the value and error of two separate builds,
+    # bit for bit: at an inside point, a boundary point and the fold x = 1
+    cgf = bvp.circle_cgf()
+    points = {0.5 + 0j: "inside", cmath.exp(1j * math.pi / 3): "boundary", 1 + 0j: "boundary"}
+    for s, z in ((SIMPLE, 0.2), (LRS, 0.15)):
+        tr = kernel.trace_curve_M(s, z)
+        one_pass = {x: bvp.cauchy_value(tr, x, cgf) for x in points}
+        with monkeypatch.context() as patched:
+            patched.setattr(bvp, "_contour_integral", two_build_integral)
+            two_builds = {x: bvp.cauchy_value(kernel.trace_curve_M(s, z), x, cgf)
+                          for x in points}
+        for x, position in points.items():
+            value, err, got = one_pass[x]
+            assert got == position, (s, x)
+            assert (value, err, got) == two_builds[x], (s, x)
+            assert math.isfinite(err) and err < 1e-9, (s, x)
 
 
 def test_q11_general_computes_q00_once(monkeypatch):

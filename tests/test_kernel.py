@@ -485,6 +485,38 @@ def test_contour_nodes_mirror_the_upper_edge():
     assert count > 400
 
 
+def test_curve_preimage_reads_the_edge_value_at_a_float(monkeypatch):
+    # on the 17 circle-glued models (genuine, symmetric under x -> -x), the
+    # edge value at a float ordinate is the one-element array's within a few
+    # ulps, and curve_preimage, which reads it, places every probe where the
+    # one-element array does: the same (y, tau), or None off the curve
+    edge_values = kernel._edge_values
+
+    def one_element(s, y, z):
+        t, k_x = edge_values(s, np.array([y]), z)
+        return complex(t[0]), complex(k_x[0])
+
+    models = [s for s in steps.all_step_sets()
+              if not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+              and kernel.kernel_polys(s).a_t == kernel.kernel_polys(s).c_t]
+    assert len(models) == 17
+    probes = [0.5, 2.0, 1.0, -1.0, 1j, cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
+    ulp = np.finfo(float).eps
+    for s in models:
+        for f in (0.25, 0.5, 0.85):
+            z = f / len(s)
+            tr = kernel.trace_curve_M(s, z)
+            for y in kernel.contour_nodes(tr, m=512)[1][:256:8]:
+                for got, want in zip(edge_values(s, float(y), z), one_element(s, y, z)):
+                    assert abs(got - want) <= 4 * ulp * abs(want), (s, z, y)
+            xs = [complex(x) for x in tr.points[::16]] + [complex(x) for x in probes]
+            floats = [kernel.curve_preimage(tr, x) for x in xs]
+            with monkeypatch.context() as patched:
+                patched.setattr(kernel, "_edge_values", one_element)
+                assert [kernel.curve_preimage(tr, x) for x in xs] == floats, (s, z)
+            assert sum(p is not None for p in floats) >= 32, (s, z)
+
+
 def test_trace_finds_roots_once(monkeypatch):
     calls = []
     roots = rp.roots
