@@ -638,8 +638,8 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
 
 
 def two_build_integral(trace, integrand, tol, plemelj=0j):
-    """The contour sum as it was before the first comparison was one call:
-    each level's nodes built on their own, each summed by its own call."""
+    """Reference contour sum: each level's nodes built alone, from m = 256
+    doubling, and each summed by its own integrand call."""
     def at_m(m):
         nodes = kernel._nodes(trace.steps, trace.z, trace.y1, trace.y2, (m,))
         with np.errstate(divide="ignore", invalid="ignore"):
