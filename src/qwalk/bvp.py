@@ -415,8 +415,10 @@ def q11_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
     Q(0,0,z), Q(1,0,z) and Q(0,1,z), each summed to tolerance 1e-12.
 
     Both planes are checked glueable before either is traced; Q(0,0,z), the
-    same on both planes, is computed once, on the x plane.  At the removable
-    point z = 1/|S| the relation degenerates to 0 = 0; the value is then
+    same on both planes, is computed once, on the x plane.  A self-mirror
+    model (s.mirrored() == s) has one curve for both planes: it is traced
+    once, and Q(0,1,z) is its Q(1,0,z).  At the removable point z = 1/|S|
+    the relation degenerates to 0 = 0; the value is then
     recovered by Richardson extrapolation of symmetric offsets.  Zero-drift
     models have z_g = 1/|S|, so the offset above it would cross the genus
     transition: there z = 1/|S| raises OutOfRange.  Both checks come before
@@ -430,15 +432,17 @@ def q11_general(s: StepSet, z: float, cgf: CGF) -> GFValue:
     if removable and d.m_x == d.m_y == 0:
         raise OutOfRange(f"z={z} is 1/|S| = z_g of a zero-drift model; "
                          "the offset limit would cross the genus transition")
-    planes = (s, s.mirrored())
+    mirror = s.mirrored()
+    planes = (s,) if mirror == s else (s, mirror)
 
     def assemble(zv: float) -> GFValue:
         for plane in planes:
             _require_glueable(plane)  # before tracing either plane
-        x_plane, y_plane = (_glued_curve(p, zv, cgf) for p in planes)
-        q00 = _q00(cgf, x_plane, _Q11_TOL).value
-        q10, q01 = (_q10(cgf, p, q00, _Q11_TOL).value for p in (x_plane, y_plane))
-        return q11_from_relation(s, zv, q10, q01, q00)
+        traces = [_glued_curve(p, zv, cgf) for p in planes]
+        q00 = _q00(cgf, traces[0], _Q11_TOL).value
+        # Q(1,0,z), then Q(0,1,z) unless the one plane serves both
+        parts = [_q10(cgf, tr, q00, _Q11_TOL).value for tr in traces]
+        return q11_from_relation(s, zv, parts[0], parts[-1], q00)
 
     if removable:
         # symmetric offsets kill the even-order error terms and a second

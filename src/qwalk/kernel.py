@@ -16,9 +16,16 @@ the slits where they are conjugate; on a slit the branch is fixed by the
 limit from the upper edge.
 
 Branch points need no arrays: numpy is imported only inside the functions
-that trace the curve (_edge_values, _nodes), so branch_points and
-disc_roots start without it, and point_in_G_M reads it only through
+that trace the curve (_edge_values, _grid_table, _nodes), so branch_points
+and disc_roots start without it, and point_in_G_M reads it only through
 curve_preimage's one edge value.
+
+The contour nodes sit at the fixed angles tau_k = 2 pi (k+1/2)/m, which
+depend on m alone.  For the two grids of the contour sums' first comparison
+(FIRST_GRIDS) the angles, their cosines and sines and the layout of both
+slit edges are one read-only table (_FIRST_TABLE), built by the first trace
+that needs it and read by every later one; a trace then computes only what
+depends on its model and z.  Any other m builds its own angles per build.
 """
 
 from __future__ import annotations
@@ -238,11 +245,13 @@ class CurveTrace:
     check and the printed trace; point_in_G_M does not read them.
 
     _memo holds the per-curve work done once and dropped with the trace:
-    the read-only arrays of each node build, keyed by its tuple of grids
-    (FIRST_GRIDS, 256 and 512 joined, for the build trace_curve_M makes at
-    its default m); the contour_nodes result for each m, views of those;
-    and, keyed by themselves, the CGFs that passed bvp's gluing check on
-    this curve.
+    under "edge_disc", _edge_disc(steps, z), which every edge value on the
+    curve reads; the read-only arrays of each node build, keyed by its tuple
+    of grids (FIRST_GRIDS, 256 and 512 joined, for the build trace_curve_M
+    makes at its default m); the contour_nodes result for each m, views of
+    those; and, keyed by themselves, the CGFs that passed bvp's gluing
+    check on this curve.  The tau of a FIRST_GRIDS build is not the trace's
+    own: it is the fixed table's array, shared by every trace.
     """
 
     steps: StepSet
@@ -305,10 +314,22 @@ def _slit_endpoints(s: StepSet, z: float) -> tuple[float, float]:
 _UPPER_SIGN = -1
 
 
-def _edge_values(s: StepSet, ys, z: float) -> tuple:
+def _edge_disc(s: StepSet, z: float) -> tuple[list[float], float]:
+    """The coefficients of dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from
+    its unfactored coefficients, and 1e-12 times the sum of their moduli,
+    the scale of _edge_values' noise clamp; built once per trace."""
+    kp = kernel_polys(s)
+    shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
+    sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
+    dcoef = [sq[k] - 4.0 * ac[k] for k in range(5)]
+    return dcoef, 1e-12 * sum(abs(c) for c in dcoef)
+
+
+def _edge_values(s: StepSet, ys, z: float, disc: tuple[list[float], float]) -> tuple:
     """X0 on the upper edge of the slit at real ordinates ys, a float or an
     array (the lower edge is its conjugate), with dK/dx = 2 at X0 + bt - y/z
-    there, which is the formula's root term i*sigma*sqrt(-dt).
+    there, which is the formula's root term i*sigma*sqrt(-dt); disc is
+    _edge_disc(s, z).
 
     On the slit the square root is purely imaginary, so the quadratic
     formula has orthogonal (never cancelling) parts and is stable as long
@@ -319,63 +340,90 @@ def _edge_values(s: StepSet, ys, z: float) -> tuple:
     kp = kernel_polys(s)
     at = poly_eval(kp.a_t, ys)
     bt = poly_eval(kp.b_t, ys)
-    # dt(y) = (bt(y) - y/z)^2 - 4 at(y) ct(y), from its unfactored coefficients
-    shifted = [kp.b_t[0], kp.b_t[1] - 1.0 / z, kp.b_t[2]]
-    sq, ac = rp.mul(shifted, shifted), rp.mul(kp.a_t, kp.c_t)
-    dcoef = [sq[k] - 4.0 * ac[k] for k in range(5)]
+    dcoef, scale = disc
     dt = poly_eval(dcoef, ys)
     # exact zeros at the slit endpoints reach us as roundoff noise; clamp it
-    noise = 1e-12 * sum(abs(c) for c in dcoef) * np.maximum(1.0, np.abs(ys)) ** 4
+    noise = scale * np.maximum(1.0, np.abs(ys)) ** 4
     dt = np.where(np.abs(dt) < noise, 0.0, np.minimum(dt, 0.0))
     k_x = 1j * (_UPPER_SIGN * np.sqrt(-dt))
     return ((-bt + ys / z) + k_x) / (2 * at), k_x
+
+
+def _trace_edge_disc(trace: CurveTrace) -> tuple[list[float], float]:
+    """The trace's _edge_disc, kept in its memo: trace_curve_M puts it
+    there, and a CurveTrace built by hand gets it on first use."""
+    if "edge_disc" not in trace._memo:
+        trace._memo["edge_disc"] = _edge_disc(trace.steps, trace.z)
+    return trace._memo["edge_disc"]
 
 
 #: Node counts of the contour sums' first comparison (bvp._contour_integral):
 #: trace_curve_M's default m and the level below it, built in one pass.
 FIRST_GRIDS = (256, 512)
 
+#: The fixed part of the FIRST_GRIDS node build, _grid_table(FIRST_GRIDS):
+#: made by the first _nodes pass over them, then shared by every trace.
+_FIRST_TABLE = None
 
-def _nodes(s: StepSet, z: float, y1: float, y2: float, grids: tuple[int, ...]) -> tuple:
-    """The read-only (tau, ys, t, dt_dtau) of contour_nodes over [y1, y2]
-    for each even m of grids, joined in that order: one pass over the
-    upper-edge ordinates of all of them, each grid's lower half mirrored."""
+
+def _grid_table(grids: tuple[int, ...]) -> tuple:
+    """The read-only part of a node build that depends on its grids alone:
+    (tau, cos_up, sin_up, perm).  tau joins each grid's tau_k; cos_up and
+    sin_up are taken at the upper-edge angles, each grid's first half, in
+    grid order; concatenate([upper, lower])[perm] lays out each grid's
+    upper edge, then its lower edge reversed."""
     import numpy as np
 
-    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
     taus = [(np.arange(m) + 0.5) * (2 * math.pi / m) for m in grids]
     up = np.concatenate([tau[: m // 2] for tau, m in zip(taus, grids)])
-    ys = mid - half * np.cos(up)
-    t, k_x = _edge_values(s, ys, z)
+    pieces, lo = [], 0
+    for m in grids:
+        hi = lo + m // 2
+        pieces += [np.arange(lo, hi), np.arange(len(up) + hi - 1, len(up) + lo - 1, -1)]
+        lo = hi
+    table = (np.concatenate(taus), np.cos(up), np.sin(up), np.concatenate(pieces))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _nodes(s: StepSet, z: float, y1: float, y2: float, disc: tuple,
+           grids: tuple[int, ...]) -> tuple:
+    """The read-only (tau, ys, t, dt_dtau) of contour_nodes over [y1, y2]
+    for each even m of grids, joined in that order: one pass over the
+    upper-edge ordinates of all of them, each grid's lower half mirrored.
+    The grids' fixed part comes from _grid_table, for FIRST_GRIDS from the
+    one table built on the first pass; tau is the table's own array."""
+    import numpy as np
+
+    global _FIRST_TABLE
+    if grids == FIRST_GRIDS and _FIRST_TABLE is None:
+        _FIRST_TABLE = _grid_table(FIRST_GRIDS)
+    tau, cos_up, sin_up, perm = _FIRST_TABLE if grids == FIRST_GRIDS else _grid_table(grids)
+
+    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
+    ys = mid - half * cos_up
+    t, k_x = _edge_values(s, ys, z, disc)
 
     kp = kernel_polys(s)
     d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
     with np.errstate(divide="ignore", invalid="ignore"):  # k_x = 0 on a collapsed trace
-        dt_dtau = -k_y / k_x * (half * np.sin(up))
+        dt_dtau = -k_y / k_x * (half * sin_up)
 
-    # each grid's upper edge [lo, hi) of the pass, then its lower edge reversed
-    cuts = [0]
-    for m in grids:
-        cuts.append(cuts[-1] + m // 2)
-
-    def both_edges(upper, lower):
-        return np.concatenate([piece for lo, hi in zip(cuts, cuts[1:])
-                               for piece in (upper[lo:hi], lower[lo:hi][::-1])])
-
-    nodes = (np.concatenate(taus), both_edges(ys, ys), both_edges(t, np.conj(t)),
-             both_edges(dt_dtau, -np.conj(dt_dtau)))
-    for arr in nodes:
+    nodes = (tau,) + tuple(np.concatenate([upper, lower])[perm] for upper, lower in (
+        (ys, ys), (t, np.conj(t)), (dt_dtau, -np.conj(dt_dtau))))
+    for arr in nodes[1:]:
         arr.flags.writeable = False
     return nodes
 
 
-def _node_memo(s: StepSet, z: float, y1: float, y2: float, m: int) -> dict:
+def _node_memo(s: StepSet, z: float, y1: float, y2: float, disc: tuple, m: int) -> dict:
     """The memo entries of one node build: the joined arrays of its grids,
     keyed by the grid tuple, and the views contour_nodes returns, keyed by
     m.  Either grid of FIRST_GRIDS builds both."""
     grids = FIRST_GRIDS if m in FIRST_GRIDS else (m,)
-    joined = _nodes(s, z, y1, y2, grids)
+    joined = _nodes(s, z, y1, y2, disc, grids)
     memo, start = {grids: joined}, 0
     for g in grids:
         memo[g] = tuple(arr[start:start + g] for arr in joined)
@@ -397,9 +445,10 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
-    memo = _node_memo(s, z, y1, y2, m)
+    disc = _edge_disc(s, z)
+    memo = _node_memo(s, z, y1, y2, disc, m)
     trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=memo[m][2])
-    trace._memo.update(memo)
+    trace._memo.update(memo, edge_disc=disc)
     return trace
 
 
@@ -421,7 +470,8 @@ def contour_nodes(
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
     if m not in trace._memo:
-        trace._memo.update(_node_memo(trace.steps, trace.z, trace.y1, trace.y2, m))
+        trace._memo.update(_node_memo(trace.steps, trace.z, trace.y1, trace.y2,
+                                      _trace_edge_disc(trace), m))
     return trace._memo[m]
 
 
@@ -455,7 +505,7 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, yv, z)[0])
+        up = complex(_edge_values(s, yv, z, _trace_edge_disc(trace))[0])
         if min(abs(up - x), abs(up.conjugate() - x)) > _BAND:
             continue
         cosv = (0.5 * (trace.y1 + trace.y2) - yv) / (0.5 * (trace.y2 - trace.y1))

@@ -19,6 +19,9 @@ SIMPLE = steps.preset("simple")
 LRS = steps.parse_step_set([(-1, -1), (1, -1), (0, 1)])
 # the circle glues this model's curve but not its mirror's
 UNGLUED_MIRROR = steps.parse_step_set([(-1, 1), (0, -1), (0, 1), (1, 1)])
+# symmetric in both axes, so the circle glues both planes, but not under
+# (i, j) -> (j, i): its two planes are two curves
+TWO_CURVES = steps.parse_step_set([(-1, -1), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +564,8 @@ def test_q11_reports_the_unglued_mirror_plane():
 
 
 def test_each_plane_is_traced_once_per_call(monkeypatch):
+    # q11_general traces both planes, or one when the model is its own
+    # mirror (SIMPLE), whose y-plane curve is its x-plane curve
     traced = []
 
     def counting_trace(s, z, *args, **kwargs):
@@ -569,18 +574,23 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
 
     monkeypatch.setattr(bvp, "trace_curve_M", counting_trace)
     cgf = bvp.circle_cgf()
-    for fn, want in ((bvp.q00_general, 1), (bvp.q10_general, 1),
-                     (bvp.q01_general, 1), (bvp.q11_general, 2)):
+    for fn, s, z, want in ((bvp.q00_general, SIMPLE, 0.2, [SIMPLE]),
+                           (bvp.q10_general, SIMPLE, 0.2, [SIMPLE]),
+                           (bvp.q01_general, SIMPLE, 0.2, [SIMPLE]),
+                           (bvp.q11_general, SIMPLE, 0.2, [SIMPLE]),
+                           (bvp.q11_general, TWO_CURVES, 0.08,
+                            [TWO_CURVES, TWO_CURVES.mirrored()])):
         traced.clear()
-        fn(SIMPLE, 0.2, cgf)
-        assert len(traced) == want, fn.__name__
+        fn(s, z, cgf)
+        assert traced == want, (fn.__name__, s)
 
 
 def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
     # several integrals on one trace share its node arrays and its gluing
     # check.  A default trace builds the 256 and 512 nodes of the first
     # comparison in one _nodes pass, and each first comparison is one
-    # integrand call over both; each later level is built once per trace
+    # integrand call over both; each later level is built once per trace.
+    # q11_general traces a self-mirror model (SIMPLE) once, TWO_CURVES twice
     traced, glued, built, sizes = [], [], [], []
     trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
     nodes, contour_integral = kernel._nodes, bvp._contour_integral
@@ -593,9 +603,9 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         glued.append(trace)
         return gluing_defect(cgf, trace)
 
-    def counting_nodes(s, z, y1, y2, grids):
+    def counting_nodes(s, z, y1, y2, disc, grids):
         built.append(grids)
-        return nodes(s, z, y1, y2, grids)
+        return nodes(s, z, y1, y2, disc, grids)
 
     def counting_integral(trace, integrand, *args):
         calls = []
@@ -613,7 +623,8 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
     monkeypatch.setattr(bvp, "_contour_integral", counting_integral)
     cgf = bvp.circle_cgf()
     for fn, s, z, n_traces in ((bvp.q10_general, LRS, 0.15, 1),
-                               (bvp.q11_general, SIMPLE, 0.2, 2)):
+                               (bvp.q11_general, SIMPLE, 0.2, 1),
+                               (bvp.q11_general, TWO_CURVES, 0.08, 2)):
         for log in (traced, glued, built, sizes):
             log.clear()
         fn(s, z, cgf)
@@ -641,7 +652,8 @@ def two_build_integral(trace, integrand, tol, plemelj=0j):
     """Reference contour sum: each level's nodes built alone, from m = 256
     doubling, and each summed by its own integrand call."""
     def at_m(m):
-        nodes = kernel._nodes(trace.steps, trace.z, trace.y1, trace.y2, (m,))
+        nodes = kernel._nodes(trace.steps, trace.z, trace.y1, trace.y2,
+                              kernel._edge_disc(trace.steps, trace.z), (m,))
         with np.errstate(divide="ignore", invalid="ignore"):
             return complex(np.sum(integrand(*nodes))) * (2 * math.pi / m)
 

@@ -373,7 +373,7 @@ def old_upper_edge_sign(s, z, y1, y2):
     real on the slit."""
     y_mid = 0.5 * (y1 + y2)
     probe = kernel.X_branches(s, complex(y_mid, 1e-7 * max(1.0, abs(y2 - y1))), z)[0]
-    upper = kernel._edge_values(s, np.array([y_mid]), z)[0][0]
+    upper = kernel._edge_values(s, np.array([y_mid]), z, kernel._edge_disc(s, z))[0][0]
     edge = {kernel._UPPER_SIGN: upper, -kernel._UPPER_SIGN: upper.conjugate()}
     return +1 if abs(edge[1] - probe) <= abs(edge[-1] - probe) else -1
 
@@ -391,7 +391,7 @@ def test_trace_orientation_and_edge_match_the_former_rules():
             (np.arange(m // 2) + 0.5) * (2 * math.pi / m))
         assert old_upper_edge_sign(s, z, tr.y1, tr.y2) == kernel._UPPER_SIGN, (s, z)
         assert np.array_equal(tr.points[: m // 2],
-                              kernel._edge_values(s, ys_up, z)[0]), (s, z)
+                              kernel._edge_values(s, ys_up, z, kernel._edge_disc(s, z))[0]), (s, z)
     assert count > 300
 
 
@@ -477,12 +477,95 @@ def test_contour_nodes_mirror_the_upper_edge():
             assert np.array_equal(t[h:], np.conj(t[h - 1::-1])), (s, z, m)
             assert np.array_equal(dt_dtau[h:], -np.conj(dt_dtau[h - 1::-1]),
                                   equal_nan=True), (s, z, m)
-            x0, k_x = kernel._edge_values(s, ys[:h], z)
+            x0, k_x = kernel._edge_values(s, ys[:h], z, kernel._edge_disc(s, z))
             assert np.array_equal(x0, t[:h]), (s, z, m)
             shifted = kernel.poly_eval(kp.b_t, ys[:h]) - ys[:h] / z
             resid = 2 * kernel.poly_eval(kp.a_t, ys[:h]) * x0 + shifted - k_x
             assert np.all(np.abs(resid) <= 1e-12 * (1 + np.abs(shifted))), (s, z, m)
     assert count > 400
+
+
+def per_grid_nodes(tr, m):
+    """contour_nodes(tr, m=m) built as before the grid table: the grid's own
+    tau, cos and sin, and its upper edge followed by its lower edge reversed."""
+    s, z = tr.steps, tr.z
+    mid, half = 0.5 * (tr.y1 + tr.y2), 0.5 * (tr.y2 - tr.y1)
+    tau = (np.arange(m) + 0.5) * (2 * math.pi / m)
+    up = tau[: m // 2]
+    ys = mid - half * np.cos(up)
+    t, k_x = kernel._edge_values(s, ys, z, kernel._edge_disc(s, z))
+    kp = kernel.kernel_polys(s)
+    d_at, d_bt, d_ct = (kernel.poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
+    k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt_dtau = -k_y / k_x * (half * np.sin(up))
+
+    def both_edges(upper, lower):
+        return np.concatenate([upper, lower[::-1]])
+
+    return (tau, both_edges(ys, ys), both_edges(t, np.conj(t)),
+            both_edges(dt_dtau, -np.conj(dt_dtau)))
+
+
+def circle_glued_models():
+    """The 17 genuine step sets symmetric under x -> -x, whose x-plane
+    curve the unit circle glues."""
+    models = [s for s in steps.all_step_sets()
+              if not steps.is_singular(s) and steps.origin_in_hull_interior(s)
+              and kernel.kernel_polys(s).a_t == kernel.kernel_polys(s).c_t]
+    assert len(models) == 17
+    return models
+
+
+def test_contour_nodes_match_the_per_grid_construction():
+    # the grid table changes no bit: at every m, from the FIRST_GRIDS table
+    # or built alone, the nodes are the per-grid construction's
+    count = 0
+    for s in circle_glued_models() + [steps.preset("kreweras")]:
+        for f in (0.25, 0.5, 0.85):
+            tr = kernel.trace_curve_M(s, f / len(s))
+            for m in (16, 64, 256, 512, 1024):
+                count += 1
+                got, want = kernel.contour_nodes(tr, m=m), per_grid_nodes(tr, m)
+                for name, a, b in zip(("tau", "ys", "t", "dt_dtau"), got, want):
+                    assert a.tobytes() == b.tobytes(), (s, f, m, name)
+    assert count == 18 * 3 * 5
+
+
+def test_first_grid_table_is_built_once_and_shared(monkeypatch):
+    # the fixed part of the FIRST_GRIDS build is one read-only table, made on
+    # the first trace that needs it and read by every later one; it holds
+    # the two grids' angles and layout alone, and no other m adds to it
+    builds = []
+    grid_table = kernel._grid_table
+
+    def counting_table(grids):
+        builds.append(grids)
+        return grid_table(grids)
+
+    monkeypatch.setattr(kernel, "_FIRST_TABLE", None)
+    monkeypatch.setattr(kernel, "_grid_table", counting_table)
+    traces = [kernel.trace_curve_M(s, f / len(s))
+              for s in (SIMPLE, steps.preset("kreweras"), steps.preset("gouyou-beauchamps"))
+              for f in (0.3, 0.7)]
+    table = kernel._FIRST_TABLE
+    assert builds == [kernel.FIRST_GRIDS]
+    for tr in traces:
+        assert kernel.first_grid_nodes(tr)[0] is table[0]
+    kernel.contour_nodes(traces[0], m=1024)
+    kernel.trace_curve_M(SIMPLE, 0.2, m=64)
+    assert builds == [kernel.FIRST_GRIDS, (1024,), (64,)] and kernel._FIRST_TABLE is table
+
+    tau, cos_up, sin_up, perm = table
+    lo, hi = kernel.FIRST_GRIDS
+    assert (len(tau), len(cos_up), len(sin_up), len(perm)) == (lo + hi, (lo + hi) // 2,
+                                                              (lo + hi) // 2, lo + hi)
+    assert sorted(perm) == list(range(lo + hi))
+    for got, want in zip(table, grid_table(kernel.FIRST_GRIDS)):
+        assert got.tobytes() == want.tobytes()
+    for arr in table:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_curve_preimage_reads_the_edge_value_at_a_float(monkeypatch):
@@ -492,22 +575,19 @@ def test_curve_preimage_reads_the_edge_value_at_a_float(monkeypatch):
     # one-element array does: the same (y, tau), or None off the curve
     edge_values = kernel._edge_values
 
-    def one_element(s, y, z):
-        t, k_x = edge_values(s, np.array([y]), z)
+    def one_element(s, y, z, disc):
+        t, k_x = edge_values(s, np.array([y]), z, disc)
         return complex(t[0]), complex(k_x[0])
 
-    models = [s for s in steps.all_step_sets()
-              if not steps.is_singular(s) and steps.origin_in_hull_interior(s)
-              and kernel.kernel_polys(s).a_t == kernel.kernel_polys(s).c_t]
-    assert len(models) == 17
     probes = [0.5, 2.0, 1.0, -1.0, 1j, cmath.exp(1j * math.pi / 3), cmath.exp(2j * math.pi / 3)]
     ulp = np.finfo(float).eps
-    for s in models:
+    for s in circle_glued_models():
         for f in (0.25, 0.5, 0.85):
             z = f / len(s)
             tr = kernel.trace_curve_M(s, z)
+            disc = kernel._edge_disc(s, z)
             for y in kernel.contour_nodes(tr, m=512)[1][:256:8]:
-                for got, want in zip(edge_values(s, float(y), z), one_element(s, y, z)):
+                for got, want in zip(edge_values(s, float(y), z, disc), one_element(s, y, z, disc)):
                     assert abs(got - want) <= 4 * ulp * abs(want), (s, z, y)
             xs = [complex(x) for x in tr.points[::16]] + [complex(x) for x in probes]
             floats = [kernel.curve_preimage(tr, x) for x in xs]
