@@ -21,11 +21,10 @@ and disc_roots start without it, and point_in_G_M reads it only through
 curve_preimage's one edge value.
 
 The contour nodes sit at the fixed angles tau_k = 2 pi (k+1/2)/m, which
-depend on m alone.  For the two grids of the contour sums' first comparison
-(FIRST_GRIDS) the angles, their cosines and sines and the layout of both
-slit edges are one read-only table (_FIRST_TABLE), built by the first trace
-that needs it and read by every later one; a trace then computes only what
-depends on its model and z.  Any other m builds its own angles per build.
+depend on m alone.  For each tuple of grids built in one pass (FIRST_GRIDS,
+or one m) the angles, their cosines and sines and the layout of both slit
+edges are one read-only table, _grid_table's, which a cache of eight keeps
+for every trace; a trace then computes only what depends on its model and z.
 """
 
 from __future__ import annotations
@@ -244,22 +243,30 @@ class CurveTrace:
     fold, tau = 0 or pi, where the edges meet.  The points serve the gluing
     check and the printed trace; point_in_G_M does not read them.
 
-    _memo holds the per-curve work done once and dropped with the trace:
-    under "edge_disc", _edge_disc(steps, z), which every edge value on the
-    curve reads; the read-only arrays of each node build, keyed by its tuple
-    of grids (FIRST_GRIDS, 256 and 512 joined, for the build trace_curve_M
-    makes at its default m); the contour_nodes result for each m, views of
-    those; and, keyed by themselves, the CGFs that passed bvp's gluing
-    check on this curve.  The tau of a FIRST_GRIDS build is not the trace's
-    own: it is the fixed table's array, shared by every trace.
+    edge_disc is _edge_disc(steps, z), built with the trace, which every
+    edge value on the curve reads.  _memo holds the per-curve work done once
+    and dropped with the trace: the read-only arrays of each node build,
+    keyed by its tuple of grids (FIRST_GRIDS, 256 and 512 joined, for m =
+    256 or 512); the contour_nodes result for each m, views of those; and,
+    keyed by themselves, the CGFs that passed bvp's gluing check on this
+    curve.  The tau of a build is not the trace's own: it is its grid
+    tuple's read-only table array, shared by every trace.
     """
 
     steps: StepSet
     z: float
     y1: float
     y2: float
-    points: np.ndarray
+    m: int = 512
+    edge_disc: tuple[list[float], float] = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "edge_disc", _edge_disc(self.steps, self.z))
+
+    @property
+    def points(self) -> np.ndarray:
+        return contour_nodes(self, m=self.m)[2]
 
 
 def curve_through_infinity(s: StepSet) -> bool:
@@ -349,23 +356,12 @@ def _edge_values(s: StepSet, ys, z: float, disc: tuple[list[float], float]) -> t
     return ((-bt + ys / z) + k_x) / (2 * at), k_x
 
 
-def _trace_edge_disc(trace: CurveTrace) -> tuple[list[float], float]:
-    """The trace's _edge_disc, kept in its memo: trace_curve_M puts it
-    there, and a CurveTrace built by hand gets it on first use."""
-    if "edge_disc" not in trace._memo:
-        trace._memo["edge_disc"] = _edge_disc(trace.steps, trace.z)
-    return trace._memo["edge_disc"]
-
-
 #: Node counts of the contour sums' first comparison (bvp._contour_integral):
 #: trace_curve_M's default m and the level below it, built in one pass.
 FIRST_GRIDS = (256, 512)
 
-#: The fixed part of the FIRST_GRIDS node build, _grid_table(FIRST_GRIDS):
-#: made by the first _nodes pass over them, then shared by every trace.
-_FIRST_TABLE = None
 
-
+@functools.lru_cache(maxsize=8)  # FIRST_GRIDS, the levels 1024 to 16384 and one m more
 def _grid_table(grids: tuple[int, ...]) -> tuple:
     """The read-only part of a node build that depends on its grids alone:
     (tau, cos_up, sin_up, perm).  tau joins each grid's tau_k; cos_up and
@@ -387,48 +383,35 @@ def _grid_table(grids: tuple[int, ...]) -> tuple:
     return table
 
 
-def _nodes(s: StepSet, z: float, y1: float, y2: float, disc: tuple,
-           grids: tuple[int, ...]) -> tuple:
-    """The read-only (tau, ys, t, dt_dtau) of contour_nodes over [y1, y2]
-    for each even m of grids, joined in that order: one pass over the
+def _nodes(trace: CurveTrace, grids: tuple[int, ...]) -> tuple:
+    """The read-only (tau, ys, t, dt_dtau) of contour_nodes over the trace's
+    slit for each even m of grids, joined in that order: one pass over the
     upper-edge ordinates of all of them, each grid's lower half mirrored.
-    The grids' fixed part comes from _grid_table, for FIRST_GRIDS from the
-    one table built on the first pass; tau is the table's own array."""
+    The joined arrays go into the trace's memo under grids, and each m's
+    views of them under m; tau is the grid table's own array."""
     import numpy as np
 
-    global _FIRST_TABLE
-    if grids == FIRST_GRIDS and _FIRST_TABLE is None:
-        _FIRST_TABLE = _grid_table(FIRST_GRIDS)
-    tau, cos_up, sin_up, perm = _FIRST_TABLE if grids == FIRST_GRIDS else _grid_table(grids)
-
-    mid, half = 0.5 * (y1 + y2), 0.5 * (y2 - y1)
+    tau, cos_up, sin_up, perm = _grid_table(grids)
+    s, z = trace.steps, trace.z
+    mid, half = 0.5 * (trace.y1 + trace.y2), 0.5 * (trace.y2 - trace.y1)
     ys = mid - half * cos_up
-    t, k_x = _edge_values(s, ys, z, disc)
+    t, k_x = _edge_values(s, ys, z, trace.edge_disc)
 
     kp = kernel_polys(s)
-    d_at, d_bt, d_ct = (poly_eval(rp.deriv(p), ys) for p in (kp.a_t, kp.b_t, kp.c_t))
+    d_at, d_bt, d_ct = (p[1] + 2 * p[2] * ys for p in (kp.a_t, kp.b_t, kp.c_t))
     k_y = d_at * t * t + (d_bt - 1.0 / z) * t + d_ct
     with np.errstate(divide="ignore", invalid="ignore"):  # k_x = 0 on a collapsed trace
         dt_dtau = -k_y / k_x * (half * sin_up)
 
-    nodes = (tau,) + tuple(np.concatenate([upper, lower])[perm] for upper, lower in (
+    joined = (tau,) + tuple(np.concatenate([upper, lower])[perm] for upper, lower in (
         (ys, ys), (t, np.conj(t)), (dt_dtau, -np.conj(dt_dtau))))
-    for arr in nodes[1:]:
+    for arr in joined[1:]:
         arr.flags.writeable = False
-    return nodes
-
-
-def _node_memo(s: StepSet, z: float, y1: float, y2: float, disc: tuple, m: int) -> dict:
-    """The memo entries of one node build: the joined arrays of its grids,
-    keyed by the grid tuple, and the views contour_nodes returns, keyed by
-    m.  Either grid of FIRST_GRIDS builds both."""
-    grids = FIRST_GRIDS if m in FIRST_GRIDS else (m,)
-    joined = _nodes(s, z, y1, y2, disc, grids)
-    memo, start = {grids: joined}, 0
-    for g in grids:
-        memo[g] = tuple(arr[start:start + g] for arr in joined)
-        start += g
-    return memo
+    trace._memo[grids], start = joined, 0
+    for m in grids:
+        trace._memo[m] = tuple(arr[start:start + m] for arr in joined)
+        start += m
+    return joined
 
 
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
@@ -443,12 +426,9 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
         raise OutOfRange("m must be >= 16")
     if m > _MAX_TRACE_POINTS:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
-    m = m + (m % 2)
     y1, y2 = _slit_endpoints(s, z)
-    disc = _edge_disc(s, z)
-    memo = _node_memo(s, z, y1, y2, disc, m)
-    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=memo[m][2])
-    trace._memo.update(memo, edge_disc=disc)
+    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, m=m + (m % 2))
+    contour_nodes(trace, m=trace.m)
     return trace
 
 
@@ -469,9 +449,10 @@ def contour_nodes(
     """
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
+    if m > _MAX_TRACE_POINTS:
+        raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     if m not in trace._memo:
-        trace._memo.update(_node_memo(trace.steps, trace.z, trace.y1, trace.y2,
-                                      _trace_edge_disc(trace), m))
+        _nodes(trace, FIRST_GRIDS if m in FIRST_GRIDS else (m,))
     return trace._memo[m]
 
 
@@ -505,7 +486,7 @@ def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:
                 and trace.y1 - _BAND <= yr.real <= trace.y2 + _BAND):
             continue
         yv = min(max(yr.real, trace.y1), trace.y2)
-        up = complex(_edge_values(s, yv, z, _trace_edge_disc(trace))[0])
+        up = complex(_edge_values(s, yv, z, trace.edge_disc)[0])
         if min(abs(up - x), abs(up.conjugate() - x)) > _BAND:
             continue
         cosv = (0.5 * (trace.y1 + trace.y2) - yv) / (0.5 * (trace.y2 - trace.y1))

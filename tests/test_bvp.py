@@ -603,9 +603,9 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         glued.append(trace)
         return gluing_defect(cgf, trace)
 
-    def counting_nodes(s, z, y1, y2, disc, grids):
+    def counting_nodes(trace, grids):
         built.append(grids)
-        return nodes(s, z, y1, y2, disc, grids)
+        return nodes(trace, grids)
 
     def counting_integral(trace, integrand, *args):
         calls = []
@@ -652,8 +652,7 @@ def two_build_integral(trace, integrand, tol, plemelj=0j):
     """Reference contour sum: each level's nodes built alone, from m = 256
     doubling, and each summed by its own integrand call."""
     def at_m(m):
-        nodes = kernel._nodes(trace.steps, trace.z, trace.y1, trace.y2,
-                              kernel._edge_disc(trace.steps, trace.z), (m,))
+        nodes = kernel._nodes(trace, (m,))
         with np.errstate(divide="ignore", invalid="ignore"):
             return complex(np.sum(integrand(*nodes))) * (2 * math.pi / m)
 

@@ -438,7 +438,8 @@ def test_trace_census_over_every_step_set():
 def test_curve_predicates_agree_with_the_float_facts_they_replace(monkeypatch):
     # at every z of the trace census, the curve passes through infinity (c
     # constant) iff at(y) is within 1e-12 (1 + y^2) of 0 at a slit end, and
-    # through x = 0 (c(x) = x^2) iff curve_preimage places x = 0 on it
+    # through x = 0 (c(x) = x^2) iff curve_preimage places x = 0 on it; a
+    # CurveTrace built by hand has trace_curve_M's points and nodes
     through_infinity = kernel.curve_through_infinity
     monkeypatch.setattr(kernel, "curve_through_infinity", lambda s: False)
     seen = Counter()
@@ -455,8 +456,12 @@ def test_curve_predicates_agree_with_the_float_facts_they_replace(monkeypatch):
             if at_end:
                 seen["infinity"] += 1
                 continue
-            tr = kernel.CurveTrace(steps=s, z=z, y1=y1, y2=y2, points=None)
+            tr = kernel.CurveTrace(steps=s, z=z, y1=y1, y2=y2)
             on_curve = kernel.curve_preimage(tr, 0j) is not None
+            traced = kernel.trace_curve_M(s, z)
+            assert tr.points.tobytes() == traced.points.tobytes(), (s, f)
+            for a, b in zip(kernel.contour_nodes(tr, m=1024), kernel.contour_nodes(traced, m=1024)):
+                assert a.tobytes() == b.tobytes(), (s, f)
             assert on_curve == kernel.curve_through_origin(s), (s, f)
             seen["origin" if on_curve else "neither"] += 1
     assert seen == {"infinity": 90, "origin": 90, "neither": 726}
@@ -532,36 +537,32 @@ def test_contour_nodes_match_the_per_grid_construction():
     assert count == 18 * 3 * 5
 
 
-def test_first_grid_table_is_built_once_and_shared(monkeypatch):
-    # the fixed part of the FIRST_GRIDS build is one read-only table, made on
-    # the first trace that needs it and read by every later one; it holds
-    # the two grids' angles and layout alone, and no other m adds to it
-    builds = []
+def test_first_grid_table_is_built_once_and_shared():
+    # the fixed part of a node build is one read-only table per tuple of
+    # grids, made by the first trace that needs it and read by every later
+    # one; the FIRST_GRIDS table holds the two grids' angles and layout
+    # alone, and no other m replaces it
     grid_table = kernel._grid_table
-
-    def counting_table(grids):
-        builds.append(grids)
-        return grid_table(grids)
-
-    monkeypatch.setattr(kernel, "_FIRST_TABLE", None)
-    monkeypatch.setattr(kernel, "_grid_table", counting_table)
+    grid_table.cache_clear()
     traces = [kernel.trace_curve_M(s, f / len(s))
               for s in (SIMPLE, steps.preset("kreweras"), steps.preset("gouyou-beauchamps"))
               for f in (0.3, 0.7)]
-    table = kernel._FIRST_TABLE
-    assert builds == [kernel.FIRST_GRIDS]
+    assert grid_table.cache_info().misses == 1
+    table = grid_table(kernel.FIRST_GRIDS)
     for tr in traces:
         assert kernel.first_grid_nodes(tr)[0] is table[0]
-    kernel.contour_nodes(traces[0], m=1024)
-    kernel.trace_curve_M(SIMPLE, 0.2, m=64)
-    assert builds == [kernel.FIRST_GRIDS, (1024,), (64,)] and kernel._FIRST_TABLE is table
+    for tr in traces[:2]:
+        assert kernel.contour_nodes(tr, m=1024)[0].base is grid_table((1024,))[0]
+    for z in (0.2, 0.15):
+        assert kernel.trace_curve_M(SIMPLE, z, m=64).points.shape == (64,)
+    assert grid_table.cache_info().misses == 3 and grid_table(kernel.FIRST_GRIDS) is table
 
     tau, cos_up, sin_up, perm = table
     lo, hi = kernel.FIRST_GRIDS
     assert (len(tau), len(cos_up), len(sin_up), len(perm)) == (lo + hi, (lo + hi) // 2,
                                                               (lo + hi) // 2, lo + hi)
     assert sorted(perm) == list(range(lo + hi))
-    for got, want in zip(table, grid_table(kernel.FIRST_GRIDS)):
+    for got, want in zip(table, grid_table.__wrapped__(kernel.FIRST_GRIDS)):
         assert got.tobytes() == want.tobytes()
     for arr in table:
         with pytest.raises(ValueError):
@@ -665,6 +666,8 @@ def test_bad_z_and_node_counts_are_out_of_range():
         (lambda: kernel.contour_nodes(trace, m=63), "m must be even"),
         (lambda: kernel.contour_nodes(trace, m=0), "m must be even"),
         (lambda: kernel.contour_nodes(trace, m=-2), "m must be even"),
+        (lambda: kernel.contour_nodes(trace, m=kernel._MAX_TRACE_POINTS + 2),
+         "m must be <= 65536"),
     ):
         with pytest.raises(OutOfRange, match=match):
             call()

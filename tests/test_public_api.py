@@ -102,11 +102,13 @@ def test_a_trace_is_the_only_handle_on_its_model_and_z():
     assert found == []
 
 
-def test_only_caches_keyed_by_the_step_set_persist_across_calls(monkeypatch):
+def test_only_caches_keyed_by_the_step_set_persist_across_calls():
     # per-curve work is kept on its CurveTrace and dies with it; a functools
     # cache keyed by z would serve repeated inputs instead of doing the work.
     # kernel_polys and cleared_disc_int, keyed by the step set alone (at most
-    # 255 entries each), are the exceptions
+    # 255 entries each), are the exceptions, and so is kernel._grid_table,
+    # the bounded cache of the node angles and edge layout, keyed by the
+    # grids alone
     caching = {"cache", "lru_cache", "cached_property"}
     decorated, uses = [], 0
     for p in sorted(PACKAGE.glob("*.py")):
@@ -118,20 +120,22 @@ def test_only_caches_keyed_by_the_step_set_persist_across_calls(monkeypatch):
                    {node.attr} if isinstance(node, ast.Attribute) else
                    {a.name for a in node.names} if isinstance(node, ast.ImportFrom) else set())
             uses += len(caching & own)
-    assert decorated == ["kernel.cleared_disc_int", "steps.kernel_polys"] and uses == 2
+    assert decorated == ["kernel.cleared_disc_int", "kernel._grid_table",
+                         "steps.kernel_polys"] and uses == 3
 
-    # the one module state built lazily is kernel's table of the FIRST_GRIDS
-    # angles and edge layout, which no input keys: the only name a function
-    # rebinds by `global`, and across traces, contour sums and preimages the
-    # only module attribute that is rebound; no module-level container grows
+    from qwalk import bvp, kernel, steps
+    assert kernel._grid_table.cache_parameters()["maxsize"] == 8
+
+    # no module state is built lazily: no function rebinds a name by
+    # `global`, and across traces, contour sums and preimages no module
+    # attribute is rebound and no module-level container grows
     rebound = [f"{p.stem}.{node.name}:{name}" for p in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(p.read_text()))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                for stmt in ast.walk(node) if isinstance(stmt, ast.Global)
                for name in stmt.names]
-    assert rebound == ["kernel._nodes:_FIRST_TABLE"]
+    assert rebound == []
 
-    from qwalk import bvp, kernel, steps
     modules = [importlib.import_module(f"qwalk.{p.stem}".removesuffix(".__init__"))
                for p in sorted(PACKAGE.glob("*.py"))]
 
@@ -139,7 +143,7 @@ def test_only_caches_keyed_by_the_step_set_persist_across_calls(monkeypatch):
         return {(m.__name__, k): (id(v), len(v) if isinstance(v, (dict, list, set)) else None)
                 for m in modules for k, v in vars(m).items()}
 
-    monkeypatch.setattr(kernel, "_FIRST_TABLE", None)
+    kernel._grid_table.cache_clear()
     before = state()
     for s, z in ((steps.preset("simple"), 0.2), (steps.preset("gouyou-beauchamps"), 0.1)):
         tr = kernel.trace_curve_M(s, z)
@@ -148,7 +152,7 @@ def test_only_caches_keyed_by_the_step_set_persist_across_calls(monkeypatch):
         kernel.trace_curve_M(s, z, m=64)
     bvp.q11_general(steps.preset("simple"), 0.2, bvp.circle_cgf())
     after = state()
-    assert [k for k in after if after[k] != before.get(k)] == [("qwalk.kernel", "_FIRST_TABLE")]
+    assert [k for k in after if after[k] != before.get(k)] == []
 
 
 def test_every_name_the_demos_import_exists():
