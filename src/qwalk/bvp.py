@@ -24,11 +24,11 @@ Two layers:
   c(0) = 0) or by evaluation at a root of c on the unit circle (when c(0) = 1
   and c is not constant).  No CGF glues the curve when c is constant (it
   passes through infinity) or c(x) = x^2 (it passes through x = 0, the pole
-  of every CGF).  Each plane's curve is traced, checked and its nodes built
-  once per call; the trace carries the model and z to every integral on it,
-  and keeps its nodes and passed gluing checks.  Every integral starts by
-  comparing its 256- and 512-node sums, both from one integrand call on
-  the nodes the trace built for them in one pass.
+  of every CGF).  Each plane's curve is traced and its gluing checked once
+  per call; the trace carries the model and z to every integral on it, and
+  its nodes.  Every integral starts by comparing its 256- and 512-node
+  sums, both from one integrand call on the nodes the trace built for them
+  in one pass.
   A point x on the curve takes the inside limit of the same integral: the
   same integrand minus its poles at x and at x's mirror, which meet at a
   fold (principal value), plus their Sokhotski-Plemelj half-residues.
@@ -61,7 +61,6 @@ from .kernel import (
     curve_preimage,
     curve_through_infinity,
     curve_through_origin,
-    first_grid_nodes,
     off_curve_position,
     trace_curve_M,
 )
@@ -111,12 +110,13 @@ def circle_cgf() -> CGF:
 
 
 def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
-    """max |w(t) - w(conj t)| over the traced curve's nodes; inf when w
-    blows up on them, or when the curve passes through t = 0, the pole of
-    every CGF (a fold there, which no node reaches)."""
+    """max |w(t) - w(conj t)| over the traced curve's 512 nodes, the grid
+    every contour sum reads, whatever the trace's m; inf when w blows up on
+    them, or when the curve passes through t = 0, the pole of every CGF (a
+    fold there, which no node reaches)."""
     if curve_through_origin(trace.steps):
         return math.inf
-    pts = trace.points
+    pts = contour_nodes(trace, m=FIRST_GRIDS[-1])[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         defect = np.abs(cgf.w(pts) - cgf.w(np.conj(pts)))
     if not np.all(np.isfinite(defect)):
@@ -125,16 +125,13 @@ def gluing_defect(cgf: CGF, trace: CurveTrace) -> float:
 
 
 def _require_gluing(cgf: CGF, trace: CurveTrace) -> None:
-    """Check once per trace that cgf glues it; a pass is kept on the trace."""
-    if cgf in trace._memo:
-        return
+    """Raise CGFUnavailable unless cgf glues the trace."""
     defect = gluing_defect(cgf, trace)
     if defect > _GLUING_TOL:
         raise CGFUnavailable(
             f"CGF {cgf.label!r} does not glue this curve (defect {defect:.2e}); "
             "supply a CGF for the model's own domain"
         )
-    trace._memo[cgf] = True
 
 
 # --------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def _contour_integral(
     runs counter-clockwise: integrand(tau, ys, t, dt), elementwise, is
     summed over the midpoint nodes until two successive sums differ by
     < tol.  The first comparison, 256 against 512 nodes, is one call on
-    first_grid_nodes, summed slice by slice; past it m doubles, and
+    trace.nodes, summed slice by slice; past it m doubles, and
     QuadratureNotConverged at the node cap.  A node on a pole makes a
     non-finite round, which the doubling passes over."""
 
@@ -237,7 +234,7 @@ def _contour_integral(
 
     lo, m = FIRST_GRIDS
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = integrand(*first_grid_nodes(trace))
+        f = integrand(*trace.nodes)
         prev, cur = total(f[:lo], lo), total(f[lo:], m)
         while not (diff := abs(cur - prev)) < tol:
             if m >= _MAX_NODES:
@@ -249,9 +246,7 @@ def _contour_integral(
     return (cur + plemelj) / (2j * math.pi * trace.z), diff / (2 * math.pi * abs(trace.z))
 
 
-def cauchy_value(
-    trace: CurveTrace, x: complex, cgf: CGF, tol: float = 1e-9
-) -> tuple[complex, float, str]:
+def cauchy_value(trace: CurveTrace, x: complex, cgf: CGF) -> tuple[complex, float, str]:
     """c(x) Q(x,0,z) - c(0) Q(0,0,z) with its error estimate and position tag
     ("inside" or "boundary").
 
@@ -261,9 +256,16 @@ def cauchy_value(
     staggered grid (principal value) and their Sokhotski-Plemelj
     half-residues added back.  Points off the curve take their position from
     off_curve_position, and points outside the domain raise
-    PointOutsideDomain.
+    PointOutsideDomain.  A CGF that does not glue the curve raises
+    CGFUnavailable.
     """
     _require_gluing(cgf, trace)
+    return _cauchy(trace, x, cgf, _TOL)
+
+
+def _cauchy(trace: CurveTrace, x: complex, cgf: CGF, tol: float) -> tuple[complex, float, str]:
+    """cauchy_value to tolerance tol, on a trace whose gluing by cgf is
+    already checked."""
     preimage = curve_preimage(trace, x)
     position = "boundary" if preimage else off_curve_position(trace, x)
     if position == "outside":
@@ -351,7 +353,7 @@ def _q00(cgf: CGF, trace: CurveTrace, tol: float) -> GFValue:
     flags: tuple[str, ...] = ()
     for x_hat in roots:
         try:
-            val, err, position = cauchy_value(trace, x_hat, cgf, tol)
+            val, err, position = _cauchy(trace, x_hat, cgf, tol)
         except PointOutsideDomain:
             outside.append(x_hat)
             continue
@@ -384,7 +386,7 @@ def _q10(cgf: CGF, trace: CurveTrace, q00: float, tol: float) -> GFValue:
     c_at_1 = sum(kp.c)
     c0 = kp.c[0]
     try:
-        val, err, position = cauchy_value(trace, 1.0 + 0j, cgf, tol)
+        val, err, position = _cauchy(trace, 1.0 + 0j, cgf, tol)
     except PointOutsideDomain:
         pass  # x = 1 outside: transport along the kernel
     else:
@@ -395,7 +397,7 @@ def _q10(cgf: CGF, trace: CurveTrace, q00: float, tol: float) -> GFValue:
 
     y_star = Y_branches(s, 1.0 + 0j, z)[0]
     x_star = X_branches(s, y_star, z)[0]
-    val, err, _pos = cauchy_value(trace, x_star, cgf, tol)
+    val, err, _pos = _cauchy(trace, x_star, cgf, tol)
     c_at_star = poly_eval(kp.c, x_star)
     q_star = (val + c0 * q00) / c_at_star  # Q(x*, 0, z)
     value = (c_at_star * q_star + (y_star / z) * (1.0 - x_star)) / c_at_1

@@ -125,9 +125,9 @@ def _cmd_kernel(s: steps.StepSet, args) -> int:
             "ordering_asserted": bp.ordering_asserted,
         })
         return 0
-    trace = kernel.trace_curve_M(s, args.z, m=args.points)
+    points = kernel.trace_curve_M(s, args.z, m=args.points).points
     sys.stdout.write("re,im\n")
-    for t in (*trace.points, trace.points[0]):  # the closed node polygon
+    for t in (*points, points[0]):  # the closed node polygon
         sys.stdout.write(f"{float(t.real)!r},{float(t.imag)!r}\n")
     return 0
 

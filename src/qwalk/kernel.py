@@ -25,6 +25,8 @@ depend on m alone.  For each tuple of grids built in one pass (FIRST_GRIDS,
 or one m) the angles, their cosines and sines and the layout of both slit
 edges are one read-only table, _grid_table's, which a cache of eight keeps
 for every trace; a trace then computes only what depends on its model and z.
+Each CurveTrace builds the FIRST_GRIDS nodes once, as its field nodes; any
+other m is built when asked and not kept.
 """
 
 from __future__ import annotations
@@ -237,20 +239,19 @@ class CurveTrace:
     per the contour convention).  X0 is holomorphic off the slit, so the
     traversal is counter-clockwise.
 
+    edge_disc is _edge_disc(steps, z), which every edge value on the curve
+    reads; nodes is then _nodes(trace, FIRST_GRIDS), the read-only (tau, ys,
+    t, dt_dtau) of the 256 and 512 grids joined, which the gluing check and
+    the first comparison of every contour sum read.  Both are built with the
+    trace, whatever its m; the tau of nodes is the grid table's array,
+    shared by every trace.
+
     points is t of contour_nodes at the trace's even m, read-only: points[k]
     lies at tau = 2 pi (k+1/2)/m, curve_preimage's parameter, the first half
     on the upper edge (_edge_values), the second its exact mirror; none at a
-    fold, tau = 0 or pi, where the edges meet.  The points serve the gluing
-    check and the printed trace; point_in_G_M does not read them.
-
-    edge_disc is _edge_disc(steps, z), built with the trace, which every
-    edge value on the curve reads.  _memo holds the per-curve work done once
-    and dropped with the trace: the read-only arrays of each node build,
-    keyed by its tuple of grids (FIRST_GRIDS, 256 and 512 joined, for m =
-    256 or 512); the contour_nodes result for each m, views of those; and,
-    keyed by themselves, the CGFs that passed bvp's gluing check on this
-    curve.  The tau of a build is not the trace's own: it is its grid
-    tuple's read-only table array, shared by every trace.
+    fold, tau = 0 or pi, where the edges meet.  For m outside FIRST_GRIDS
+    each read builds them afresh.  The points serve the printed trace;
+    point_in_G_M does not read them.
     """
 
     steps: StepSet
@@ -259,10 +260,11 @@ class CurveTrace:
     y2: float
     m: int = 512
     edge_disc: tuple[list[float], float] = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    nodes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_disc", _edge_disc(self.steps, self.z))
+        object.__setattr__(self, "nodes", _nodes(self, FIRST_GRIDS))
 
     @property
     def points(self) -> np.ndarray:
@@ -386,9 +388,8 @@ def _grid_table(grids: tuple[int, ...]) -> tuple:
 def _nodes(trace: CurveTrace, grids: tuple[int, ...]) -> tuple:
     """The read-only (tau, ys, t, dt_dtau) of contour_nodes over the trace's
     slit for each even m of grids, joined in that order: one pass over the
-    upper-edge ordinates of all of them, each grid's lower half mirrored.
-    The joined arrays go into the trace's memo under grids, and each m's
-    views of them under m; tau is the grid table's own array."""
+    upper-edge ordinates of all of them, each grid's lower half mirrored;
+    tau is the grid table's own array."""
     import numpy as np
 
     tau, cos_up, sin_up, perm = _grid_table(grids)
@@ -407,18 +408,14 @@ def _nodes(trace: CurveTrace, grids: tuple[int, ...]) -> tuple:
         (ys, ys), (t, np.conj(t)), (dt_dtau, -np.conj(dt_dtau))))
     for arr in joined[1:]:
         arr.flags.writeable = False
-    trace._memo[grids], start = joined, 0
-    for m in grids:
-        trace._memo[m] = tuple(arr[start:start + m] for arr in joined)
-        start += m
     return joined
 
 
 def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     """Trace the curve: X0 over the slit [y1(z), y2(z)] along the upper edge
-    and back along the lower edge, at the m contour nodes (m rounded up to
-    even), which are kept for the integrals; m = 512 or 256 builds both
-    FIRST_GRIDS in one pass.  Requires the genus-1 regime.
+    and back along the lower edge.  The trace keeps the nodes of both
+    FIRST_GRIDS for the integrals, built in one pass, and shows the curve at
+    its m points (m rounded up to even).  Requires the genus-1 regime.
     """
     if not 0 < z < math.inf:
         raise OutOfRange("z must be positive and finite")
@@ -427,9 +424,7 @@ def trace_curve_M(s: StepSet, z: float, m: int = 512) -> CurveTrace:
     if m > _MAX_TRACE_POINTS:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
     y1, y2 = _slit_endpoints(s, z)
-    trace = CurveTrace(steps=s, z=z, y1=y1, y2=y2, m=m + (m % 2))
-    contour_nodes(trace, m=trace.m)
-    return trace
+    return CurveTrace(steps=s, z=z, y1=y1, y2=y2, m=m + (m % 2))
 
 
 def contour_nodes(
@@ -444,26 +439,18 @@ def contour_nodes(
     traverses the curve in the slit-contour orientation; dt/dtau comes from
     implicit differentiation of K(t, y) = 0 (its mirror is -conj).
     ys are the slit ordinates: K(t, ys, z) = 0 exactly, i.e. ys = Y0 on the
-    curve, so integrand densities need no branch selection.  The nodes are
-    built once per trace and m; a repeat m returns the same read-only arrays.
+    curve, so integrand densities need no branch selection.  For m in
+    FIRST_GRIDS the arrays are read-only views of trace.nodes; any other m
+    is a fresh read-only build, which the trace does not keep.
     """
     if m <= 0 or m % 2:
         raise OutOfRange(f"m must be even and positive, got {m}")
     if m > _MAX_TRACE_POINTS:
         raise OutOfRange(f"m must be <= {_MAX_TRACE_POINTS}")
-    if m not in trace._memo:
-        _nodes(trace, FIRST_GRIDS if m in FIRST_GRIDS else (m,))
-    return trace._memo[m]
-
-
-def first_grid_nodes(
-    trace: CurveTrace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The contour nodes of both FIRST_GRIDS joined, the 256 before the 512:
-    the one build of which contour_nodes(trace, m=256) and (m=512) are
-    views, so one elementwise call covers both sums."""
-    contour_nodes(trace, m=FIRST_GRIDS[0])
-    return trace._memo[FIRST_GRIDS]
+    if m not in FIRST_GRIDS:
+        return _nodes(trace, (m,))
+    start = sum(FIRST_GRIDS[:FIRST_GRIDS.index(m)])
+    return tuple(arr[start:start + m] for arr in trace.nodes)
 
 
 def curve_preimage(trace: CurveTrace, x: complex) -> tuple[float, float] | None:

@@ -93,9 +93,7 @@ def parse_step_set(pairs: Iterable[Iterable[int]]) -> StepSet:
         if len(step) != 2 or not all(isinstance(v, int) and not isinstance(v, bool)
                                      for v in step):
             raise InvalidStep(f"not an integer pair: {step!r}")
-        collected.add(step)  # validity checked by the StepSet constructor
-    if not collected:
-        raise EmptyStepSet("a step set must contain at least one step")
+        collected.add(step)  # the StepSet constructor checks emptiness and validity
     return StepSet(frozenset(collected))
 
 

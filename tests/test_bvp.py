@@ -201,6 +201,15 @@ def test_gluing_defect_rejects_wrong_domain():
         bvp.cauchy_value(tr, 0.1, bvp.circle_cgf())[0]
 
 
+def test_gluing_defect_reads_the_nodes_the_sums_use():
+    # the check reads the 512 nodes every contour sum integrates on, not the
+    # trace's own m points: a 16-point trace reads the default trace's defect
+    s, cgf = steps.preset("kreweras"), bvp.circle_cgf()
+    coarse, default = kernel.trace_curve_M(s, 0.2, m=16), kernel.trace_curve_M(s, 0.2)
+    assert len(coarse.points) == 16
+    assert bvp.gluing_defect(cgf, coarse) == bvp.gluing_defect(cgf, default) > 1e-3
+
+
 # --------------------------------------------------------- boundary condition
 
 def test_boundary_condition_on_circle(simple_table):
@@ -332,13 +341,13 @@ def test_cgf_is_evaluated_on_node_arrays(monkeypatch):
         return wrapped
 
     evaluations = []
-    cauchy_value = bvp.cauchy_value
+    cauchy = bvp._cauchy
 
     def counted_cauchy(*args, **kwargs):
         evaluations.append(args[1])
-        return cauchy_value(*args, **kwargs)
+        return cauchy(*args, **kwargs)
 
-    monkeypatch.setattr(bvp, "cauchy_value", counted_cauchy)
+    monkeypatch.setattr(bvp, "_cauchy", counted_cauchy)
     base = bvp.circle_cgf()
     cgf = dataclasses.replace(base, w=counted(base.w), dw=counted(base.dw))
     assert "boundary" in bvp.q10_general(SIMPLE, 0.2, cgf).flags
@@ -587,9 +596,9 @@ def test_each_plane_is_traced_once_per_call(monkeypatch):
 
 def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
     # several integrals on one trace share its node arrays and its gluing
-    # check.  A default trace builds the 256 and 512 nodes of the first
-    # comparison in one _nodes pass, and each first comparison is one
-    # integrand call over both; each later level is built once per trace.
+    # check.  A trace builds the 256 and 512 nodes of the first comparison
+    # in one _nodes pass, and each first comparison is one integrand call
+    # over both; a later level is built for the one sum that reaches it.
     # q11_general traces a self-mirror model (SIMPLE) once, TWO_CURVES twice
     traced, glued, built, sizes = [], [], [], []
     trace_curve_M, gluing_defect = bvp.trace_curve_M, bvp.gluing_defect
@@ -630,18 +639,18 @@ def test_each_trace_builds_its_nodes_and_checks_its_gluing_once(monkeypatch):
         fn(s, z, cgf)
         assert len(traced) == n_traces and len(glued) == n_traces, fn.__name__
         assert built.count(kernel.FIRST_GRIDS) == n_traces, fn.__name__
-        kept = [k for tr in traced for k in tr._memo if isinstance(k, tuple)]
-        assert sorted(built) == sorted(kept), fn.__name__
+        later = [(m,) for calls in sizes for m in calls[1:]]
+        assert sorted(b for b in built if b != kernel.FIRST_GRIDS) == sorted(later), fn.__name__
         assert len(sizes) > n_traces, fn.__name__
         for calls in sizes:
             assert calls == [768] + [512 * 2**k for k in range(1, len(calls))], fn.__name__
         for tr in traced:
-            assert tr.points is kernel.contour_nodes(tr, m=len(tr.points))[2]
+            assert tr.points.base is tr.nodes[2]
 
-    joined = kernel.first_grid_nodes(traced[0])
+    joined = traced[0].nodes
+    assert [len(arr) for arr in joined] == [sum(kernel.FIRST_GRIDS)] * 4
     for m in kernel.FIRST_GRIDS:
         nodes = kernel.contour_nodes(traced[0], m=m)
-        assert kernel.contour_nodes(traced[0], m=m) is nodes
         assert all(arr.base is whole for arr, whole in zip(nodes, joined))
         for arr in nodes:
             with pytest.raises(ValueError):

@@ -338,7 +338,7 @@ def test_trace_simple_walk_is_unit_circle():
     # the points are the trace's own m contour nodes, mirror-symmetric
     for z in (0.1, 0.2):
         tr = kernel.trace_curve_M(SIMPLE, z, m=256)
-        assert tr.points is kernel.contour_nodes(tr, m=256)[2] and len(tr.points) == 256
+        assert tr.points.base is tr.nodes[2] and len(tr.points) == 256
         assert np.max(np.abs(np.abs(tr.points) - 1.0)) < 1e-8
         assert np.array_equal(tr.points, np.conj(tr.points[::-1]))
 
@@ -550,9 +550,9 @@ def test_first_grid_table_is_built_once_and_shared():
     assert grid_table.cache_info().misses == 1
     table = grid_table(kernel.FIRST_GRIDS)
     for tr in traces:
-        assert kernel.first_grid_nodes(tr)[0] is table[0]
+        assert tr.nodes[0] is table[0]
     for tr in traces[:2]:
-        assert kernel.contour_nodes(tr, m=1024)[0].base is grid_table((1024,))[0]
+        assert kernel.contour_nodes(tr, m=1024)[0] is grid_table((1024,))[0]
     for z in (0.2, 0.15):
         assert kernel.trace_curve_M(SIMPLE, z, m=64).points.shape == (64,)
     assert grid_table.cache_info().misses == 3 and grid_table(kernel.FIRST_GRIDS) is table
